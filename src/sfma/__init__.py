@@ -19,9 +19,7 @@ from .semantic_rate import (
 from .pairing import (
     PairingAssignment,
     UserTerminal,
-    build_preference_lists,
     pair_users,
-    preference_value,
     temporal_gap,
 )
 from .power import (

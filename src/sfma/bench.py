@@ -10,6 +10,7 @@ drop index), so drops may run in parallel without changing any number.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -73,6 +74,11 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "user_counts", tuple(int(m) for m in self.user_counts))
         object.__setattr__(self, "p_max_dbw", tuple(float(p) for p in self.p_max_dbw))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {v}")
         if self.drops < 1:
             raise ConfigError(f"drops must be >= 1, got {self.drops}")
         if not self.user_counts or any(m < 2 or m % 2 for m in self.user_counts):
@@ -87,6 +93,17 @@ class ScenarioConfig:
             raise ConfigError(f"unknown rho_kind {self.rho_kind!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.area_side_m <= 0:
+            raise ConfigError(f"area_side_m must be positive, got {self.area_side_m}")
+        if self.shadow_sigma_db < 0:
+            raise ConfigError(f"shadow_sigma_db must be nonnegative, got {self.shadow_sigma_db}")
+        if not 0.0 < self.fnoma_eta < 1.0:
+            raise ConfigError(f"fnoma_eta must lie in (0, 1), got {self.fnoma_eta}")
+        if self.rho_kind != "table":  # table files are read only when the sweep starts
+            try:
+                self.build_profile()
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     def build_profile(self) -> InterferenceProfile:
         if self.rho_kind == "constant":

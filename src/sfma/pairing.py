@@ -1,29 +1,29 @@
-"""User pairing by preference-driven matching under a temporal-gap cap.
+"""User pairing by greedy matching under a temporal-gap cap.
 
 The preference value between two users is their pair sum rate (at fixed
 equal-split powers) minus a weighted temporal gap. Because that value is
-symmetric in the pair, a proposal dynamic with strict-improvement
-acceptance always terminates in a matching with no mutually-improving
-feasible pair; users whose every gap-feasible candidate is exhausted are
-reported as unmatchable rather than silently dropped.
+symmetric in the pair, every pair carries one value that both members
+rank it by: a stable roommates instance with globally ranked pairs. Taking
+the best gap-feasible pair, removing both users and repeating yields a
+stable matching, and the only one when the values are strict (Abraham,
+Levavi, Manlove and O'Malley, "The stable roommates problem with
+globally-ranked pairs", WINE 2007). Users left without a gap-feasible
+partner are reported as unmatchable rather than silently dropped.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .semantic_rate import InterferenceProfile, Link, pair_sum_rate, rho_eval
+from .semantic_rate import InterferenceProfile, Link, rho_eval
 
 __all__ = [
     "UserTerminal",
     "PairingAssignment",
     "temporal_gap",
-    "preference_value",
     "preference_matrix",
-    "build_preference_lists",
     "pair_users",
 ]
 
@@ -72,20 +72,6 @@ def temporal_gap(u: UserTerminal, v: UserTerminal) -> int:
     return abs(u.frame_time - v.frame_time)
 
 
-def preference_value(
-    u: UserTerminal,
-    v: UserTerminal,
-    p_u: float,
-    p_v: float,
-    profile: InterferenceProfile,
-    alpha: float,
-) -> float:
-    """Pair sum rate minus alpha times the temporal gap."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return pair_sum_rate(p_u, p_v, profile, u.link, v.link) - alpha * temporal_gap(u, v)
-
-
 def preference_matrix(users, power_per_user: float, profile: InterferenceProfile, alpha: float) -> np.ndarray:
     """All pairwise preference values; the diagonal is -inf.
 
@@ -105,19 +91,6 @@ def preference_matrix(users, power_per_user: float, profile: InterferenceProfile
     return values
 
 
-def build_preference_lists(users, powers: float, profile: InterferenceProfile, alpha: float) -> dict:
-    """Per-user candidate ranking: descending preference value, ties by ascending id."""
-    if len(users) < 2:
-        raise ValueError("need at least 2 users to build preference lists")
-    values = preference_matrix(users, powers, profile, alpha)
-    ids = [u.id for u in users]
-    lists = {}
-    for i, u in enumerate(users):
-        order = sorted((j for j in range(len(users)) if j != i), key=lambda j: (-values[i, j], ids[j]))
-        lists[u.id] = [ids[j] for j in order]
-    return lists
-
-
 def pair_users(
     users,
     powers: float,
@@ -125,71 +98,34 @@ def pair_users(
     alpha: float,
     delta_max: float,
 ) -> PairingAssignment:
-    """Match users into pairs by iterated proposals under the gap cap.
+    """Match users into pairs by greedy matching over globally ranked pairs.
 
-    Users propose down their preference lists; a proposal to a matched user
-    succeeds only when it strictly improves that user's preference value and
-    respects the gap cap. Users dumped in the process restart their lists,
-    and a matched user keeps proposing while better candidates remain, so
-    the dynamic cannot settle on a matching that leaves two users mutually
-    better off. Accepted proposals strictly raise the sorted vector of
-    matched preference values, which bounds the number of re-matchings.
+    Every pair whose temporal gap is at most ``delta_max`` is ranked by
+    preference value, highest first, with ties broken by the lower and then
+    the higher user index in id order. One walk down that ranking takes each
+    pair whose two users are both still free. A pair left out has a member
+    taken earlier by a pair ranked no lower, so it cannot block the result,
+    and two users left over cannot be paired within the cap. With strict
+    values this is the unique stable matching.
     """
     m = len(users)
     if m < 2 or m % 2 != 0:
         raise ValueError(f"user count must be even and >= 2, got {m}")
     if len({u.id for u in users}) != m:
         raise ValueError("user ids must be unique")
-    by_index = sorted(range(m), key=lambda i: users[i].id)
-    users = [users[i] for i in by_index]
+    users = sorted(users, key=lambda u: u.id)
     values = preference_matrix(users, powers, profile, alpha)
     frames = np.array([u.frame_time for u in users])
     gaps = np.abs(frames[:, None] - frames[None, :])
 
-    prefs = [
-        sorted((j for j in range(m) if j != i), key=lambda j: (-values[i, j], users[j].id))
-        for i in range(m)
-    ]
+    lower, higher = np.triu_indices(m, k=1)
+    keep = gaps[lower, higher] <= delta_max
+    lower, higher = lower[keep], higher[keep]
+    ranked = np.lexsort((higher, lower, -values[lower, higher]))
     partner = [None] * m
-    pointer = [0] * m
-
-    def val(i):
-        return values[i, partner[i]] if partner[i] is not None else -np.inf
-
-    queue = deque(range(m))
-    in_queue = [True] * m
-    budget = 16 * m * m * m + 64  # termination guard; the dynamic stops far earlier
-    proposals = 0
-    while queue:
-        u = queue.popleft()
-        in_queue[u] = False
-        while pointer[u] < m - 1:
-            v = prefs[u][pointer[u]]
-            if values[u, v] <= val(u):
-                break  # everything further down is no better than the current match
-            proposals += 1
-            if proposals > budget:
-                raise RuntimeError("pairing proposal budget exhausted")
-            if gaps[u, v] > delta_max:
-                pointer[u] += 1
-                continue
-            if partner[v] is None or values[u, v] > val(v):
-                dumped = [w for w in (partner[u], partner[v]) if w is not None]
-                if partner[u] is not None:
-                    partner[partner[u]] = None
-                if partner[v] is not None:
-                    partner[partner[v]] = None
-                partner[u], partner[v] = v, u
-                for w in dumped:
-                    pointer[w] = 0  # restart so newly worse-off users can be re-courted
-                    if not in_queue[w]:
-                        queue.append(w)
-                        in_queue[w] = True
-                if not in_queue[v]:  # the acceptor may still prefer someone above its new match
-                    queue.append(v)
-                    in_queue[v] = True
-                break
-            pointer[u] += 1
+    for i, j in zip(lower[ranked].tolist(), higher[ranked].tolist()):
+        if partner[i] is None and partner[j] is None:
+            partner[i], partner[j] = j, i
 
     pairs, gaps_out, seen = [], [], set()
     for i in range(m):

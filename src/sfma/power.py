@@ -76,7 +76,6 @@ class Group:
     users: tuple  # (UserTerminal, UserTerminal)
     profile: InterferenceProfile
     eta: tuple = (0.5, 0.5)
-    profile2: InterferenceProfile | None = None
 
     def __post_init__(self):
         if len(self.users) != 2:
@@ -134,7 +133,6 @@ class SolverConfig:
     alpha: float = 0.1
     delta_max: float = 4.0
     profile: InterferenceProfile = field(default_factory=lambda: InterferenceProfile.constant(1.0))
-    profile2: InterferenceProfile | None = None
     inter_tol_w: float | None = None     # default 1e-8 * p_max
     intra_tol_frac: float = 1e-9         # split tolerance as a fraction of p_k
     enforce_min_rate_split: bool = True
@@ -167,23 +165,21 @@ class _GroupArrays:
         self.min_rate = np.array([[u.min_rate for u in g.users] for g in self.groups])
         self.eta = np.array([g.eta for g in self.groups])
         self.pow2r = 2.0 ** self.min_rate
-        self.profiles = [
-            [g.profile for g in self.groups],
-            [(g.profile2 or g.profile) for g in self.groups],
-        ]
-        uniq = {id(p) for col in self.profiles for p in col}
-        self._fused = self.profiles[0][0] if len(uniq) == 1 else None
+        self.profiles = [g.profile for g in self.groups]
+        uniq = {id(p) for p in self.profiles}
+        self._fused = self.profiles[0] if len(uniq) == 1 else None
 
-    def _dispatch(self, kernel, col: int, p):
-        gain, noise = self.gain[:, col], self.noise[:, col]
+    def _dispatch(self, kernel, p):
+        """Kernel values on rows stacked as all first users, then all second users."""
+        gain = np.concatenate([self.gain[:, 0], self.gain[:, 1]])
+        noise = np.concatenate([self.noise[:, 0], self.noise[:, 1]])
         if p.ndim == 2:
-            p = np.broadcast_to(p, (self.k, p.shape[-1]))
             gain, noise = gain[:, None], noise[:, None]
+        if self._fused is not None:
+            return kernel(self._fused, p, gain, noise)
         plan = {}
-        for idx, prof in enumerate(self.profiles[col]):
+        for idx, prof in enumerate(self.profiles * 2):
             plan.setdefault(id(prof), (prof, []))[1].append(idx)
-        if len(plan) == 1:
-            return kernel(self.profiles[col][0], p, gain, noise)
         out = np.empty(p.shape)
         for prof, rows in plan.values():
             rows = np.asarray(rows)
@@ -195,17 +191,8 @@ class _GroupArrays:
         p = np.asarray(p, dtype=float)
         if p.ndim == 2:
             p = np.broadcast_to(p, (self.k, p.shape[-1]))
-        if self._fused is not None:
-            stacked_p = np.concatenate([p, p], axis=0)
-            if p.ndim == 2:
-                gain = np.concatenate([self.gain[:, 0], self.gain[:, 1]])[:, None]
-                noise = np.concatenate([self.noise[:, 0], self.noise[:, 1]])[:, None]
-            else:
-                gain = np.concatenate([self.gain[:, 0], self.gain[:, 1]])
-                noise = np.concatenate([self.noise[:, 0], self.noise[:, 1]])
-            out = kernel(self._fused, stacked_p, gain, noise)
-            return out[: self.k], out[self.k :]
-        return self._dispatch(kernel, 0, p), self._dispatch(kernel, 1, p)
+        out = self._dispatch(kernel, np.concatenate([p, p], axis=0))
+        return out[: self.k], out[self.k :]
 
     def rho_pair(self, p):
         return self._pair_eval(_rho_kernel, p)
@@ -260,18 +247,8 @@ class _GroupArrays:
     def rho_cols(self, p_cols):
         """rho for each user column at column-specific powers; p_cols is (K, 2)."""
         p_cols = np.asarray(p_cols, dtype=float)
-        if self._fused is not None:
-            pp = np.concatenate([p_cols[:, 0], p_cols[:, 1]])
-            gain = np.concatenate([self.gain[:, 0], self.gain[:, 1]])
-            noise = np.concatenate([self.noise[:, 0], self.noise[:, 1]])
-            out = _rho_kernel(self._fused, pp, gain, noise)
-            return np.column_stack([out[: self.k], out[self.k :]])
-        return np.column_stack(
-            [
-                self._dispatch(_rho_kernel, 0, p_cols[:, 0]),
-                self._dispatch(_rho_kernel, 1, p_cols[:, 1]),
-            ]
-        )
+        out = self._dispatch(_rho_kernel, np.concatenate([p_cols[:, 0], p_cols[:, 1]]))
+        return np.column_stack([out[: self.k], out[self.k :]])
 
     def take(self, rows) -> "_GroupArrays":
         sub = object.__new__(_GroupArrays)
@@ -282,7 +259,7 @@ class _GroupArrays:
         sub.min_rate = self.min_rate[rows]
         sub.eta = self.eta[rows]
         sub.pow2r = self.pow2r[rows]
-        sub.profiles = [[col[i] for i in rows] for col in self.profiles]
+        sub.profiles = [self.profiles[i] for i in rows]
         sub._fused = self._fused
         return sub
 
@@ -397,7 +374,7 @@ def extreme_point_min_rate(group: Group, which_user: int, p_guess: float) -> flo
         id=users[other].id, link=users[other].link, min_rate=0.0,
         frame_time=users[other].frame_time,
     )
-    probe = Group(users=tuple(users), profile=group.profile, eta=group.eta, profile2=group.profile2)
+    probe = Group(users=tuple(users), profile=group.profile, eta=group.eta)
     arrs = _GroupArrays([probe])
     solved = _min_rate_fixed_points(arrs, p_start=p_guess)
     return float(solved[0, which_user - 1])
@@ -610,6 +587,12 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             mu = 0.5 * (b_lo + b_hi)
         p_k, status = wf.exact_totals(mu)
     exhausted = abs(p_k.sum() - p_max) < max(tol, 1e-9 * p_max)
+    # the stop test accepts totals up to tol above the budget; take that
+    # excess from the power above the rate floors so "ok" never overspends
+    above = p_k - p_req
+    excess = p_k.sum() - p_max
+    if exhausted and 0 < excess < above.sum():
+        p_k = p_req + above * (1.0 - excess / above.sum())
 
     # groups capped at the bracket top pin the multiplier to their own
     # derivative (single-group full-budget case)
@@ -853,8 +836,7 @@ def solve(users, config: SolverConfig) -> SolveResult:
 
     by_id = {u.id: u for u in users}
     groups = [
-        Group(users=(by_id[a], by_id[b]), profile=config.profile, profile2=config.profile2)
-        for a, b in assignment.pairs
+        Group(users=(by_id[a], by_id[b]), profile=config.profile) for a, b in assignment.pairs
     ]
     alloc = inter_group_allocate(groups, config.p_max_w, tol=config.inter_tol_w)
     if not alloc.feasible:

@@ -57,10 +57,10 @@ class Link:
     noise: float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.gain) <= 0):
-            raise ValueError(f"link gain must be strictly positive, got {self.gain}")
-        if np.any(np.asarray(self.noise) <= 0):
-            raise ValueError(f"link noise must be strictly positive, got {self.noise}")
+        for name in ("gain", "noise"):
+            value = np.asarray(getattr(self, name))
+            if not np.all(np.isfinite(value) & (value > 0)):
+                raise ValueError(f"link {name} must be finite and strictly positive, got {value}")
 
 
 @dataclass(frozen=True)

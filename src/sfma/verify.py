@@ -89,7 +89,7 @@ def equal_split_rate_curve(group: Group, powers) -> np.ndarray:
     powers = np.asarray(powers, dtype=float)
     u1, u2 = group.users
     rho1 = rho_eval(group.profile, powers, u1.link.gain, u1.link.noise)
-    rho2 = rho_eval(group.profile2 or group.profile, powers, u2.link.gain, u2.link.noise)
+    rho2 = rho_eval(group.profile, powers, u2.link.gain, u2.link.noise)
     half = powers / 2.0
     s1 = half * u1.link.gain / (np.asarray(rho1) * half * u1.link.gain + u1.link.noise)
     s2 = half * u2.link.gain / (np.asarray(rho2) * half * u2.link.gain + u2.link.noise)
@@ -100,10 +100,9 @@ def min_rate_floor_constant_rho(group: Group) -> float:
     """Closed-form rate-binding group power for constant-rho groups."""
     if group.profile.kind != "constant":
         raise ValueError("closed form requires a constant profile")
+    rho_c = group.profile.constant_value
     floor = 0.0
     for which, user in enumerate(group.users):
-        prof = group.profile if which == 0 else (group.profile2 or group.profile)
-        rho_c = prof.constant_value
         t = 2.0 ** user.min_rate - 1.0
         if t == 0:
             continue
@@ -158,7 +157,7 @@ def intra_grid_argmax(group: Group, p_k: float, n: int = 100_000, interval=None)
     grid = np.linspace(lo, hi, n)
     u1, u2 = group.users
     rho1 = float(rho_eval(group.profile, p_k, u1.link.gain, u1.link.noise))
-    rho2 = float(rho_eval(group.profile2 or group.profile, p_k, u2.link.gain, u2.link.noise))
+    rho2 = float(rho_eval(group.profile, p_k, u2.link.gain, u2.link.noise))
     p2 = p_k - grid
     s1 = grid * u1.link.gain / (rho1 * p2 * u1.link.gain + u1.link.noise)
     s2 = p2 * u2.link.gain / (rho2 * grid * u2.link.gain + u2.link.noise)
@@ -279,7 +278,7 @@ def _check_intra(rng) -> tuple[bool, str]:
         _, grid_val, _, _ = intra_grid_argmax(group, p_k, n=20_001)
         u1, u2 = group.users
         rho1 = float(rho_eval(group.profile, p_k, u1.link.gain, u1.link.noise))
-        rho2 = float(rho_eval(group.profile2 or group.profile, p_k, u2.link.gain, u2.link.noise))
+        rho2 = float(rho_eval(group.profile, p_k, u2.link.gain, u2.link.noise))
         s1 = p1 * u1.link.gain / (rho1 * (p_k - p1) * u1.link.gain + u1.link.noise)
         s2 = (p_k - p1) * u2.link.gain / (rho2 * p1 * u2.link.gain + u2.link.noise)
         got = float(np.log2(1.0 + s1) + np.log2(1.0 + s2))

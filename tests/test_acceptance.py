@@ -174,7 +174,7 @@ def test_criterion_5_intra_group_oracle():
         from sfma.semantic_rate import rho_eval
 
         rho1 = float(rho_eval(group.profile, p_k, u1.link.gain, u1.link.noise))
-        rho2 = float(rho_eval(group.profile2 or group.profile, p_k, u2.link.gain, u2.link.noise))
+        rho2 = float(rho_eval(group.profile, p_k, u2.link.gain, u2.link.noise))
         s1 = p1 * u1.link.gain / (rho1 * (p_k - p1) * u1.link.gain + u1.link.noise)
         s2 = (p_k - p1) * u2.link.gain / (rho2 * p1 * u2.link.gain + u2.link.noise)
         mine = float(np.log2(1 + s1) + np.log2(1 + s2))

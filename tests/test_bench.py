@@ -75,6 +75,35 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(workers=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_dbw", float("nan")),
+        ("alpha", float("inf")),
+        ("alpha", -0.1),
+        ("delta_max", float("inf")),
+        ("min_rate", float("nan")),
+        ("p_max_dbw", (30.0, float("nan"))),
+        ("rho_constant", float("nan")),
+        ("area_side_m", float("-inf")),
+        ("area_side_m", 0.0),
+        ("area_side_m", -1.0),
+        ("shadow_sigma_db", -0.5),
+        ("fnoma_eta", 0.0),
+        ("fnoma_eta", 1.0),
+        ("fnoma_eta", 1.5),
+    ])
+    def test_bad_scenario_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("rho_limit", 2.0), ("rho_power_ref_w", 0.0)])
+    def test_bad_parametric_rho_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(rho_kind="parametric", **{field: value})
+
+    def test_bad_constant_rho_rejected(self):
+        with pytest.raises(ConfigError, match="constant rho"):
+            ScenarioConfig(rho_kind="constant", rho_constant=1.5)
+
 
 class TestRunSweep:
     def test_one_record_per_scheme(self):
@@ -205,6 +234,17 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 5
         assert "sfma/fnoma mean ratio" in capsys.readouterr().out
+
+    def test_sweep_nan_noise_is_one_error_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        out_path = tmp_path / "out.csv"
+        cfg_path.write_text(f"user_counts = 4\ndrops = 2\nnoise_dbw = nan\noutput = {out_path}\n")
+        assert cli_main(["sweep", "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "noise_dbw" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
 
     def test_sweep_unknown_key_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

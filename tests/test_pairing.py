@@ -1,16 +1,18 @@
+import itertools
+from collections import deque
+
 import numpy as np
 import pytest
 
+from sfma.bench import ScenarioConfig, _build_users, drop_seed
 from sfma.pairing import (
     PairingAssignment,
     UserTerminal,
-    build_preference_lists,
     pair_users,
     preference_matrix,
-    preference_value,
     temporal_gap,
 )
-from sfma.semantic_rate import InterferenceProfile, Link, pair_sum_rate
+from sfma.semantic_rate import InterferenceProfile, Link, LogisticRhoParams, pair_sum_rate
 from sfma.verify import find_blocking_pair, matching_total_value, perfect_matchings, random_users
 
 from conftest import make_link
@@ -34,15 +36,21 @@ class TestTemporalGap:
 
 
 class TestPreferenceValue:
+    """Pair values as ``preference_matrix`` assembles them from per-user rates."""
+
+    @staticmethod
+    def value(u, v, power, profile, alpha):
+        return preference_matrix([u, v], power, profile, alpha)[0, 1]
+
     def test_zero_alpha_equals_sum_rate(self):
         u, v = user(0, 8.0, frame=0), user(1, 15.0, frame=7)
         expected = pair_sum_rate(0.5, 0.5, ZERO_RHO, u.link, v.link)
-        assert preference_value(u, v, 0.5, 0.5, ZERO_RHO, alpha=0.0) == expected
+        assert self.value(u, v, 0.5, ZERO_RHO, alpha=0.0) == pytest.approx(expected, rel=1e-14)
 
     def test_zero_gap_equals_sum_rate_for_any_alpha(self):
         u, v = user(0, 8.0, frame=3), user(1, 15.0, frame=3)
         expected = pair_sum_rate(0.5, 0.5, ZERO_RHO, u.link, v.link)
-        assert preference_value(u, v, 0.5, 0.5, ZERO_RHO, alpha=7.0) == expected
+        assert self.value(u, v, 0.5, ZERO_RHO, alpha=7.0) == pytest.approx(expected, rel=1e-14)
 
     def test_three_minus_quarter_times_four(self):
         # each user's interference-free rate is exactly 1.5 at unit power
@@ -50,45 +58,19 @@ class TestPreferenceValue:
         u = UserTerminal(id=0, link=link, frame_time=1)
         v = UserTerminal(id=1, link=link, frame_time=5)
         assert pair_sum_rate(1.0, 1.0, ZERO_RHO, link, link) == pytest.approx(3.0, abs=1e-12)
-        got = preference_value(u, v, 1.0, 1.0, ZERO_RHO, alpha=0.25)
+        got = self.value(u, v, 1.0, ZERO_RHO, alpha=0.25)
         assert got == pytest.approx(2.0, abs=1e-12)
 
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            preference_value(user(0), user(1), 1.0, 1.0, ZERO_RHO, alpha=-0.1)
-
-
-class TestPreferenceLists:
-    def test_two_users(self):
-        users = [user(0), user(1)]
-        lists = build_preference_lists(users, 0.5, ZERO_RHO, alpha=0.1)
-        assert lists == {0: [1], 1: [0]}
-
-    def test_strictly_better_candidate_ranked_first(self):
-        users = [user(0, 5.0, frame=0), user(1, 20.0, frame=0), user(2, 5.0, frame=0)]
-        users.append(user(3, 5.0, frame=0))
-        lists = build_preference_lists(users, 0.5, ZERO_RHO, alpha=0.1)
-        assert lists[0][0] == 1  # the strongest partner tops everyone's list
-
-    def test_resort_oracle_m6(self, rng):
+    def test_matrix_matches_pair_sum_rate_minus_gap(self, rng, default_profile):
         users = random_users(rng, 6, min_rate=0.0)
-        alpha = 0.3
-        lists = build_preference_lists(users, 0.5, ZERO_RHO, alpha)
-        for u in users:
-            others = [v for v in users if v.id != u.id]
-            expected = [
-                v.id
-                for v in sorted(
-                    others,
-                    key=lambda v: (-preference_value(u, v, 0.5, 0.5, ZERO_RHO, alpha), v.id),
-                )
-            ]
-            assert lists[u.id] == expected
-
-    def test_ties_broken_by_ascending_id(self):
-        users = [user(i, 10.0, frame=0) for i in range(4)]
-        lists = build_preference_lists(users, 0.5, ZERO_RHO, alpha=0.1)
-        assert lists[2] == [0, 1, 3]
+        power, alpha = 2.0, 0.3
+        values = preference_matrix(users, power, default_profile, alpha)
+        for i, j in itertools.permutations(range(len(users)), 2):
+            u, v = users[i], users[j]
+            expected = (pair_sum_rate(power, power, default_profile, u.link, v.link)
+                        - alpha * temporal_gap(u, v))
+            assert values[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert np.all(np.isneginf(np.diag(values)))
 
 
 class TestPairUsers:
@@ -202,6 +184,159 @@ class TestPairUsers:
         out = pair_users(users, 0.5, ZERO_RHO, alpha=0.1, delta_max=8)
         seen = sorted(uid for pair in out.pairs for uid in pair)
         assert seen == [u.id for u in sorted(users, key=lambda u: u.id)]
+
+
+# The proposal dynamic that pair_users replaced, kept verbatim as the
+# reference of the differential tests below.
+
+def proposal_pair_users(
+    users,
+    powers: float,
+    profile: InterferenceProfile,
+    alpha: float,
+    delta_max: float,
+) -> PairingAssignment:
+    """Match users into pairs by iterated proposals under the gap cap.
+
+    Users propose down their preference lists; a proposal to a matched user
+    succeeds only when it strictly improves that user's preference value and
+    respects the gap cap. Users dumped in the process restart their lists,
+    and a matched user keeps proposing while better candidates remain, so
+    the dynamic cannot settle on a matching that leaves two users mutually
+    better off. Accepted proposals strictly raise the sorted vector of
+    matched preference values, which bounds the number of re-matchings.
+    """
+    m = len(users)
+    if m < 2 or m % 2 != 0:
+        raise ValueError(f"user count must be even and >= 2, got {m}")
+    if len({u.id for u in users}) != m:
+        raise ValueError("user ids must be unique")
+    by_index = sorted(range(m), key=lambda i: users[i].id)
+    users = [users[i] for i in by_index]
+    values = preference_matrix(users, powers, profile, alpha)
+    frames = np.array([u.frame_time for u in users])
+    gaps = np.abs(frames[:, None] - frames[None, :])
+
+    prefs = [
+        sorted((j for j in range(m) if j != i), key=lambda j: (-values[i, j], users[j].id))
+        for i in range(m)
+    ]
+    partner = [None] * m
+    pointer = [0] * m
+
+    def val(i):
+        return values[i, partner[i]] if partner[i] is not None else -np.inf
+
+    queue = deque(range(m))
+    in_queue = [True] * m
+    budget = 16 * m * m * m + 64  # termination guard; the dynamic stops far earlier
+    proposals = 0
+    while queue:
+        u = queue.popleft()
+        in_queue[u] = False
+        while pointer[u] < m - 1:
+            v = prefs[u][pointer[u]]
+            if values[u, v] <= val(u):
+                break  # everything further down is no better than the current match
+            proposals += 1
+            if proposals > budget:
+                raise RuntimeError("pairing proposal budget exhausted")
+            if gaps[u, v] > delta_max:
+                pointer[u] += 1
+                continue
+            if partner[v] is None or values[u, v] > val(v):
+                dumped = [w for w in (partner[u], partner[v]) if w is not None]
+                if partner[u] is not None:
+                    partner[partner[u]] = None
+                if partner[v] is not None:
+                    partner[partner[v]] = None
+                partner[u], partner[v] = v, u
+                for w in dumped:
+                    pointer[w] = 0  # restart so newly worse-off users can be re-courted
+                    if not in_queue[w]:
+                        queue.append(w)
+                        in_queue[w] = True
+                if not in_queue[v]:  # the acceptor may still prefer someone above its new match
+                    queue.append(v)
+                    in_queue[v] = True
+                break
+            pointer[u] += 1
+
+    pairs, gaps_out, seen = [], [], set()
+    for i in range(m):
+        if partner[i] is not None and i not in seen:
+            j = partner[i]
+            seen.update((i, j))
+            a, b = sorted((users[i].id, users[j].id))
+            pairs.append((a, b))
+            gaps_out.append(int(gaps[i, j]))
+    order = np.argsort([p[0] for p in pairs]) if pairs else []
+    pairs = tuple(pairs[k] for k in order)
+    gaps_out = tuple(gaps_out[k] for k in order)
+    unmatched = tuple(sorted(users[i].id for i in range(m) if partner[i] is None))
+    return PairingAssignment(
+        pairs=pairs, gaps=gaps_out, unmatched=unmatched, feasible=not unmatched
+    )
+
+
+PROFILES = {
+    "constant": InterferenceProfile.constant(0.3),
+    "table": InterferenceProfile.default_table(),
+    "parametric": InterferenceProfile.parametric(LogisticRhoParams()),
+}
+
+
+def instance(rng, source):
+    """Users, per-user power, alpha and gap cap of one seeded differential instance."""
+    m = 2 * int(rng.integers(1, 31))
+    window = int(rng.integers(1, 12))
+    alpha = float(rng.choice([0.0, 0.1, 0.5, 2.0]))
+    delta = float(rng.choice([0, 1, 2, 4, 8, 100]))
+    if source == "bench":
+        config = ScenarioConfig(user_counts=(m,), frame_window=window, min_rate=0.0)
+        users = _build_users(config, m, drop_seed(int(rng.integers(1 << 30)), m, 0, 0))
+        power = 1000.0 / m
+    else:
+        users = random_users(rng, m, min_rate=0.0, frame_window=window)
+        power = float(rng.uniform(0.1, 10.0))
+    return users, power, alpha, delta
+
+
+class TestGreedyAgainstProposals:
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    @pytest.mark.parametrize("source", ["bench", "random"])
+    def test_identical_on_strict_instances(self, source, kind):
+        rng = np.random.default_rng([17, len(source), len(kind)])
+        profile = PROFILES[kind]
+        for _ in range(25):
+            users, power, alpha, delta = instance(rng, source)
+            values = preference_matrix(users, power, profile, alpha)
+            upper = values[np.triu_indices(len(users), k=1)]
+            assert np.unique(upper).size == upper.size, "instance values must be strict"
+            got = pair_users(users, power, profile, alpha, delta)
+            want = proposal_pair_users(users, power, profile, alpha, delta)
+            assert got.pairs == want.pairs
+            assert got.gaps == want.gaps
+            assert got.unmatched == want.unmatched
+            assert got.feasible == want.feasible
+
+    def test_stable_with_unpairable_leftovers_on_tied_instances(self, rng):
+        link = make_link(10.0)
+        for _ in range(40):
+            m = 2 * int(rng.integers(1, 16))
+            delta = float(rng.choice([0, 1, 2, 4]))
+            alpha = float(rng.choice([0.0, 0.1]))
+            frames = rng.integers(0, int(rng.integers(1, 12)), size=m)
+            users = [UserTerminal(id=i, link=link, frame_time=int(f)) for i, f in enumerate(frames)]
+            out = pair_users(users, 0.5, ZERO_RHO, alpha, delta)
+            values = preference_matrix(users, 0.5, ZERO_RHO, alpha)
+            gaps = np.abs(frames[:, None] - frames[None, :])
+            ids = [u.id for u in users]
+            assert find_blocking_pair(out.pairs, values, gaps, delta, ids, out.unmatched) is None
+            assert all(g <= delta for g in out.gaps)
+            for a, b in itertools.combinations(out.unmatched, 2):
+                assert gaps[a, b] > delta
+            assert out.feasible == (not out.unmatched)
 
 
 class TestAssignmentType:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfma.pairing import UserTerminal
@@ -216,6 +216,8 @@ class TestInterGroupAllocate:
         k=st.integers(min_value=1, max_value=4),
         p_max=st.floats(min_value=5.0, max_value=50.0),
     )
+    # the secant stop once left this one 2.7e-7 W (7e-9 relative) over budget
+    @example(seed=3898, k=2, p_max=38.118)
     def test_allocation_invariants_property(self, seed, k, p_max):
         rng = np.random.default_rng(seed)
         groups = random_groups(rng, k, min_rate_range=(0.2, 1.0))

@@ -133,10 +133,10 @@ class TestProfiles:
             save_rho_table(InterferenceProfile.constant(0.5), tmp_path / "x.csv")
 
     def test_link_validation(self):
-        with pytest.raises(ValueError):
-            Link(gain=0.0, noise=1.0)
-        with pytest.raises(ValueError):
-            Link(gain=1.0, noise=0.0)
+        for gain, noise in [(0.0, 1.0), (1.0, 0.0), (float("nan"), 1.0), (1.0, float("nan")),
+                            (float("inf"), 1.0), (1.0, float("inf"))]:
+            with pytest.raises(ValueError):
+                Link(gain=gain, noise=noise)
 
 
 class TestRhoDerivative:
