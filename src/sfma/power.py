@@ -13,7 +13,13 @@ the first-order optimality system of the allocation.
 Internals are vectorized across groups. The stationarity curve of every
 group is sampled once on a dense log grid; the mu search first bisects on
 the interpolated curves and then polishes with a few exactly-evaluated
-secant steps, so the per-instance cost stays flat in the drop count.
+secant steps, so the per-instance cost stays flat in the drop count. The
+first secant step takes its slope from the interpolated curves. Where the
+summed group power jumps across the budget at one water level, the search
+stops once its bracket is 1e-9 wide (relative) and returns the end below the
+budget; a step cap does the same. A feasible allocation therefore never sums
+above the budget, and one that cannot spend it to within the tolerance says
+so in its status.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 from .pairing import PairingAssignment, UserTerminal, pair_users
 from .semantic_rate import (
     InterferenceProfile,
+    _bilinear,
     _rho_derivative_kernel,
     _rho_kernel,
 )
@@ -96,6 +103,7 @@ class PowerAllocation:
     feasible: bool = True
     budget_exhausted: bool = True
     status: str = "ok"
+    steps: int = 0                    # exactly refined water levels evaluated
 
 
 @dataclass
@@ -138,6 +146,11 @@ class SolverConfig:
     enforce_min_rate_split: bool = True
 
     def __post_init__(self):
+        # nan fails no comparison, so it must be caught before the range checks
+        for name in ("p_max_w", "alpha", "delta_max", "inter_tol_w"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.p_max_w <= 0:
             raise ValueError(f"p_max_w must be positive, got {self.p_max_w}")
         if self.alpha < 0 or self.delta_max < 0:
@@ -165,6 +178,8 @@ class _GroupArrays:
         self.min_rate = np.array([[u.min_rate for u in g.users] for g in self.groups])
         self.eta = np.array([g.eta for g in self.groups])
         self.pow2r = 2.0 ** self.min_rate
+        # equal-split SNR in dB is 10*log10(p) plus this per-user offset
+        self.snr_offset_db = 10.0 * np.log10(self.gain / (2.0 * self.noise))
         self.profiles = [g.profile for g in self.groups]
         uniq = {id(p) for p in self.profiles}
         self._fused = self.profiles[0] if len(uniq) == 1 else None
@@ -197,47 +212,30 @@ class _GroupArrays:
     def rho_pair(self, p):
         return self._pair_eval(_rho_kernel, p)
 
-    def rho_prime_pair(self, p):
-        p = np.asarray(p, dtype=float)
-        safe = np.maximum(p, np.finfo(float).tiny)
-        d1, d2 = self._pair_eval(_rho_derivative_kernel, safe)
-        if np.any(p <= 0):
-            zero = p <= 0
-            d1 = np.where(zero, 0.0, d1)
-            d2 = np.where(zero, 0.0, d2)
-        return d1, d2
-
     def rho_and_prime_pair(self, p):
-        """(rho1, rho2, rho1', rho2') with one fused table lookup on the fast path."""
+        """(rho1, rho2, rho1', rho2'), with the slopes zero at p <= 0.
+
+        The table kind takes the central difference with step
+        h = max(1e-9, 1e-4 p), its lower sample kept positive. Each power is
+        converted to dBW once for both users, each row adds its SNR offset,
+        and one lookup serves the value and both samples.
+        """
         p = np.asarray(p, dtype=float)
-        if p.ndim == 2:
-            p = np.broadcast_to(p, (self.k, p.shape[-1]))
+        tiny = np.finfo(float).tiny
+        safe = np.maximum(p, tiny)
         if self._fused is None or self._fused.kind != "table":
             r1, r2 = self.rho_pair(p)
-            d1, d2 = self.rho_prime_pair(p)
-            return r1, r2, d1, d2
-        safe = np.maximum(p, np.finfo(float).tiny)
-        h = np.maximum(1e-9, 1e-4 * safe)
-        lo = np.maximum(safe - h, np.finfo(float).tiny)
-        stacked_p = np.concatenate([p, safe + h, lo], axis=0)
-        stacked_p = np.concatenate([stacked_p, stacked_p], axis=0)
-        if p.ndim == 2:
-            gain = np.concatenate(
-                [np.tile(self.gain[:, 0], 3), np.tile(self.gain[:, 1], 3)]
-            )[:, None]
-            noise = np.concatenate(
-                [np.tile(self.noise[:, 0], 3), np.tile(self.noise[:, 1], 3)]
-            )[:, None]
+            d1, d2 = self._pair_eval(_rho_derivative_kernel, safe)
         else:
-            gain = np.concatenate([np.tile(self.gain[:, 0], 3), np.tile(self.gain[:, 1], 3)])
-            noise = np.concatenate([np.tile(self.noise[:, 0], 3), np.tile(self.noise[:, 1], 3)])
-        out = _rho_kernel(self._fused, stacked_p, gain, noise)
-        k = self.k
-        r1, up1, dn1 = out[:k], out[k : 2 * k], out[2 * k : 3 * k]
-        r2, up2, dn2 = out[3 * k : 4 * k], out[4 * k : 5 * k], out[5 * k :]
-        denom = (safe + h) - lo
-        d1 = (up1 - dn1) / denom
-        d2 = (up2 - dn2) / denom
+            h = np.maximum(1e-9, 1e-4 * safe)
+            up, lo = safe + h, np.maximum(safe - h, tiny)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p_dbw = 10.0 * np.log10(np.stack([p, up, lo]))
+            # (user, 1, group[, 1]) against (sample, group or 1[, point])
+            offset = self.snr_offset_db.T.reshape((2, 1, self.k) + (1,) * (p.ndim - 1))
+            rho = np.minimum(np.maximum(_bilinear(self._fused, p_dbw, p_dbw + offset), 0.0), 1.0)
+            r1, r2 = rho[:, 0]
+            d1, d2 = (rho[:, 1] - rho[:, 2]) / (up - lo)
         if np.any(p <= 0):
             zero = p <= 0
             d1 = np.where(zero, 0.0, d1)
@@ -259,6 +257,7 @@ class _GroupArrays:
         sub.min_rate = self.min_rate[rows]
         sub.eta = self.eta[rows]
         sub.pow2r = self.pow2r[rows]
+        sub.snr_offset_db = self.snr_offset_db[rows]
         sub.profiles = [self.profiles[i] for i in rows]
         sub._fused = self._fused
         return sub
@@ -420,6 +419,7 @@ class _WaterFiller:
         self.arrs = arrs
         self.p_max = p_max
         self.p_req = p_req
+        self.steps = 0
         self.grid = np.geomspace(1e-6 * p_max, p_max, _GRID_N)
         _, deriv = _pair_rate_terms(arrs, self.grid[None, :])
         self.f_grid = deriv / _LN2          # (K, N) stationarity curve samples
@@ -452,6 +452,7 @@ class _WaterFiller:
         the tracked endpoint values pins the root far below the bisection
         width (the curve is smooth inside a cell).
         """
+        self.steps += 1
         status, first = self._locate(mu)
         p3 = np.where(status == _CAP, self.grid[-1], 0.0)
         rows = np.flatnonzero(status == _ROOT)
@@ -482,7 +483,9 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
     and the stationary point at the current multiplier, all under an equal
     intra-pair split. Infeasibility (minimum rates unreachable, or their
     power demand exceeding the budget) is reported on the returned
-    allocation rather than raised.
+    allocation rather than raised. When the totals jump across the budget,
+    the allocation stops at the water level just below the jump, with
+    status "budget not exhausted within tolerance".
     """
     groups = list(groups)
     if not groups:
@@ -493,7 +496,7 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
     arrs = _GroupArrays(groups)
     k = arrs.k
 
-    def failure(status: str) -> PowerAllocation:
+    def failure(status: str, steps: int = 0) -> PowerAllocation:
         return PowerAllocation(
             group_totals=np.zeros(k),
             splits=np.zeros((k, 2)),
@@ -502,6 +505,7 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             feasible=False,
             budget_exhausted=False,
             status=status,
+            steps=steps,
         )
 
     try:
@@ -530,6 +534,7 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
                 feasible=True,
                 budget_exhausted=False,
                 status="budget slack at zero water level",
+                steps=wf.steps,
             )
 
     # upper bracket from the derivative at a vanishing power, doubled to hold
@@ -540,7 +545,7 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             break
         mu_hi *= 2.0
     else:
-        return failure("could not bracket the water level")
+        return failure("could not bracket the water level", wf.steps)
 
     # phase 1: bisection on the interpolated curves
     mu_lo = 0.0
@@ -557,10 +562,15 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
         if (mu_hi - mu_lo) <= 1e-16 * max(mu_hi, 1e-300):
             break
 
-    # phase 2: secant polish with exactly-refined roots, bisection-guarded
+    # phase 2: secant polish with exactly-refined roots, bisection-guarded.
+    # The first step takes its slope from the interpolated curves: a virtual
+    # previous point on that tangent turns the secant into a Newton step.
     b_lo, b_hi = 0.0, None  # totals(b_lo) > p_max >= totals(b_hi)
-    prev = None
+    h = 1e-6 * mu
+    slope = (wf.interp_totals(mu + h)[0].sum() - wf.interp_totals(mu - h)[0].sum()) / (2.0 * h)
     p_k, status = wf.exact_totals(mu)
+    prev = (mu + h, p_k.sum() + slope * h) if slope < 0 else None
+    best = None  # the under-budget evaluation with the largest total
     for _ in range(40):
         total = p_k.sum()
         if abs(total - p_max) < tol:
@@ -569,6 +579,12 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             b_lo = mu
         else:
             b_hi = mu
+            if best is None or total > best[1].sum():
+                best = (mu, p_k, status)
+        # a continuous crossing comes within tol long before the bracket is
+        # this narrow, so the totals jump across the budget inside it
+        if b_hi is not None and b_hi - b_lo <= 1e-9 * b_hi:
+            break
         if prev is not None and abs(total - prev[1]) > 0:
             mu_next = mu - (total - p_max) * (mu - prev[0]) / (total - prev[1])
         else:
@@ -587,6 +603,12 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             mu = 0.5 * (b_lo + b_hi)
         p_k, status = wf.exact_totals(mu)
     exhausted = abs(p_k.sum() - p_max) < max(tol, 1e-9 * p_max)
+    if not exhausted:
+        # a budget jump or the step cap: fall back to the best point that
+        # stays within the budget, never to one above it
+        if best is None:
+            return failure("could not bracket the water level", wf.steps)
+        mu, p_k, status = best
     # the stop test accepts totals up to tol above the budget; take that
     # excess from the power above the rate floors so "ok" never overspends
     above = p_k - p_req
@@ -611,6 +633,7 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
         feasible=True,
         budget_exhausted=bool(exhausted),
         status="ok" if exhausted else "budget not exhausted within tolerance",
+        steps=wf.steps,
     )
 
 
@@ -628,8 +651,7 @@ def _recover_lambdas(arrs: _GroupArrays, p_k, p_req, mu: float, binding) -> np.n
     which = np.argmax(binding, axis=1)
     _, deriv = _pair_rate_terms(arrs, p_k)
     eq21 = deriv / _LN2
-    r1, r2 = arrs.rho_pair(p_k)
-    rp1, rp2 = arrs.rho_prime_pair(p_k)
+    r1, r2, rp1, rp2 = arrs.rho_and_prime_pair(p_k)
     rho_cols = np.column_stack([r1, r2])
     rhop_cols = np.column_stack([rp1, rp2])
     p_other = arrs.eta[:, ::-1] * p_k[:, None]
@@ -744,8 +766,7 @@ def kkt_residuals(groups, alloc: PowerAllocation, p_max: float) -> KKTReport:
 
     _, deriv = _pair_rate_terms(arrs, p_k, eta=eta)
     eq21 = deriv / _LN2
-    r1, r2 = arrs.rho_pair(p_k)
-    rp1, rp2 = arrs.rho_prime_pair(p_k)
+    r1, r2, rp1, rp2 = arrs.rho_and_prime_pair(p_k)
     rho_cols = np.column_stack([r1, r2])
     rhop_cols = np.column_stack([rp1, rp2])
     p_other = splits[:, ::-1]

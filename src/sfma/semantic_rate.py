@@ -171,13 +171,18 @@ def _axis_locate(axis: np.ndarray, x):
 
 
 def _bilinear(profile: InterferenceProfile, p_dbw, snr_db_val):
-    p_ax, s_ax, vals = profile.power_axis_dbw, profile.snr_axis_db, profile.values
+    """Table lookup gathered from the flattened values; ``p_dbw`` broadcasts
+    against ``snr_db_val``, so one power coordinate can serve many links."""
+    p_ax, s_ax = profile.power_axis_dbw, profile.snr_axis_db
     ip, tp = _axis_locate(p_ax, np.asarray(p_dbw, dtype=float))
     js, ts = _axis_locate(s_ax, np.asarray(snr_db_val, dtype=float))
-    ip1 = np.minimum(ip + 1, p_ax.size - 1)
-    js1 = np.minimum(js + 1, s_ax.size - 1)
-    v00, v01 = vals[ip, js], vals[ip, js1]
-    v10, v11 = vals[ip1, js], vals[ip1, js1]
+    # a one-point axis has no upper neighbour: step 0 keeps the gather in its row
+    step_s = 1 if s_ax.size > 1 else 0
+    step_p = s_ax.size if p_ax.size > 1 else 0
+    flat = profile.values.ravel()
+    base = ip * s_ax.size + js
+    v00, v01 = flat[base], flat[base + step_s]
+    v10, v11 = flat[base + step_p], flat[base + step_p + step_s]
     return (1 - tp) * ((1 - ts) * v00 + ts * v01) + tp * ((1 - ts) * v10 + ts * v11)
 
 

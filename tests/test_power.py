@@ -5,13 +5,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sfma.power
+from sfma.bench import ScenarioConfig, _build_users, drop_seed
 from sfma.pairing import UserTerminal
 from sfma.power import (
+    _CAP,
+    _GRID_N,
+    _LN2,
+    _ROOT,
+    _ZERO,
     ConvergenceError,
     Group,
     MinRateInfeasible,
     PowerAllocation,
     SolverConfig,
+    _GroupArrays,
+    _min_rate_fixed_points,
+    _pair_rate_terms,
+    _recover_lambdas,
+    _stationarity_lhs,
     extreme_point_min_rate,
     extreme_point_stationary,
     inter_group_allocate,
@@ -23,6 +35,9 @@ from sfma.semantic_rate import (
     InterferenceProfile,
     Link,
     LogisticRhoParams,
+    _bilinear,
+    _rho_derivative_kernel,
+    _rho_kernel,
     pair_sum_rate,
     rho_eval,
     sinr_conventional,
@@ -471,3 +486,379 @@ class TestSolve:
     def test_odd_user_count_rejected(self, default_profile):
         with pytest.raises(ValueError):
             solve([UserTerminal(id=0, link=make_link(10.0))], solver_config(default_profile))
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["p_max_w", "alpha", "delta_max", "inter_tol_w"])
+    def test_non_finite_rejected(self, field):
+        users = random_users(np.random.default_rng(0), 6, min_rate=0.5)
+        for bad in (float("nan"), float("inf")):
+            kwargs = {"p_max_w": 10.0, field: bad}
+            with pytest.raises(ValueError, match=field):
+                solve(users, SolverConfig(**kwargs))
+
+
+def bench_drop(root_seed, m, drop, kind="table", p_max_dbw=30.0):
+    """Users and solver settings of one drop of a one-cell bench sweep."""
+    config = ScenarioConfig(user_counts=(m,), p_max_dbw=(p_max_dbw,), root_seed=root_seed,
+                            rho_kind=kind)
+    users = _build_users(config, m, drop_seed(root_seed, m, 0, drop))
+    solver_cfg = SolverConfig(p_max_w=10.0 ** (p_max_dbw / 10.0), alpha=config.alpha,
+                              delta_max=config.delta_max, profile=config.build_profile())
+    return users, solver_cfg
+
+
+class TestBudgetJump:
+    def test_jump_across_the_budget_stops_below_it(self):
+        # the summed group power jumps by tens of watts at one water level;
+        # bisecting that jump once took 41 refinements and ended at 1007.57 W
+        users, cfg = bench_drop(2026, 30, 6)
+        alloc = solve(users, cfg).allocation
+        assert alloc.feasible
+        assert alloc.group_totals.sum() <= cfg.p_max_w * (1 + 1e-9)
+        assert not alloc.budget_exhausted
+        assert alloc.status == "budget not exhausted within tolerance"
+        assert alloc.steps <= 20
+
+    def test_converged_allocation_counts_its_steps(self):
+        users, cfg = bench_drop(2026, 30, 0)
+        alloc = solve(users, cfg).allocation
+        assert alloc.status == "ok"
+        assert 1 <= alloc.steps <= 10
+
+
+def edge_tables():
+    return {
+        "one power row": InterferenceProfile.from_table([0.0], [-10.0, 0.0, 10.0, 20.0],
+                                                        [[0.9, 0.6, 0.2, 0.05]]),
+        "one snr column": InterferenceProfile.from_table([-10.0, 0.0, 10.0, 20.0], [5.0],
+                                                         [[0.1], [0.5], [0.7], [0.95]]),
+        "one point": InterferenceProfile.from_table([0.0], [5.0], [[0.4]]),
+        "bundled": InterferenceProfile.default_table(),
+    }
+
+
+class TestPairLookup:
+    """The pair lookup against the single-link kernels it stands in for."""
+
+    @staticmethod
+    def arrays(profile, seed=0, k=4):
+        rng = np.random.default_rng(seed)
+        return _GroupArrays(random_groups(rng, k, profile=profile, min_rate_range=(0.0, 0.0)))
+
+    @pytest.mark.parametrize("name", sorted(edge_tables()))
+    def test_matches_kernels(self, name):
+        profile = edge_tables()[name]
+        arrs = self.arrays(profile)
+        p = np.geomspace(1e-8, 1e3, 301)[None, :]
+        r1, r2, d1, d2 = arrs.rho_and_prime_pair(p)
+        full = np.broadcast_to(p, (arrs.k, p.shape[1]))
+        for col, (r, d) in enumerate(((r1, d1), (r2, d2))):
+            gain, noise = arrs.gain[:, col][:, None], arrs.noise[:, col][:, None]
+            np.testing.assert_allclose(r, _rho_kernel(profile, full, gain, noise), rtol=0, atol=1e-15)
+            want = _rho_derivative_kernel(profile, full, gain, noise)
+            # samples that agree to 1e-15 give slopes that agree to 1e-15 / (2h)
+            assert np.all(np.abs(d - want) <= 1e-9 * np.abs(want) + 5e-12 / full)
+
+    @pytest.mark.parametrize("name", sorted(edge_tables()))
+    def test_nonpositive_power(self, name):
+        profile = edge_tables()[name]
+        arrs = self.arrays(profile)
+        p = np.array([0.0, -1.0, 0.0, 2.0])
+        r1, r2, d1, d2 = arrs.rho_and_prime_pair(p)
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(r1, _rho_kernel(profile, p, arrs.gain[:, 0], arrs.noise[:, 0]))
+            np.testing.assert_array_equal(r2, _rho_kernel(profile, p, arrs.gain[:, 1], arrs.noise[:, 1]))
+        assert np.all(d1[:3] == 0.0) and np.all(d2[:3] == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(edge_tables()))
+    def test_flat_gather_stays_in_its_row(self, name):
+        # the 2-D indexing the flat gather replaced, with the upper neighbour
+        # clamped to the last point of a one-point axis
+        profile = edge_tables()[name]
+        p_ax, s_ax, vals = profile.power_axis_dbw, profile.snr_axis_db, profile.values
+        p_dbw, snr = np.meshgrid(np.linspace(p_ax[0] - 5, p_ax[-1] + 5, 41),
+                                 np.linspace(s_ax[0] - 5, s_ax[-1] + 5, 43))
+        ip = np.clip(np.searchsorted(p_ax, np.clip(p_dbw, p_ax[0], p_ax[-1]), "right") - 1,
+                     0, max(p_ax.size - 2, 0))
+        js = np.clip(np.searchsorted(s_ax, np.clip(snr, s_ax[0], s_ax[-1]), "right") - 1,
+                     0, max(s_ax.size - 2, 0))
+        ip1, js1 = np.minimum(ip + 1, p_ax.size - 1), np.minimum(js + 1, s_ax.size - 1)
+        tp = np.zeros_like(p_dbw) if p_ax.size == 1 else \
+            (np.clip(p_dbw, p_ax[0], p_ax[-1]) - p_ax[ip]) / (p_ax[ip1] - p_ax[ip])
+        ts = np.zeros_like(snr) if s_ax.size == 1 else \
+            (np.clip(snr, s_ax[0], s_ax[-1]) - s_ax[js]) / (s_ax[js1] - s_ax[js])
+        want = ((1 - tp) * ((1 - ts) * vals[ip, js] + ts * vals[ip, js1])
+                + tp * ((1 - ts) * vals[ip1, js] + ts * vals[ip1, js1]))
+        np.testing.assert_array_equal(_bilinear(profile, p_dbw, snr), want)
+
+    def test_row_subset_keeps_offsets(self, default_profile):
+        arrs = self.arrays(default_profile, k=5)
+        rows = np.array([3, 0])
+        p = np.array([0.7, 40.0])
+        got = arrs.take(rows).rho_and_prime_pair(p)
+        whole = arrs.rho_and_prime_pair(np.array([40.0, 1.0, 1.0, 0.7, 1.0]))
+        for g, w in zip(got, whole):
+            np.testing.assert_array_equal(g, w[rows])
+
+
+# The group stage before the budget-jump exit and the seeded first secant
+# step, kept verbatim as the reference of the differential tests below. It
+# runs on the current _GroupArrays and rate terms.
+
+class ReferenceWaterFiller:
+    """Shared state of one group-level allocation: dense stationarity curves."""
+
+    def __init__(self, arrs: _GroupArrays, p_max: float, p_req: np.ndarray):
+        self.arrs = arrs
+        self.p_max = p_max
+        self.p_req = p_req
+        self.grid = np.geomspace(1e-6 * p_max, p_max, _GRID_N)
+        _, deriv = _pair_rate_terms(arrs, self.grid[None, :])
+        self.f_grid = deriv / _LN2          # (K, N) stationarity curve samples
+
+    def _locate(self, mu):
+        """First high-to-low crossing cell of each group's sampled curve."""
+        pos = self.f_grid >= mu
+        trans = pos[:, :-1] & ~pos[:, 1:]
+        has_root = trans.any(axis=1)
+        first = np.argmax(trans, axis=1)
+        status = np.where(has_root, _ROOT, np.where(pos[:, -1], _CAP, _ZERO))
+        return status, first
+
+    def interp_totals(self, mu):
+        """Group powers with roots linearly interpolated on the sampled curve."""
+        status, first = self._locate(mu)
+        p3 = np.where(status == _CAP, self.grid[-1], 0.0)
+        rows = np.flatnonzero(status == _ROOT)
+        if rows.size:
+            f0 = self.f_grid[rows, first[rows]]
+            f1 = self.f_grid[rows, first[rows] + 1]
+            t = (f0 - mu) / np.maximum(f0 - f1, np.finfo(float).tiny)
+            p3[rows] = self.grid[first[rows]] * (1.0 - t) + self.grid[first[rows] + 1] * t
+        return np.maximum(self.p_req, p3), status
+
+    def exact_totals(self, mu, n_bisect=12):
+        """Group powers with roots refined inside their sampled cells.
+
+        A short lockstep bisection shrinks the cell, then one secant step on
+        the tracked endpoint values pins the root far below the bisection
+        width (the curve is smooth inside a cell).
+        """
+        status, first = self._locate(mu)
+        p3 = np.where(status == _CAP, self.grid[-1], 0.0)
+        rows = np.flatnonzero(status == _ROOT)
+        if rows.size:
+            a = self.grid[first[rows]].copy()
+            b = self.grid[first[rows] + 1].copy()
+            fa = self.f_grid[rows, first[rows]] - mu
+            fb = self.f_grid[rows, first[rows] + 1] - mu
+            sub = self.arrs.take(rows)
+            for _ in range(n_bisect):
+                mid = 0.5 * (a + b)
+                fm = _stationarity_lhs(sub, mid, mu)
+                go_left = fm < 0
+                b = np.where(go_left, mid, b)
+                fb = np.where(go_left, fm, fb)
+                a = np.where(go_left, a, mid)
+                fa = np.where(go_left, fa, fm)
+            spread = fa - fb
+            t = np.where(spread > 0, fa / np.maximum(spread, np.finfo(float).tiny), 0.5)
+            p3[rows] = a + (b - a) * np.minimum(np.maximum(t, 0.0), 1.0)
+        return np.maximum(self.p_req, p3), status
+
+
+
+def reference_inter_group_allocate(groups, p_max: float, tol: float | None = None) -> PowerAllocation:
+    """Split the budget across groups by bisection on the water level.
+
+    Every group power is the largest of its two rate-binding fixed points
+    and the stationary point at the current multiplier, all under an equal
+    intra-pair split. Infeasibility (minimum rates unreachable, or their
+    power demand exceeding the budget) is reported on the returned
+    allocation rather than raised.
+    """
+    groups = list(groups)
+    if not groups:
+        raise ValueError("need at least one group")
+    if p_max <= 0:
+        raise ValueError(f"p_max must be positive, got {p_max}")
+    tol = 1e-8 * p_max if tol is None else float(tol)
+    arrs = _GroupArrays(groups)
+    k = arrs.k
+
+    def failure(status: str) -> PowerAllocation:
+        return PowerAllocation(
+            group_totals=np.zeros(k),
+            splits=np.zeros((k, 2)),
+            mu=float("nan"),
+            lambdas=np.zeros((k, 2)),
+            feasible=False,
+            budget_exhausted=False,
+            status=status,
+        )
+
+    try:
+        binding = _min_rate_fixed_points(arrs)
+    except MinRateInfeasible as exc:
+        return failure(f"min-rate infeasible: {exc}")
+    p_req = binding.max(axis=1)
+    if p_req.sum() > p_max * (1.0 + 1e-12):
+        return failure(
+            f"min-rate power demand {p_req.sum():.6g} W exceeds budget {p_max:.6g} W"
+        )
+
+    wf = ReferenceWaterFiller(arrs, p_max, p_req)
+
+    p_k0, status0 = wf.interp_totals(0.0)
+    if p_k0.sum() <= p_max - tol:
+        p_k0, status0 = wf.exact_totals(0.0)
+        if p_k0.sum() <= p_max - tol:
+            # even a zero water level cannot spend the budget: rates saturate
+            lam = _recover_lambdas(arrs, p_k0, p_req, 0.0, binding)
+            return PowerAllocation(
+                group_totals=p_k0,
+                splits=np.column_stack([p_k0 / 2.0, p_k0 / 2.0]),
+                mu=0.0,
+                lambdas=lam,
+                feasible=True,
+                budget_exhausted=False,
+                status="budget slack at zero water level",
+            )
+
+    # upper bracket from the derivative at a vanishing power, doubled to hold
+    _, d_small = _pair_rate_terms(arrs, np.full(k, p_max / k * 1e-3))
+    mu_hi = max(float(np.max(d_small / _LN2)), 1e-12)
+    for _ in range(200):
+        if wf.interp_totals(mu_hi)[0].sum() <= p_max:
+            break
+        mu_hi *= 2.0
+    else:
+        return failure("could not bracket the water level")
+
+    # phase 1: bisection on the interpolated curves
+    mu_lo = 0.0
+    mu = mu_hi
+    for _ in range(80):
+        mu = 0.5 * (mu_lo + mu_hi)
+        total = wf.interp_totals(mu)[0].sum()
+        if abs(total - p_max) < 0.5 * tol:
+            break
+        if total > p_max:
+            mu_lo = mu
+        else:
+            mu_hi = mu
+        if (mu_hi - mu_lo) <= 1e-16 * max(mu_hi, 1e-300):
+            break
+
+    # phase 2: secant polish with exactly-refined roots, bisection-guarded
+    b_lo, b_hi = 0.0, None  # totals(b_lo) > p_max >= totals(b_hi)
+    prev = None
+    p_k, status = wf.exact_totals(mu)
+    for _ in range(40):
+        total = p_k.sum()
+        if abs(total - p_max) < tol:
+            break
+        if total > p_max:
+            b_lo = mu
+        else:
+            b_hi = mu
+        if prev is not None and abs(total - prev[1]) > 0:
+            mu_next = mu - (total - p_max) * (mu - prev[0]) / (total - prev[1])
+        else:
+            mu_next = None
+        in_bracket = (
+            mu_next is not None
+            and mu_next > b_lo
+            and (b_hi is None or mu_next < b_hi)
+        )
+        prev = (mu, total)
+        if in_bracket:
+            mu = mu_next
+        elif b_hi is None:
+            mu = max(2.0 * mu, 1e-12)
+        else:
+            mu = 0.5 * (b_lo + b_hi)
+        p_k, status = wf.exact_totals(mu)
+    exhausted = abs(p_k.sum() - p_max) < max(tol, 1e-9 * p_max)
+    # the stop test accepts totals up to tol above the budget; take that
+    # excess from the power above the rate floors so "ok" never overspends
+    above = p_k - p_req
+    excess = p_k.sum() - p_max
+    if exhausted and 0 < excess < above.sum():
+        p_k = p_req + above * (1.0 - excess / above.sum())
+
+    # groups capped at the bracket top pin the multiplier to their own
+    # derivative (single-group full-budget case)
+    stationary_active = p_k > p_req * (1.0 + 1e-12)
+    capped = stationary_active & (status == _CAP)
+    if np.any(capped) and not np.any(stationary_active & (status == _ROOT)):
+        _, d_cap = _pair_rate_terms(arrs, p_k)
+        mu = float(np.min((d_cap / _LN2)[capped]))
+
+    lam = _recover_lambdas(arrs, p_k, p_req, mu, binding)
+    return PowerAllocation(
+        group_totals=p_k,
+        splits=np.column_stack([p_k / 2.0, p_k / 2.0]),
+        mu=float(mu),
+        lambdas=lam,
+        feasible=True,
+        budget_exhausted=bool(exhausted),
+        status="ok" if exhausted else "budget not exhausted within tolerance",
+    )
+
+
+JUMP_STATUS = "budget not exhausted within tolerance"
+
+
+def assert_matches_reference(got, want, p_max, where):
+    """One allocation against the reference; returns True where the reference overspends."""
+    assert got.feasible == want.feasible, where
+    if not got.feasible:
+        return False
+    tol = 1e-8 * p_max
+    assert got.group_totals.sum() <= p_max * (1 + 1e-9), where
+    if want.status == "ok":
+        assert got.status == "ok", where
+        assert np.max(np.abs(got.group_totals - want.group_totals)) <= tol, where
+    overspent = want.group_totals.sum() > p_max * (1 + 1e-9)
+    if overspent:
+        assert got.group_totals.sum() <= p_max, where
+        assert got.status == JUMP_STATUS, where
+    return overspent
+
+
+class TestGroupStageAgainstReference:
+    def test_bench_drops(self, monkeypatch):
+        overspent = 0
+        for kind in ("table", "parametric"):
+            for m in (10, 30, 60):
+                for drop in range(25):
+                    users, cfg = bench_drop(2026, m, drop, kind)
+                    got = solve(users, cfg)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(sfma.power, "inter_group_allocate", reference_inter_group_allocate)
+                        want = solve(users, cfg)
+                    where = (kind, m, drop)
+                    assert (got.feasible, got.stage) == (want.feasible, want.stage), where
+                    if got.allocation is None:
+                        continue
+                    overspent += assert_matches_reference(got.allocation, want.allocation,
+                                                          cfg.p_max_w, where)
+                    if want.allocation.status == "ok":
+                        assert got.sum_rate == pytest.approx(want.sum_rate, rel=1e-8), where
+        # root seed 2026 holds budget jumps at M = 10, 30 and 60 on the table
+        assert overspent >= 3
+
+    @pytest.mark.parametrize("kind", ["constant", "table", "parametric"])
+    def test_random_groups(self, kind):
+        profile = {"constant": None, "table": InterferenceProfile.default_table(),
+                   "parametric": InterferenceProfile.parametric()}[kind]
+        rng = np.random.default_rng([29, len(kind)])
+        for i in range(40):
+            groups = random_groups(rng, int(rng.integers(1, 7)), profile,
+                                   min_rate_range=(0.2, 1.0))
+            p_max = float(rng.uniform(2.0, 50.0))
+            got = inter_group_allocate(groups, p_max)
+            want = reference_inter_group_allocate(groups, p_max)
+            assert_matches_reference(got, want, p_max, (kind, i))
