@@ -20,6 +20,13 @@ stops once its bracket is 1e-9 wide (relative) and returns the end below the
 budget; a step cap does the same. A feasible allocation therefore never sums
 above the budget, and one that cannot spend it to within the tolerance says
 so in its status.
+
+On a table profile shared by all groups, rho and its slope come from
+quadratic pieces: along one group's power axis both table coordinates are
+x = 10*log10(p) plus a constant, so bilinear rho is a quadratic in x between
+the receiver's cuts, where x crosses a power node or the equal-split SNR
+crosses an SNR node. The pieces are built once per set of groups, on first
+use. The slope stays the central difference over max(1e-9, 1e-4 p).
 """
 
 from __future__ import annotations
@@ -32,9 +39,10 @@ import numpy as np
 from .pairing import PairingAssignment, UserTerminal, pair_users
 from .semantic_rate import (
     InterferenceProfile,
-    _bilinear,
+    _piece_rho,
     _rho_derivative_kernel,
     _rho_kernel,
+    _table_pieces,
 )
 
 __all__ = [
@@ -183,6 +191,8 @@ class _GroupArrays:
         self.profiles = [g.profile for g in self.groups]
         uniq = {id(p) for p in self.profiles}
         self._fused = self.profiles[0] if len(uniq) == 1 else None
+        self._pieces = None     # table pieces of these rows, built on first use
+        self._piece_base = None
 
     def _dispatch(self, kernel, p):
         """Kernel values on rows stacked as all first users, then all second users."""
@@ -212,32 +222,48 @@ class _GroupArrays:
     def rho_pair(self, p):
         return self._pair_eval(_rho_kernel, p)
 
+    def _table_rows(self):
+        """Quadratic pieces of a fused table, and each (user, group) row's lookup base."""
+        if self._pieces is None:
+            self._pieces = _table_pieces(self._fused, self.snr_offset_db.T)
+            span = self._pieces.edges.size + 1
+            self._piece_base = span * np.arange(2 * self.k).reshape(2, self.k)
+        return self._pieces, self._piece_base
+
     def rho_and_prime_pair(self, p):
         """(rho1, rho2, rho1', rho2'), with the slopes zero at p <= 0.
 
         The table kind takes the central difference with step
-        h = max(1e-9, 1e-4 p), its lower sample kept positive. Each power is
-        converted to dBW once for both users, each row adds its SNR offset,
-        and one lookup serves the value and both samples.
+        h = max(1e-9, 1e-4 p), its lower sample kept positive. Along a
+        group's power axis bilinear rho is a quadratic in 10*log10(p) between
+        the row's cuts (see ``_TablePieces``), so the value and both samples
+        come from one search of their dBW powers in the cuts and a quadratic
+        per point.
         """
         p = np.asarray(p, dtype=float)
         tiny = np.finfo(float).tiny
         safe = np.maximum(p, tiny)
-        if self._fused is None or self._fused.kind != "table":
+        table = self._fused is not None and self._fused.kind == "table"
+        if not table:
             r1, r2 = self.rho_pair(p)
             d1, d2 = self._pair_eval(_rho_derivative_kernel, safe)
         else:
             h = np.maximum(1e-9, 1e-4 * safe)
             up, lo = safe + h, np.maximum(safe - h, tiny)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p_dbw = 10.0 * np.log10(np.stack([p, up, lo]))
+            x = 10.0 * np.log10(np.stack([safe, up, lo]))
+            pieces, base = self._table_rows()
             # (user, 1, group[, 1]) against (sample, group or 1[, point])
-            offset = self.snr_offset_db.T.reshape((2, 1, self.k) + (1,) * (p.ndim - 1))
-            rho = np.minimum(np.maximum(_bilinear(self._fused, p_dbw, p_dbw + offset), 0.0), 1.0)
+            rho = _piece_rho(pieces, base.reshape((2, 1, self.k) + (1,) * (p.ndim - 1)), x)
             r1, r2 = rho[:, 0]
             d1, d2 = (rho[:, 1] - rho[:, 2]) / (up - lo)
         if np.any(p <= 0):
             zero = p <= 0
+            if table:
+                # the pieces start at a positive power: the kernel gives the
+                # values at and below zero, nan or not as its table dictates
+                with np.errstate(invalid="ignore"):
+                    z1, z2 = self.rho_pair(p)
+                r1, r2 = np.where(zero, z1, r1), np.where(zero, z2, r2)
             d1 = np.where(zero, 0.0, d1)
             d2 = np.where(zero, 0.0, d2)
         return r1, r2, d1, d2
@@ -260,6 +286,8 @@ class _GroupArrays:
         sub.snr_offset_db = self.snr_offset_db[rows]
         sub.profiles = [self.profiles[i] for i in rows]
         sub._fused = self._fused
+        sub._pieces = self._pieces
+        sub._piece_base = None if self._piece_base is None else self._piece_base[:, rows]
         return sub
 
 

@@ -22,7 +22,9 @@ the group-level allocation stage evaluates rho.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
@@ -58,8 +60,13 @@ class Link:
 
     def __post_init__(self):
         for name in ("gain", "noise"):
-            value = np.asarray(getattr(self, name))
-            if not np.all(np.isfinite(value) & (value > 0)):
+            value = getattr(self, name)
+            if isinstance(value, (int, float)):  # numpy float64 included
+                valid = math.isfinite(value) and value > 0
+            else:
+                value = np.asarray(value)
+                valid = np.all(np.isfinite(value) & (value > 0))
+            if not valid:
                 raise ValueError(f"link {name} must be finite and strictly positive, got {value}")
 
 
@@ -146,9 +153,21 @@ class InterferenceProfile:
 
     @classmethod
     def default_table(cls) -> "InterferenceProfile":
-        """The bundled calibration table (qualitative measured shape)."""
-        text = resources.files("sfma.data").joinpath(_DEFAULT_TABLE_RESOURCE).read_text()
-        return _parse_rho_table(io.StringIO(text), source=_DEFAULT_TABLE_RESOURCE)
+        """The bundled calibration table (qualitative measured shape).
+
+        Parsed once per process: every call returns the same profile, whose
+        arrays are read-only.
+        """
+        return _bundled_table()
+
+
+@functools.cache
+def _bundled_table() -> InterferenceProfile:
+    text = resources.files("sfma.data").joinpath(_DEFAULT_TABLE_RESOURCE).read_text()
+    profile = _parse_rho_table(io.StringIO(text), source=_DEFAULT_TABLE_RESOURCE)
+    for arr in (profile.power_axis_dbw, profile.snr_axis_db, profile.values):
+        arr.flags.writeable = False
+    return profile
 
 
 def _equal_split_snr_db(group_power, gain, noise):
@@ -184,6 +203,67 @@ def _bilinear(profile: InterferenceProfile, p_dbw, snr_db_val):
     v00, v01 = flat[base], flat[base + step_s]
     v10, v11 = flat[base + step_p], flat[base + step_p + step_s]
     return (1 - tp) * ((1 - ts) * v00 + ts * v01) + tp * ((1 - ts) * v10 + ts * v11)
+
+
+class _TablePieces(NamedTuple):
+    """Bilinear table rho along the power axis of receivers at fixed SNR offsets.
+
+    Row r is a receiver whose equal-split SNR in dB is x + offset[r], with
+    x = 10*log10(p). Both table coordinates then move with x, so between the
+    row's cuts (x on a power node, x + offset[r] on an SNR node) the lookup
+    is the quadratic a + b*u + c*u^2 in u = x - center. The pieces are fitted
+    from ``_bilinear`` at their ends and middle; below the first cut and from
+    the last one on, rho is the constant corner value of the table.
+    """
+
+    edges: np.ndarray    # (E,) every row's cuts, sorted and unique
+    lookup: np.ndarray   # (R * (E + 1),) piece of row r holding x, at r * (E + 1) + #(edges <= x)
+    coef: np.ndarray     # (R * (C + 1), 4) center, a, b, c per piece, for C cuts a row
+
+
+def _table_pieces(profile: InterferenceProfile, snr_offset_db) -> _TablePieces:
+    """Quadratic pieces of ``_bilinear`` for each row of ``snr_offset_db``."""
+    off = np.asarray(snr_offset_db, dtype=float).reshape(-1, 1)
+    rows = off.shape[0]
+    p_ax = np.broadcast_to(profile.power_axis_dbw, (rows, profile.power_axis_dbw.size))
+    cuts = np.sort(np.concatenate([p_ax, profile.snr_axis_db - off], axis=1), axis=1)
+    lo = np.concatenate([cuts[:, :1], cuts], axis=1)
+    hi = np.concatenate([cuts, cuts[:, -1:]], axis=1)
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    # the outer pieces are sampled at -inf and +inf, where both coordinates clamp
+    mid = center.copy()
+    mid[:, 0], mid[:, -1] = -np.inf, np.inf
+    f_lo, f_mid, f_hi = _bilinear(profile, np.stack([lo, mid, hi]), np.stack([lo, mid, hi]) + off)
+    # a zero-width piece (a cut on both axes) is never selected; keep it finite
+    wide = half > 0
+    width = np.where(wide, half, 1.0)
+    b = np.where(wide, (f_hi - f_lo) / (2.0 * width), 0.0)
+    c = np.where(wide, (f_hi - 2.0 * f_mid + f_lo) / (2.0 * width * width), 0.0)
+    # one search of x in the union of the cuts gives every row's piece: a
+    # row's piece index counts its own cuts at or below x, duplicates together
+    edges = np.unique(cuts)
+    span = edges.size + 1
+    slot = np.searchsorted(edges, cuts) + 1 + span * np.arange(rows)[:, None]
+    counts = np.bincount(slot.ravel(), minlength=rows * span).reshape(rows, span)
+    lookup = np.cumsum(counts, axis=1) + (cuts.shape[1] + 1) * np.arange(rows)[:, None]
+    return _TablePieces(edges, lookup.ravel(), np.stack([center, f_mid, b, c], axis=-1).reshape(-1, 4))
+
+
+def _piece_rho(pieces: _TablePieces, row_base, x):
+    """rho at finite x = 10*log10(p), for rows whose lookup starts at ``row_base``.
+
+    ``row_base`` is row * (E + 1) and broadcasts against ``x``.
+    """
+    at = pieces.lookup.take(row_base + np.searchsorted(pieces.edges, x, side="right"))
+    q = pieces.coef.take(at, axis=0)
+    # in place: on the stationarity grid the temporaries, not the arithmetic, cost most
+    u = x - q[..., 0]
+    out = q[..., 3] * u
+    out += q[..., 2]
+    out *= u
+    out += q[..., 1]
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _parametric_rho(params: LogisticRhoParams, group_power, gain, noise):

@@ -535,7 +535,76 @@ def edge_tables():
                                                          [[0.1], [0.5], [0.7], [0.95]]),
         "one point": InterferenceProfile.from_table([0.0], [5.0], [[0.4]]),
         "bundled": InterferenceProfile.default_table(),
+        # at a 10 dB offset SNR nodes 10 and 17.5 dB land on power nodes 0 and
+        # 7.5 dBW; with no offset, 10 and 40 land on 10 and 40
+        "non-uniform": InterferenceProfile.from_table(
+            [-12.0, 0.0, 7.5, 10.0, 25.0, 40.0], [-8.0, 1.0, 10.0, 17.5, 40.0],
+            [[0.95, 0.9, 0.6, 0.2, 0.01],
+             [0.94, 0.85, 0.5, 0.15, 0.01],
+             [0.94, 0.8, 0.45, 0.3, 0.0],
+             [0.93, 0.82, 0.4, 0.1, 0.0],
+             [1.0, 0.7, 0.3, 0.05, 0.0],
+             [0.9, 0.6, 0.2, 0.02, 0.0]]),
     }
+
+
+# The table lookup of _GroupArrays.rho_and_prime_pair before the quadratic
+# pieces, kept verbatim as the reference of the lookup tests below.
+
+def reference_rho_and_prime_pair(self, p):
+    """(rho1, rho2, rho1', rho2'), with the slopes zero at p <= 0.
+
+    The table kind takes the central difference with step
+    h = max(1e-9, 1e-4 p), its lower sample kept positive. Each power is
+    converted to dBW once for both users, each row adds its SNR offset,
+    and one lookup serves the value and both samples.
+    """
+    p = np.asarray(p, dtype=float)
+    tiny = np.finfo(float).tiny
+    safe = np.maximum(p, tiny)
+    if self._fused is None or self._fused.kind != "table":
+        r1, r2 = self.rho_pair(p)
+        d1, d2 = self._pair_eval(_rho_derivative_kernel, safe)
+    else:
+        h = np.maximum(1e-9, 1e-4 * safe)
+        up, lo = safe + h, np.maximum(safe - h, tiny)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_dbw = 10.0 * np.log10(np.stack([p, up, lo]))
+        # (user, 1, group[, 1]) against (sample, group or 1[, point])
+        offset = self.snr_offset_db.T.reshape((2, 1, self.k) + (1,) * (p.ndim - 1))
+        rho = np.minimum(np.maximum(_bilinear(self._fused, p_dbw, p_dbw + offset), 0.0), 1.0)
+        r1, r2 = rho[:, 0]
+        d1, d2 = (rho[:, 1] - rho[:, 2]) / (up - lo)
+    if np.any(p <= 0):
+        zero = p <= 0
+        d1 = np.where(zero, 0.0, d1)
+        d2 = np.where(zero, 0.0, d2)
+    return r1, r2, d1, d2
+
+
+def arrays_at(profile, offsets_db):
+    """One group per (user 1, user 2) pair of equal-split SNR offsets in dB."""
+    groups = []
+    for i, pair in enumerate(offsets_db):
+        users = tuple(UserTerminal(id=2 * i + j, link=Link(gain=2.0 * 10.0 ** (off / 10.0), noise=1.0))
+                      for j, off in enumerate(pair))
+        groups.append(Group(users=users, profile=profile))
+    return _GroupArrays(groups)
+
+
+def assert_lookup_matches_reference(arrs, p):
+    got = arrs.rho_and_prime_pair(p)
+    want = reference_rho_and_prime_pair(arrs, p)
+    for g, w in zip(got[:2], want[:2]):
+        assert np.all(np.isfinite(g))
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
+    tiny = np.finfo(float).tiny
+    safe = np.maximum(p, tiny)
+    h = np.maximum(1e-9, 1e-4 * safe)
+    step = safe + h - np.maximum(safe - h, tiny)
+    # samples that agree to 1e-15 give slopes that agree to 2e-15 over the step
+    for g, w in zip(got[2:], want[2:]):
+        assert np.all(np.abs(g - w) <= 2e-15 / step)
 
 
 class TestPairLookup:
@@ -566,9 +635,11 @@ class TestPairLookup:
         arrs = self.arrays(profile)
         p = np.array([0.0, -1.0, 0.0, 2.0])
         r1, r2, d1, d2 = arrs.rho_and_prime_pair(p)
-        with np.errstate(invalid="ignore"):
-            np.testing.assert_array_equal(r1, _rho_kernel(profile, p, arrs.gain[:, 0], arrs.noise[:, 0]))
-            np.testing.assert_array_equal(r2, _rho_kernel(profile, p, arrs.gain[:, 1], arrs.noise[:, 1]))
+        for col, r in enumerate((r1, r2)):
+            with np.errstate(invalid="ignore"):
+                want = _rho_kernel(profile, p, arrs.gain[:, col], arrs.noise[:, col])
+            np.testing.assert_array_equal(r[:3], want[:3])
+            np.testing.assert_allclose(r[3], want[3], rtol=0, atol=1e-15)
         assert np.all(d1[:3] == 0.0) and np.all(d2[:3] == 0.0)
 
     @pytest.mark.parametrize("name", sorted(edge_tables()))
@@ -600,6 +671,47 @@ class TestPairLookup:
         whole = arrs.rho_and_prime_pair(np.array([40.0, 1.0, 1.0, 0.7, 1.0]))
         for g, w in zip(got, whole):
             np.testing.assert_array_equal(g, w[rows])
+
+    @pytest.mark.parametrize("offsets", [(10.0, 0.0), (0.0, 10.0)])
+    def test_snr_node_on_a_power_node(self, offsets):
+        profile = edge_tables()["non-uniform"]
+        arrs = arrays_at(profile, [offsets])
+        assert tuple(arrs.snr_offset_db[0]) == offsets
+        pieces, _ = arrs._table_rows()
+        # rows are user 1 then user 2; a repeated cut makes a zero-width piece
+        cuts = np.sort(np.concatenate([np.tile(profile.power_axis_dbw, (2, 1)),
+                                       profile.snr_axis_db - arrs.snr_offset_db.T], axis=1), axis=1)
+        n_pieces = cuts.shape[1] + 1
+        zero_width = [r * n_pieces + j for r in range(2) for j in range(1, cuts.shape[1])
+                      if cuts[r, j - 1] == cuts[r, j]]
+        assert len(zero_width) == 4
+        assert not np.isin(pieces.lookup, zero_width).any()
+        # powers on the repeated cuts 0, 7.5 and 10 dBW and one ulp either side
+        p = 10.0 ** (np.array([0.0, 7.5, 10.0]) / 10.0)
+        assert_lookup_matches_reference(arrs, np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, 1e9)])[None, :])
+
+    def test_powers_on_every_cut(self, default_profile):
+        arrs = self.arrays(default_profile)
+        edges = arrs._table_rows()[0].edges
+        assert_lookup_matches_reference(arrs, 10.0 ** (edges / 10.0)[None, :])
+        assert_lookup_matches_reference(arrs, np.array([0.1, 1.0, 10.0, 1000.0]))
+
+    def test_small_powers(self):
+        # cuts from -108 to -60 dBW: the slope's step is the absolute 1e-9 W there
+        arrs = arrays_at(edge_tables()["non-uniform"], [(100.0, 90.0), (80.0, 110.0)])
+        assert_lookup_matches_reference(arrs, np.geomspace(1e-13, 1e-5, 801)[None, :])
+
+    @pytest.mark.parametrize("name", sorted(edge_tables()))
+    @pytest.mark.parametrize("offset", [-80.0, 80.0])
+    def test_snr_nodes_outside_the_power_range(self, name, offset):
+        arrs = arrays_at(edge_tables()[name], [(offset, offset), (offset, 0.5 * offset)])
+        assert_lookup_matches_reference(arrs, np.geomspace(1e-13, 1e13, 1201)[None, :])
+
+    def test_extreme_offsets(self, default_profile):
+        # rows whose cuts lie hundreds of dB apart share one search without mixing
+        arrs = arrays_at(default_profile, [(300.0, -300.0), (0.0, 41.0), (-290.0, 290.0)])
+        assert_lookup_matches_reference(arrs, np.geomspace(1e-38, 1e38, 2001)[None, :])
+        assert_lookup_matches_reference(arrs, np.array([1e-35, 1.0, 1e35]))
 
 
 # The group stage before the budget-jump exit and the seeded first secant
@@ -862,3 +974,26 @@ class TestGroupStageAgainstReference:
             got = inter_group_allocate(groups, p_max)
             want = reference_inter_group_allocate(groups, p_max)
             assert_matches_reference(got, want, p_max, (kind, i))
+
+
+class TestPairLookupAgainstReference:
+    def test_bench_drops(self, monkeypatch):
+        jumps = 0
+        for m in (10, 30, 60):
+            for drop in range(25):
+                users, cfg = bench_drop(2026, m, drop)
+                got = solve(users, cfg)
+                with monkeypatch.context() as patch:
+                    patch.setattr(_GroupArrays, "rho_and_prime_pair", reference_rho_and_prime_pair)
+                    want = solve(users, cfg)
+                where = (m, drop)
+                assert (got.feasible, got.stage) == (want.feasible, want.stage), where
+                if got.allocation is None:
+                    continue
+                assert got.allocation.status == want.allocation.status, where
+                if got.allocation.status == "ok" and got.feasible:
+                    assert got.sum_rate == pytest.approx(want.sum_rate, rel=1e-10, abs=0), where
+                elif got.allocation.status == JUMP_STATUS:
+                    jumps += 1
+                    assert got.allocation.group_totals.sum() <= cfg.p_max_w * (1 + 1e-9), where
+        assert jumps >= 3

@@ -86,6 +86,12 @@ class TestProfiles:
         assert prof.values[0, 0] > 0.85
         assert prof.values[0, -1] < 0.05
 
+    def test_default_table_parsed_once(self):
+        prof = InterferenceProfile.default_table()
+        assert InterferenceProfile.default_table() is prof
+        for arr in (prof.power_axis_dbw, prof.snr_axis_db, prof.values):
+            assert not arr.flags.writeable
+
     def test_default_table_node_identity_against_file(self):
         prof = InterferenceProfile.default_table()
         for i in (0, 4, len(prof.power_axis_dbw) - 1):
@@ -134,9 +140,12 @@ class TestProfiles:
 
     def test_link_validation(self):
         for gain, noise in [(0.0, 1.0), (1.0, 0.0), (float("nan"), 1.0), (1.0, float("nan")),
-                            (float("inf"), 1.0), (1.0, float("inf"))]:
-            with pytest.raises(ValueError):
+                            (float("inf"), 1.0), (1.0, float("inf")),
+                            (np.float64(-1.0), 1.0), (1.0, np.float32("nan")),
+                            (np.array([1.0, 0.0]), 1.0), (1.0, np.array([2.0, np.inf]))]:
+            with pytest.raises(ValueError, match="must be finite and strictly positive"):
                 Link(gain=gain, noise=noise)
+        Link(gain=np.float64(1e-9), noise=np.array([1e-13, 2e-13]))
 
 
 class TestRhoDerivative:
