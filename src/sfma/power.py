@@ -14,7 +14,12 @@ Internals are vectorized across groups. The stationarity curve of every
 group is sampled once on a dense log grid; the mu search first bisects on
 the interpolated curves and then polishes with a few exactly-evaluated
 secant steps, so the per-instance cost stays flat in the drop count. The
-first secant step takes its slope from the interpolated curves. Where the
+first secant step takes its slope from the interpolated curves. An exact
+evaluation refines each root inside its grid cell by two levels of 64
+uniform samples, each taken in one call, and keeps the sub-cell that a
+bisection on the samples would pick; a secant step on the last sub-cell
+ends it. The curve does not depend on mu, so the samples are kept per
+(group, cell, sub-cell) and reused by later water levels. Where the
 summed group power jumps across the budget at one water level, the search
 stops once its bracket is 1e-9 wide (relative) and returns the end below the
 budget; a step cap does the same. A feasible allocation therefore never sums
@@ -66,6 +71,11 @@ logger = logging.getLogger(__name__)
 _LN2 = float(np.log(2.0))
 _PHI = (np.sqrt(5.0) - 1.0) / 2.0  # golden-section step
 _GRID_N = 1024                     # stationarity-curve samples per group
+# a refined root samples _SUB_N sub-cells at each of _SUB_LEVELS levels:
+# 64**2 = 2**12, the width twelve bisections of a grid cell reach
+_SUB_N = 64
+_SUB_LEVELS = 2
+_SUB_FRACS = np.arange(1, _SUB_N) / _SUB_N
 
 # stationary-point resolution markers
 _ROOT, _ZERO, _CAP = 0, 1, 2
@@ -451,6 +461,7 @@ class _WaterFiller:
         self.grid = np.geomspace(1e-6 * p_max, p_max, _GRID_N)
         _, deriv = _pair_rate_terms(arrs, self.grid[None, :])
         self.f_grid = deriv / _LN2          # (K, N) stationarity curve samples
+        self._sub_f = {}                    # (row, cell[, sub-cell]) -> interior samples
 
     def _locate(self, mu):
         """First high-to-low crossing cell of each group's sampled curve."""
@@ -473,35 +484,54 @@ class _WaterFiller:
             p3[rows] = self.grid[first[rows]] * (1.0 - t) + self.grid[first[rows] + 1] * t
         return np.maximum(self.p_req, p3), status
 
-    def exact_totals(self, mu, n_bisect=12):
+    def exact_totals(self, mu):
         """Group powers with roots refined inside their sampled cells.
 
-        A short lockstep bisection shrinks the cell, then one secant step on
-        the tracked endpoint values pins the root far below the bisection
-        width (the curve is smooth inside a cell).
+        Each of _SUB_LEVELS levels samples the current bracket at _SUB_N
+        uniform sub-cells in one call and keeps the sub-cell that a bisection
+        on those samples would pick, going left where f(mid) < mu; together
+        they reach the width of twelve bisections of the grid cell. One
+        secant step on the final sub-cell's end values then pins the root far
+        below that width (the curve is smooth inside a cell). The curve does
+        not depend on mu, so the samples of every bracket are kept and later
+        water levels evaluate only brackets not seen before.
         """
         self.steps += 1
         status, first = self._locate(mu)
         p3 = np.where(status == _CAP, self.grid[-1], 0.0)
         rows = np.flatnonzero(status == _ROOT)
         if rows.size:
-            a = self.grid[first[rows]].copy()
-            b = self.grid[first[rows] + 1].copy()
-            fa = self.f_grid[rows, first[rows]] - mu
-            fb = self.f_grid[rows, first[rows] + 1] - mu
-            sub = self.arrs.take(rows)
-            for _ in range(n_bisect):
-                mid = 0.5 * (a + b)
-                fm = _stationarity_lhs(sub, mid, mu)
-                go_left = fm < 0
-                b = np.where(go_left, mid, b)
-                fb = np.where(go_left, fm, fb)
-                a = np.where(go_left, a, mid)
-                fa = np.where(go_left, fa, fm)
+            cells = first[rows]
+            a, b = self.grid[cells], self.grid[cells + 1]
+            fa, fb = self.f_grid[rows, cells], self.f_grid[rows, cells + 1]
+            keys = list(zip(rows.tolist(), cells.tolist()))
+            at = np.arange(rows.size)
+            for _ in range(_SUB_LEVELS):
+                pts = np.column_stack([a, a[:, None] + (b - a)[:, None] * _SUB_FRACS, b])
+                f = np.column_stack([fa, self._samples(rows, keys, pts[:, 1:-1]), fb])
+                # replay the bisection: the midpoint of [lo, lo + 2 step] decides
+                lo = np.zeros(rows.size, dtype=int)
+                step = _SUB_N // 2
+                while step:
+                    lo = np.where(f[at, lo + step] - mu < 0, lo, lo + step)
+                    step //= 2
+                a, b = pts[at, lo], pts[at, lo + 1]
+                fa, fb = f[at, lo], f[at, lo + 1]
+                keys = [key + (j,) for key, j in zip(keys, lo.tolist())]
+            fa, fb = fa - mu, fb - mu
             spread = fa - fb
             t = np.where(spread > 0, fa / np.maximum(spread, np.finfo(float).tiny), 0.5)
             p3[rows] = a + (b - a) * np.minimum(np.maximum(t, 0.0), 1.0)
         return np.maximum(self.p_req, p3), status
+
+    def _samples(self, rows, keys, pts):
+        """Stationarity curve at the interior points ``pts`` of each keyed bracket."""
+        missing = [i for i, key in enumerate(keys) if key not in self._sub_f]
+        if missing:
+            _, deriv = _pair_rate_terms(self.arrs.take(rows[missing]), pts[missing])
+            for i, f in zip(missing, deriv / _LN2):
+                self._sub_f[keys[i]] = f
+        return np.stack([self._sub_f[key] for key in keys])
 
 
 def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> PowerAllocation:
@@ -716,9 +746,12 @@ def intra_group_allocate(group: Group, p_k: float, tol: float, interval=None):
 
 
 def _intra_objective(arrs: _GroupArrays, p_k, rho1, rho2, p1):
+    """Pair sum rate at first-user powers ``p1`` of shape (K,) or (K, S)."""
+    col = (slice(None),) + (None,) * (np.ndim(p1) - 1)
+    p_k, rho1, rho2 = p_k[col], rho1[col], rho2[col]
     p2 = p_k - p1
-    g1, g2 = arrs.gain[:, 0], arrs.gain[:, 1]
-    n1, n2 = arrs.noise[:, 0], arrs.noise[:, 1]
+    g1, g2 = arrs.gain[:, 0][col], arrs.gain[:, 1][col]
+    n1, n2 = arrs.noise[:, 0][col], arrs.noise[:, 1][col]
     s1 = p1 * g1 / (rho1 * p2 * g1 + n1)
     s2 = p2 * g2 / (rho2 * p1 * g2 + n2)
     return np.log2(1.0 + s1) + np.log2(1.0 + s2)
@@ -744,9 +777,7 @@ def _intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, tol, n_scan: int = 33):
         )
 
     ts = np.linspace(0.0, 1.0, n_scan)
-    cand = lo[:, None] + width[:, None] * ts[None, :]
-    vals = np.stack([j(cand[:, i]) for i in range(n_scan)], axis=1)
-    best = np.argmax(vals, axis=1)
+    best = np.argmax(j(lo[:, None] + width[:, None] * ts[None, :]), axis=1)
     a = lo + width * ts[np.maximum(best - 1, 0)]
     b = lo + width * ts[np.minimum(best + 1, n_scan - 1)]
 
@@ -759,12 +790,11 @@ def _intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, tol, n_scan: int = 33):
         pick_left = f1 >= f2
         b = np.where(pick_left, x2, b)
         a = np.where(pick_left, a, x1)
-        x1_new = np.where(pick_left, b - _PHI * (b - a), x2)
-        x2_new = np.where(pick_left, x1, a + _PHI * (b - a))
-        x1, x2 = x1_new, x2_new
-        f_old1, f_old2 = f1, f2
-        f1 = np.where(pick_left, j(x1), f_old2)
-        f2 = np.where(pick_left, f_old1, j(x2))
+        # only the interior point that moved needs a new evaluation
+        x_new = np.where(pick_left, b - _PHI * (b - a), a + _PHI * (b - a))
+        f_new = j(x_new)
+        x1, x2 = np.where(pick_left, x_new, x2), np.where(pick_left, x1, x_new)
+        f1, f2 = np.where(pick_left, f_new, f2), np.where(pick_left, f1, f_new)
     out = 0.5 * (a + b)
     out = np.where(degenerate, np.minimum(np.maximum(mid, lo), hi), out)
     out = np.minimum(np.maximum(out, lo), hi)
@@ -772,8 +802,8 @@ def _intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, tol, n_scan: int = 33):
     # an endpoint to within its width, which a steep objective turns into a
     # visible rate gap
     j_out = j(out)
-    out = np.where(j(hi) > j_out, hi, out)
-    out = np.where(j(lo) > np.maximum(j_out, j(hi)), lo, out)
+    out = np.where(j_hi > j_out, hi, out)
+    out = np.where(j_lo > np.maximum(j_out, j_hi), lo, out)
     return out
 
 

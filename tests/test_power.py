@@ -13,6 +13,8 @@ from sfma.power import (
     _GRID_N,
     _LN2,
     _ROOT,
+    _SUB_LEVELS,
+    _SUB_N,
     _ZERO,
     ConvergenceError,
     Group,
@@ -20,6 +22,7 @@ from sfma.power import (
     PowerAllocation,
     SolverConfig,
     _GroupArrays,
+    _WaterFiller,
     _min_rate_fixed_points,
     _pair_rate_terms,
     _recover_lambdas,
@@ -714,12 +717,50 @@ class TestPairLookup:
         assert_lookup_matches_reference(arrs, np.array([1e-35, 1.0, 1e35]))
 
 
+# _WaterFiller.exact_totals before the sampled refinement, kept verbatim as
+# the reference of TestSampledRefinement: twelve lockstep bisections per call.
+
+def reference_exact_totals(self, mu, n_bisect=12):
+    """Group powers with roots refined inside their sampled cells.
+
+    A short lockstep bisection shrinks the cell, then one secant step on
+    the tracked endpoint values pins the root far below the bisection
+    width (the curve is smooth inside a cell).
+    """
+    self.steps += 1
+    status, first = self._locate(mu)
+    p3 = np.where(status == _CAP, self.grid[-1], 0.0)
+    rows = np.flatnonzero(status == _ROOT)
+    if rows.size:
+        a = self.grid[first[rows]].copy()
+        b = self.grid[first[rows] + 1].copy()
+        fa = self.f_grid[rows, first[rows]] - mu
+        fb = self.f_grid[rows, first[rows] + 1] - mu
+        sub = self.arrs.take(rows)
+        for _ in range(n_bisect):
+            mid = 0.5 * (a + b)
+            fm = _stationarity_lhs(sub, mid, mu)
+            go_left = fm < 0
+            b = np.where(go_left, mid, b)
+            fb = np.where(go_left, fm, fb)
+            a = np.where(go_left, a, mid)
+            fa = np.where(go_left, fa, fm)
+        spread = fa - fb
+        t = np.where(spread > 0, fa / np.maximum(spread, np.finfo(float).tiny), 0.5)
+        p3[rows] = a + (b - a) * np.minimum(np.maximum(t, 0.0), 1.0)
+    return np.maximum(self.p_req, p3), status
+
+
 # The group stage before the budget-jump exit and the seeded first secant
 # step, kept verbatim as the reference of the differential tests below. It
-# runs on the current _GroupArrays and rate terms.
+# runs on the current _GroupArrays and rate terms; its exact_totals is the
+# bisection above, which it had unchanged apart from the step count.
 
 class ReferenceWaterFiller:
     """Shared state of one group-level allocation: dense stationarity curves."""
+
+    steps = 0
+    exact_totals = reference_exact_totals
 
     def __init__(self, arrs: _GroupArrays, p_max: float, p_req: np.ndarray):
         self.arrs = arrs
@@ -749,36 +790,6 @@ class ReferenceWaterFiller:
             t = (f0 - mu) / np.maximum(f0 - f1, np.finfo(float).tiny)
             p3[rows] = self.grid[first[rows]] * (1.0 - t) + self.grid[first[rows] + 1] * t
         return np.maximum(self.p_req, p3), status
-
-    def exact_totals(self, mu, n_bisect=12):
-        """Group powers with roots refined inside their sampled cells.
-
-        A short lockstep bisection shrinks the cell, then one secant step on
-        the tracked endpoint values pins the root far below the bisection
-        width (the curve is smooth inside a cell).
-        """
-        status, first = self._locate(mu)
-        p3 = np.where(status == _CAP, self.grid[-1], 0.0)
-        rows = np.flatnonzero(status == _ROOT)
-        if rows.size:
-            a = self.grid[first[rows]].copy()
-            b = self.grid[first[rows] + 1].copy()
-            fa = self.f_grid[rows, first[rows]] - mu
-            fb = self.f_grid[rows, first[rows] + 1] - mu
-            sub = self.arrs.take(rows)
-            for _ in range(n_bisect):
-                mid = 0.5 * (a + b)
-                fm = _stationarity_lhs(sub, mid, mu)
-                go_left = fm < 0
-                b = np.where(go_left, mid, b)
-                fb = np.where(go_left, fm, fb)
-                a = np.where(go_left, a, mid)
-                fa = np.where(go_left, fa, fm)
-            spread = fa - fb
-            t = np.where(spread > 0, fa / np.maximum(spread, np.finfo(float).tiny), 0.5)
-            p3[rows] = a + (b - a) * np.minimum(np.maximum(t, 0.0), 1.0)
-        return np.maximum(self.p_req, p3), status
-
 
 
 def reference_inter_group_allocate(groups, p_max: float, tol: float | None = None) -> PowerAllocation:
@@ -940,6 +951,16 @@ def assert_matches_reference(got, want, p_max, where):
     return overspent
 
 
+def random_group_cases(kind):
+    """(groups, p_max) of the random group-stage instances of one rho kind."""
+    profile = {"constant": None, "table": InterferenceProfile.default_table(),
+               "parametric": InterferenceProfile.parametric()}[kind]
+    rng = np.random.default_rng([29, len(kind)])
+    for _ in range(40):
+        groups = random_groups(rng, int(rng.integers(1, 7)), profile, min_rate_range=(0.2, 1.0))
+        yield groups, float(rng.uniform(2.0, 50.0))
+
+
 class TestGroupStageAgainstReference:
     def test_bench_drops(self, monkeypatch):
         overspent = 0
@@ -964,16 +985,104 @@ class TestGroupStageAgainstReference:
 
     @pytest.mark.parametrize("kind", ["constant", "table", "parametric"])
     def test_random_groups(self, kind):
-        profile = {"constant": None, "table": InterferenceProfile.default_table(),
-                   "parametric": InterferenceProfile.parametric()}[kind]
-        rng = np.random.default_rng([29, len(kind)])
-        for i in range(40):
-            groups = random_groups(rng, int(rng.integers(1, 7)), profile,
-                                   min_rate_range=(0.2, 1.0))
-            p_max = float(rng.uniform(2.0, 50.0))
+        for i, (groups, p_max) in enumerate(random_group_cases(kind)):
             got = inter_group_allocate(groups, p_max)
             want = reference_inter_group_allocate(groups, p_max)
             assert_matches_reference(got, want, p_max, (kind, i))
+
+
+class TestSampledRefinement:
+    """exact_totals against the twelve-bisection refinement it replaced."""
+
+    @staticmethod
+    def check_each_call(monkeypatch):
+        """Compare every exact_totals call with the reference on the same filler and mu.
+
+        Returns a count of the refined rows whose grid cell crosses mu more
+        than once, where the bisection's pick can differ from the first
+        sign change.
+        """
+        seen = {"multi": 0}
+        sampled = _WaterFiller.exact_totals
+
+        def checked(self, mu):
+            got, status = sampled(self, mu)
+            steps = self.steps
+            want, want_status = reference_exact_totals(self, mu)
+            self.steps = steps
+            np.testing.assert_array_equal(status, want_status)
+            _, first = self._locate(mu)
+            root = status == _ROOT
+            # the same final sub-cell, and its secant step to a thousandth of it
+            sub_cell = (self.grid[first + 1] - self.grid[first]) / _SUB_N ** _SUB_LEVELS
+            assert np.all(np.abs(got - want) <= 1e-3 * np.where(root, sub_cell, 0.0))
+            for row in np.flatnonzero(root):
+                cell = int(first[row])
+                f = np.concatenate([self.f_grid[row, cell : cell + 1], self._sub_f[(int(row), cell)],
+                                    self.f_grid[row, cell + 1 : cell + 2]])
+                seen["multi"] += np.count_nonzero(np.diff(f >= mu)) > 1
+            return got, status
+
+        monkeypatch.setattr(_WaterFiller, "exact_totals", checked)
+        return seen
+
+    def test_bench_drops(self, monkeypatch):
+        multi = 0
+        for kind in ("table", "parametric"):
+            for m in (10, 30, 60):
+                for drop in range(25):
+                    users, cfg = bench_drop(2026, m, drop, kind)
+                    with monkeypatch.context() as patch:
+                        seen = self.check_each_call(patch)
+                        got = solve(users, cfg)
+                    multi += seen["multi"]
+                    with monkeypatch.context() as patch:
+                        patch.setattr(_WaterFiller, "exact_totals", reference_exact_totals)
+                        want = solve(users, cfg)
+                    where = (kind, m, drop)
+                    assert (got.feasible, got.stage) == (want.feasible, want.stage), where
+                    if got.allocation is None:
+                        continue
+                    assert got.allocation.steps == want.allocation.steps, where
+                    assert got.allocation.status == want.allocation.status, where
+                    if got.feasible and got.allocation.status == "ok":
+                        assert got.sum_rate == pytest.approx(want.sum_rate, rel=1e-12, abs=0), where
+                    elif got.feasible:
+                        assert got.sum_rate == pytest.approx(want.sum_rate, rel=1e-9, abs=0), where
+        # a table row of M = 30 whose cell crosses mu three times
+        assert multi > 0
+
+    @pytest.mark.parametrize("kind", ["constant", "table", "parametric"])
+    def test_random_groups(self, kind, monkeypatch):
+        self.check_each_call(monkeypatch)
+        for groups, p_max in random_group_cases(kind):
+            inter_group_allocate(groups, p_max)
+
+    def test_samples_are_reused(self, monkeypatch, default_profile):
+        rng = np.random.default_rng(7)
+        arrs = _GroupArrays(random_groups(rng, 8, default_profile, min_rate_range=(0.2, 1.0)))
+        wf = _WaterFiller(arrs, 40.0, _min_rate_fixed_points(arrs).max(axis=1))
+        mu = float(np.median(wf.f_grid[:, _GRID_N // 2]))
+        first = wf.exact_totals(mu)
+        assert np.any(first[1] == _ROOT)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _pair_rate_terms(*args, **kwargs)
+
+        monkeypatch.setattr(sfma.power, "_pair_rate_terms", counted)
+        again = wf.exact_totals(mu)
+        assert calls == []
+        for g, w in zip(again, first):
+            np.testing.assert_array_equal(g, w)
+        assert wf.steps == 2
+
+    def test_budget_jump_probe_keeps_its_steps(self):
+        users, cfg = bench_drop(2026, 30, 6)
+        alloc = solve(users, cfg).allocation
+        assert alloc.status == JUMP_STATUS
+        assert alloc.steps == 12
 
 
 class TestPairLookupAgainstReference:
