@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -66,8 +68,14 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     del profile_check
-    report = run_sweep(config)
     output = args.output or config.output
+    # a sweep can take minutes: an output that cannot be written fails first
+    target = Path(output)
+    if target.is_dir() or not target.parent.is_dir() or not os.access(target.parent, os.W_OK):
+        print(f"error: cannot write report to {output}: not a file in a writable directory",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    report = run_sweep(config)
     emit_csv(report, output)
     print(f"wrote {output} ({len(report.rows)} cells)")
     for m in config.user_counts:
@@ -160,6 +168,13 @@ def _cmd_calibrate(args) -> int:
                 return EXIT_CONFIG
             cells = {}
             for row in reader:
+                # DictReader pads a short row with None and files a long row's extras under None
+                if None in row.values() or None in row:
+                    n_cells = sum(v is not None for k, v in row.items() if k is not None)
+                    n_cells += len(row.get(None, ()))
+                    print(f"error: {args.mse_csv} line {reader.line_num} has {n_cells} cells, "
+                          f"the header {len(reader.fieldnames)}", file=sys.stderr)
+                    return EXIT_CONFIG
                 link = Link(gain=float(row["gain"]), noise=float(row["noise_w"]))
                 value = calibrate_rho(
                     float(row["p_self_w"]), float(row["p_other_w"]), link, float(row["mse"])

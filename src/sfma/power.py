@@ -26,12 +26,16 @@ budget; a step cap does the same. A feasible allocation therefore never sums
 above the budget, and one that cannot spend it to within the tolerance says
 so in its status.
 
-On a table profile shared by all groups, rho and its slope come from
-quadratic pieces: along one group's power axis both table coordinates are
-x = 10*log10(p) plus a constant, so bilinear rho is a quadratic in x between
-the receiver's cuts, where x crosses a power node or the equal-split SNR
+Along one group's power axis a receiver's equal-split SNR in dB is
+x = 10*log10(p) plus a constant, and the stationarity curves use that axis
+form when all groups share one table or logistic profile. On a logistic
+profile the exponent is affine in x, so one log10 per power and one exp per
+receiver and power give rho and its analytic slope together. On a table
+profile, rho and its slope come from quadratic pieces: both table
+coordinates move with x, so bilinear rho is a quadratic in x between the
+receiver's cuts, where x crosses a power node or the equal-split SNR
 crosses an SNR node. The pieces are built once per set of groups, on first
-use. The slope stays the central difference over max(1e-9, 1e-4 p).
+use. The table slope stays the central difference over max(1e-9, 1e-4 p).
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import numpy as np
 from .pairing import PairingAssignment, UserTerminal, pair_users
 from .semantic_rate import (
     InterferenceProfile,
+    _logistic_axis,
     _piece_rho,
     _rho_derivative_kernel,
     _rho_kernel,
@@ -243,18 +248,26 @@ class _GroupArrays:
     def rho_and_prime_pair(self, p):
         """(rho1, rho2, rho1', rho2'), with the slopes zero at p <= 0.
 
-        The table kind takes the central difference with step
-        h = max(1e-9, 1e-4 p), its lower sample kept positive. Along a
-        group's power axis bilinear rho is a quadratic in 10*log10(p) between
-        the row's cuts (see ``_TablePieces``), so the value and both samples
-        come from one search of their dBW powers in the cuts and a quadratic
-        per point.
+        Both axis forms below take x = 10*log10(p) once per power and give
+        the values at p <= 0 from ``rho_pair``. Along a group's power axis
+        the logistic exponent is a + b*x, with a per receiver from its SNR
+        offset, so one exp per receiver and point gives the value and the
+        analytic slope (see ``_logistic_axis``). The table kind takes the
+        central difference with step h = max(1e-9, 1e-4 p), its lower sample
+        kept positive. Bilinear rho is a quadratic in x between the row's
+        cuts (see ``_TablePieces``), so the value and both samples come from
+        one search of their dBW powers in the cuts and a quadratic per point.
+        Mixed-profile and constant groups use the single-link kernels.
         """
         p = np.asarray(p, dtype=float)
         tiny = np.finfo(float).tiny
         safe = np.maximum(p, tiny)
-        table = self._fused is not None and self._fused.kind == "table"
-        if not table:
+        kind = None if self._fused is None else self._fused.kind
+        if kind == "parametric":
+            # (user, group[, 1]) offsets against the powers' own shape
+            offset = self.snr_offset_db.T.reshape((2, self.k) + (1,) * (p.ndim - 1))
+            (r1, r2), (d1, d2) = _logistic_axis(self._fused.params, offset, safe)
+        elif kind != "table":
             r1, r2 = self.rho_pair(p)
             d1, d2 = self._pair_eval(_rho_derivative_kernel, safe)
         else:
@@ -268,9 +281,9 @@ class _GroupArrays:
             d1, d2 = (rho[:, 1] - rho[:, 2]) / (up - lo)
         if np.any(p <= 0):
             zero = p <= 0
-            if table:
-                # the pieces start at a positive power: the kernel gives the
-                # values at and below zero, nan or not as its table dictates
+            if kind in ("table", "parametric"):
+                # the axis forms start at a positive power: the kernel gives
+                # the values at and below zero, nan or not as its profile dictates
                 with np.errstate(invalid="ignore"):
                     z1, z2 = self.rho_pair(p)
                 r1, r2 = np.where(zero, z1, r1), np.where(zero, z2, r2)
@@ -301,11 +314,10 @@ class _GroupArrays:
         return sub
 
 
-def _pair_rate_terms(arrs: _GroupArrays, p, eta=None, with_derivative=True):
-    """Per-group sum rate and its derivative in the group power at fixed fractions.
+def _pair_rate_slope(arrs: _GroupArrays, p, eta=None):
+    """Per-group d(r1 + r2)/dp in bits/s/Hz per watt, at fixed fractions.
 
     ``p`` may be (K,) or (K, G); eta defaults to the stored fractions.
-    The derivative is d(r1 + r2)/dp in bits/s/Hz per watt.
     """
     p = np.asarray(p, dtype=float)
     eta = arrs.eta if eta is None else np.asarray(eta, dtype=float)
@@ -317,26 +329,19 @@ def _pair_rate_terms(arrs: _GroupArrays, p, eta=None, with_derivative=True):
         e1, e2 = eta[..., 0], eta[..., 1]
         g1, g2 = arrs.gain[:, 0], arrs.gain[:, 1]
         n1, n2 = arrs.noise[:, 0], arrs.noise[:, 1]
-    if with_derivative:
-        rho1, rho2, rp1, rp2 = arrs.rho_and_prime_pair(p)
-    else:
-        rho1, rho2 = arrs.rho_pair(p)
+    rho1, rho2, rp1, rp2 = arrs.rho_and_prime_pair(p)
     d1 = rho1 * e2 * p * g1 + n1
     d2 = rho2 * e1 * p * g2 + n2
     s1 = e1 * p * g1 / d1
     s2 = e2 * p * g2 / d2
-    rate = np.log2(1.0 + s1) + np.log2(1.0 + s2)
-    if not with_derivative:
-        return rate, None
     ds1 = e1 * g1 * (n1 - rp1 * e2 * g1 * p * p) / (d1 * d1)
     ds2 = e2 * g2 * (n2 - rp2 * e1 * g2 * p * p) / (d2 * d2)
-    deriv = (ds1 / (1.0 + s1) + ds2 / (1.0 + s2)) / _LN2
-    return rate, deriv
+    return (ds1 / (1.0 + s1) + ds2 / (1.0 + s2)) / _LN2
 
 
 def _stationarity_lhs(arrs: _GroupArrays, p, mu: float, eta=None):
     """Stationarity expression d(r1+r2)/dp / ln2 - mu (zero at a candidate)."""
-    _, deriv = _pair_rate_terms(arrs, p, eta=eta)
+    deriv = _pair_rate_slope(arrs, p, eta=eta)
     return deriv / _LN2 - mu
 
 
@@ -459,7 +464,7 @@ class _WaterFiller:
         self.p_req = p_req
         self.steps = 0
         self.grid = np.geomspace(1e-6 * p_max, p_max, _GRID_N)
-        _, deriv = _pair_rate_terms(arrs, self.grid[None, :])
+        deriv = _pair_rate_slope(arrs, self.grid[None, :])
         self.f_grid = deriv / _LN2          # (K, N) stationarity curve samples
         self._sub_f = {}                    # (row, cell[, sub-cell]) -> interior samples
 
@@ -528,7 +533,7 @@ class _WaterFiller:
         """Stationarity curve at the interior points ``pts`` of each keyed bracket."""
         missing = [i for i, key in enumerate(keys) if key not in self._sub_f]
         if missing:
-            _, deriv = _pair_rate_terms(self.arrs.take(rows[missing]), pts[missing])
+            deriv = _pair_rate_slope(self.arrs.take(rows[missing]), pts[missing])
             for i, f in zip(missing, deriv / _LN2):
                 self._sub_f[keys[i]] = f
         return np.stack([self._sub_f[key] for key in keys])
@@ -596,7 +601,7 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             )
 
     # upper bracket from the derivative at a vanishing power, doubled to hold
-    _, d_small = _pair_rate_terms(arrs, np.full(k, p_max / k * 1e-3))
+    d_small = _pair_rate_slope(arrs, np.full(k, p_max / k * 1e-3))
     mu_hi = max(float(np.max(d_small / _LN2)), 1e-12)
     for _ in range(200):
         if wf.interp_totals(mu_hi)[0].sum() <= p_max:
@@ -679,7 +684,7 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
     stationary_active = p_k > p_req * (1.0 + 1e-12)
     capped = stationary_active & (status == _CAP)
     if np.any(capped) and not np.any(stationary_active & (status == _ROOT)):
-        _, d_cap = _pair_rate_terms(arrs, p_k)
+        d_cap = _pair_rate_slope(arrs, p_k)
         mu = float(np.min((d_cap / _LN2)[capped]))
 
     lam = _recover_lambdas(arrs, p_k, p_req, mu, binding)
@@ -707,7 +712,7 @@ def _recover_lambdas(arrs: _GroupArrays, p_k, p_req, mu: float, binding) -> np.n
     if not np.any(at_floor):
         return lam
     which = np.argmax(binding, axis=1)
-    _, deriv = _pair_rate_terms(arrs, p_k)
+    deriv = _pair_rate_slope(arrs, p_k)
     eq21 = deriv / _LN2
     r1, r2, rp1, rp2 = arrs.rho_and_prime_pair(p_k)
     rho_cols = np.column_stack([r1, r2])
@@ -822,7 +827,7 @@ def kkt_residuals(groups, alloc: PowerAllocation, p_max: float) -> KKTReport:
     mu = float(alloc.mu)
     eta = np.where(p_k[:, None] > 0, splits / np.maximum(p_k, np.finfo(float).tiny)[:, None], 0.5)
 
-    _, deriv = _pair_rate_terms(arrs, p_k, eta=eta)
+    deriv = _pair_rate_slope(arrs, p_k, eta=eta)
     eq21 = deriv / _LN2
     r1, r2, rp1, rp2 = arrs.rho_and_prime_pair(p_k)
     rho_cols = np.column_stack([r1, r2])

@@ -266,6 +266,32 @@ def _piece_rho(pieces: _TablePieces, row_base, x):
     return np.clip(out, 0.0, 1.0, out=out)
 
 
+def _logistic_axis(params: LogisticRhoParams, snr_offset_db, p):
+    """Logistic rho and d(rho)/dp at powers p > 0, for receivers at fixed SNR offsets.
+
+    A receiver's equal-split SNR in dB is x + snr_offset_db, with
+    x = 10*log10(p), so its exponent is affine along the power axis:
+    a + b*x, with b = snr_slope + power_coeff and a fixed per receiver.
+    x is taken once on p's own shape; ``snr_offset_db`` broadcasts against p.
+    """
+    b = params.snr_slope + params.power_coeff
+    a = params.snr_slope * (snr_offset_db - params.snr_mid_db) \
+        - params.power_coeff * 10.0 * np.log10(params.power_ref_w)
+    x = 10.0 * np.log10(p)
+    # in place: on the stationarity grid the temporaries, not the arithmetic, cost most
+    den = np.asarray(b * x + a)
+    np.clip(den, -60.0, 60.0, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    rho = params.limit / den
+    sig = np.reciprocal(den, out=den)
+    # d(expo)/dp = 10 b / (p ln10)
+    slope = -params.limit * sig
+    slope *= 1.0 - sig
+    slope *= 10.0 * b / (p * _LN10)
+    return rho, slope
+
+
 def _parametric_rho(params: LogisticRhoParams, group_power, gain, noise):
     snr = _equal_split_snr_db(group_power, gain, noise)
     p = np.asarray(group_power, dtype=float)
@@ -308,15 +334,8 @@ def _rho_derivative_kernel(profile: InterferenceProfile, p, gain, noise):
     if profile.kind == "constant":
         return np.zeros(np.shape(p))
     if profile.kind == "parametric":
-        prm = profile.params
-        snr = _equal_split_snr_db(p, gain, noise)
-        with np.errstate(divide="ignore"):
-            power_db = 10.0 * np.log10(p / prm.power_ref_w)
-        expo = np.clip(prm.snr_slope * (snr - prm.snr_mid_db) + prm.power_coeff * power_db, -60.0, 60.0)
-        sig = 1.0 / (1.0 + np.exp(expo))
-        # d(expo)/dp: both the SNR and power terms move by 10/(p ln10) per watt
-        dexpo = 10.0 * (prm.snr_slope + prm.power_coeff) / (p * _LN10)
-        return -prm.limit * sig * (1.0 - sig) * dexpo
+        offset = 10.0 * np.log10(gain / (2.0 * noise))
+        return _logistic_axis(profile.params, offset, p)[1]
     h = np.maximum(1e-9, 1e-4 * p)
     lo = p - h
     hi = p + h

@@ -246,6 +246,30 @@ class TestCli:
         assert "Traceback" not in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_sweep_unwritable_output_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch, where):
+        import sfma.cli
+
+        def no_sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(sfma.cli, "run_sweep", no_sweep)
+        cfg_path = tmp_path / "run.cfg"
+        missing = tmp_path / "absent" / "out.csv"
+        argv = ["sweep", "--config", str(cfg_path)]
+        if where == "config":
+            cfg_path.write_text(f"user_counts = 4\ndrops = 2\noutput = {missing}\n")
+        else:
+            cfg_path.write_text("user_counts = 4\ndrops = 2\n")
+            argv += ["--output", str(missing)]
+        assert cli_main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and str(missing) in err
+        # a directory is no file to write either
+        assert cli_main(["sweep", "--config", str(cfg_path), "--output", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_sweep_unknown_key_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("users = 4\n")
@@ -279,6 +303,21 @@ class TestCli:
             "10,0,1.0,2.0,1e-10,3.981e-11,1e-10\n"
         )
         assert cli_main(["calibrate", "--mse-csv", str(src), "--output", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+
+    def test_calibrate_rejects_short_row(self, tmp_path, capsys):
+        src = tmp_path / "mse.csv"
+        src.write_text(
+            "group_power_dbw,snr_db,p_self_w,p_other_w,gain,noise_w,mse\n"
+            "0,0,1.0,2.0,1e-10,3.981e-11,1e-10\n"
+            "0,10,1.0,2.0\n"
+        )
+        out = tmp_path / "o.csv"
+        assert cli_main(["calibrate", "--mse-csv", str(src), "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "line 3" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_verify_passes(self, capsys):
         assert cli_main(["verify", "--seed", "0"]) == EXIT_OK

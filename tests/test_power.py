@@ -24,7 +24,7 @@ from sfma.power import (
     _GroupArrays,
     _WaterFiller,
     _min_rate_fixed_points,
-    _pair_rate_terms,
+    _pair_rate_slope,
     _recover_lambdas,
     _stationarity_lhs,
     extreme_point_min_rate,
@@ -38,7 +38,9 @@ from sfma.semantic_rate import (
     InterferenceProfile,
     Link,
     LogisticRhoParams,
+    _LN10,
     _bilinear,
+    _equal_split_snr_db,
     _rho_derivative_kernel,
     _rho_kernel,
     pair_sum_rate,
@@ -551,8 +553,67 @@ def edge_tables():
     }
 
 
+def lookup_profiles():
+    """The edge tables, the logistic profile, and a logistic profile flat along
+    the power axis (snr_slope + power_coeff = 0)."""
+    return {**edge_tables(), "logistic": InterferenceProfile.parametric(),
+            "logistic, flat in power": InterferenceProfile.parametric(LogisticRhoParams(power_coeff=-0.42))}
+
+
+# d(rho)/dp on one link before the logistic axis form, kept verbatim as the
+# reference slope of the lookup tests below; the value is still _rho_kernel's.
+
+def reference_rho_derivative_kernel(profile: InterferenceProfile, p, gain, noise):
+    """Unvalidated d(rho)/dp on arrays (hot path)."""
+    if profile.kind == "constant":
+        return np.zeros(np.shape(p))
+    if profile.kind == "parametric":
+        prm = profile.params
+        snr = _equal_split_snr_db(p, gain, noise)
+        with np.errstate(divide="ignore"):
+            power_db = 10.0 * np.log10(p / prm.power_ref_w)
+        expo = np.clip(prm.snr_slope * (snr - prm.snr_mid_db) + prm.power_coeff * power_db, -60.0, 60.0)
+        sig = 1.0 / (1.0 + np.exp(expo))
+        # d(expo)/dp: both the SNR and power terms move by 10/(p ln10) per watt
+        dexpo = 10.0 * (prm.snr_slope + prm.power_coeff) / (p * _LN10)
+        return -prm.limit * sig * (1.0 - sig) * dexpo
+    h = np.maximum(1e-9, 1e-4 * p)
+    lo = p - h
+    hi = p + h
+    # fall back to a forward difference when the lower sample would be <= 0
+    fwd = lo <= 0
+    lo = np.where(fwd, p, lo)
+    denom = np.where(fwd, h, 2.0 * h)
+    return (_rho_kernel(profile, hi, gain, noise) - _rho_kernel(profile, lo, gain, noise)) / denom
+
+
+def logistic_tolerance(params, p, gain, noise, value):
+    """Bounds on the value and slope gaps between the verbatim logistic
+    kernels and the axis form, from rounding alone.
+
+    The two forms sum different terms into the exponent, ss*(snr - mid) +
+    pc*10*log10(p / ref) against a + b*x, and round each term: the exponents
+    agree to 4 eps times the terms' magnitudes, which moves rho by
+    limit*sig*(1 - sig) per unit and the slope by that much relatively. Near
+    the plateau each form rounds sig to within eps of 1, so 1 - sig, and the
+    slope with it, agrees only to 2 eps absolute.
+    """
+    eps = np.finfo(float).eps
+    ss, pc, b = params.snr_slope, params.power_coeff, params.snr_slope + params.power_coeff
+    x = 10.0 * np.log10(p)
+    offset = 10.0 * np.log10(gain / (2.0 * noise))
+    ref_db = 10.0 * np.log10(params.power_ref_w)
+    terms = (abs(ss) * (np.abs(x + offset) + np.abs(offset) + 2.0 * abs(params.snr_mid_db))
+             + abs(pc) * (2.0 * np.abs(x) + 2.0 * abs(ref_db)) + np.abs(b * x))
+    shift = 4.0 * eps * terms
+    sig = value / params.limit
+    slope_unit = params.limit * np.abs(10.0 * b / (p * _LN10))
+    return 1e-15 + value * (1.0 - sig) * shift, slope_unit * sig * ((1.0 - sig) * shift + 2.0 * eps)
+
+
 # The table lookup of _GroupArrays.rho_and_prime_pair before the quadratic
-# pieces, kept verbatim as the reference of the lookup tests below.
+# pieces, kept verbatim as the reference of the lookup tests below; its other
+# kinds take the slope of the verbatim single-link kernel above.
 
 def reference_rho_and_prime_pair(self, p):
     """(rho1, rho2, rho1', rho2'), with the slopes zero at p <= 0.
@@ -567,7 +628,7 @@ def reference_rho_and_prime_pair(self, p):
     safe = np.maximum(p, tiny)
     if self._fused is None or self._fused.kind != "table":
         r1, r2 = self.rho_pair(p)
-        d1, d2 = self._pair_eval(_rho_derivative_kernel, safe)
+        d1, d2 = self._pair_eval(reference_rho_derivative_kernel, safe)
     else:
         h = np.maximum(1e-9, 1e-4 * safe)
         up, lo = safe + h, np.maximum(safe - h, tiny)
@@ -616,33 +677,51 @@ class TestPairLookup:
     @staticmethod
     def arrays(profile, seed=0, k=4):
         rng = np.random.default_rng(seed)
-        return _GroupArrays(random_groups(rng, k, profile=profile, min_rate_range=(0.0, 0.0)))
+        groups = random_groups(rng, k, profile=profile, min_rate_range=(0.0, 0.0))
+        if profile.kind == "parametric":
+            # receivers at +300 and -300 dB, whose exponents clip at +60 and -60
+            groups += arrays_at(profile, [(300.0, -300.0)]).groups
+        return _GroupArrays(groups)
 
-    @pytest.mark.parametrize("name", sorted(edge_tables()))
+    @pytest.mark.parametrize("name", sorted(lookup_profiles()))
     def test_matches_kernels(self, name):
-        profile = edge_tables()[name]
+        profile = lookup_profiles()[name]
         arrs = self.arrays(profile)
         p = np.geomspace(1e-8, 1e3, 301)[None, :]
         r1, r2, d1, d2 = arrs.rho_and_prime_pair(p)
         full = np.broadcast_to(p, (arrs.k, p.shape[1]))
         for col, (r, d) in enumerate(((r1, d1), (r2, d2))):
             gain, noise = arrs.gain[:, col][:, None], arrs.noise[:, col][:, None]
-            np.testing.assert_allclose(r, _rho_kernel(profile, full, gain, noise), rtol=0, atol=1e-15)
-            want = _rho_derivative_kernel(profile, full, gain, noise)
+            value = _rho_kernel(profile, full, gain, noise)
+            want = reference_rho_derivative_kernel(profile, full, gain, noise)
+            if profile.kind == "parametric":
+                value_atol, slope_atol = logistic_tolerance(profile.params, full, gain, noise, value)
+                assert np.all(np.abs(r - value) <= value_atol)
+                # the single-link kernel now takes the axis form too
+                for slope in (d, _rho_derivative_kernel(profile, full, gain, noise)):
+                    assert np.all(np.abs(slope - want) <= 1e-12 * np.abs(want) + slope_atol)
+                continue
+            np.testing.assert_allclose(r, value, rtol=0, atol=1e-15)
             # samples that agree to 1e-15 give slopes that agree to 1e-15 / (2h)
             assert np.all(np.abs(d - want) <= 1e-9 * np.abs(want) + 5e-12 / full)
+        if name == "logistic":
+            # the clipped rows sit at the floor (+300 dB) and on the plateau (-300 dB)
+            assert r1[-1, 0] == r1[-1, -1] == profile.params.limit / (1.0 + np.exp(60.0))
+            assert r2[-1, 0] == r2[-1, -1] == profile.params.limit / (1.0 + np.exp(-60.0))
+        if name == "logistic, flat in power":
+            assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
 
-    @pytest.mark.parametrize("name", sorted(edge_tables()))
+    @pytest.mark.parametrize("name", sorted(lookup_profiles()))
     def test_nonpositive_power(self, name):
-        profile = edge_tables()[name]
+        profile = lookup_profiles()[name]
         arrs = self.arrays(profile)
-        p = np.array([0.0, -1.0, 0.0, 2.0])
+        p = np.array([0.0, -1.0, 0.0] + [2.0] * (arrs.k - 3))
         r1, r2, d1, d2 = arrs.rho_and_prime_pair(p)
         for col, r in enumerate((r1, r2)):
             with np.errstate(invalid="ignore"):
                 want = _rho_kernel(profile, p, arrs.gain[:, col], arrs.noise[:, col])
             np.testing.assert_array_equal(r[:3], want[:3])
-            np.testing.assert_allclose(r[3], want[3], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(r[3:], want[3:], rtol=0, atol=1e-15)
         assert np.all(d1[:3] == 0.0) and np.all(d2[:3] == 0.0)
 
     @pytest.mark.parametrize("name", sorted(edge_tables()))
@@ -667,13 +746,14 @@ class TestPairLookup:
         np.testing.assert_array_equal(_bilinear(profile, p_dbw, snr), want)
 
     def test_row_subset_keeps_offsets(self, default_profile):
-        arrs = self.arrays(default_profile, k=5)
-        rows = np.array([3, 0])
-        p = np.array([0.7, 40.0])
-        got = arrs.take(rows).rho_and_prime_pair(p)
-        whole = arrs.rho_and_prime_pair(np.array([40.0, 1.0, 1.0, 0.7, 1.0]))
-        for g, w in zip(got, whole):
-            np.testing.assert_array_equal(g, w[rows])
+        for profile in (default_profile, InterferenceProfile.parametric()):
+            arrs = self.arrays(profile, k=5)
+            rows = np.array([3, 0])
+            p = np.array([0.7, 40.0])
+            got = arrs.take(rows).rho_and_prime_pair(p)
+            whole = arrs.rho_and_prime_pair(np.array([40.0, 1.0, 1.0, 0.7] + [1.0] * (arrs.k - 4)))
+            for g, w in zip(got, whole):
+                np.testing.assert_array_equal(g, w[rows])
 
     @pytest.mark.parametrize("offsets", [(10.0, 0.0), (0.0, 10.0)])
     def test_snr_node_on_a_power_node(self, offsets):
@@ -767,7 +847,7 @@ class ReferenceWaterFiller:
         self.p_max = p_max
         self.p_req = p_req
         self.grid = np.geomspace(1e-6 * p_max, p_max, _GRID_N)
-        _, deriv = _pair_rate_terms(arrs, self.grid[None, :])
+        deriv = _pair_rate_slope(arrs, self.grid[None, :])
         self.f_grid = deriv / _LN2          # (K, N) stationarity curve samples
 
     def _locate(self, mu):
@@ -850,7 +930,7 @@ def reference_inter_group_allocate(groups, p_max: float, tol: float | None = Non
             )
 
     # upper bracket from the derivative at a vanishing power, doubled to hold
-    _, d_small = _pair_rate_terms(arrs, np.full(k, p_max / k * 1e-3))
+    d_small = _pair_rate_slope(arrs, np.full(k, p_max / k * 1e-3))
     mu_hi = max(float(np.max(d_small / _LN2)), 1e-12)
     for _ in range(200):
         if wf.interp_totals(mu_hi)[0].sum() <= p_max:
@@ -916,7 +996,7 @@ def reference_inter_group_allocate(groups, p_max: float, tol: float | None = Non
     stationary_active = p_k > p_req * (1.0 + 1e-12)
     capped = stationary_active & (status == _CAP)
     if np.any(capped) and not np.any(stationary_active & (status == _ROOT)):
-        _, d_cap = _pair_rate_terms(arrs, p_k)
+        d_cap = _pair_rate_slope(arrs, p_k)
         mu = float(np.min((d_cap / _LN2)[capped]))
 
     lam = _recover_lambdas(arrs, p_k, p_req, mu, binding)
@@ -1069,9 +1149,9 @@ class TestSampledRefinement:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return _pair_rate_terms(*args, **kwargs)
+            return _pair_rate_slope(*args, **kwargs)
 
-        monkeypatch.setattr(sfma.power, "_pair_rate_terms", counted)
+        monkeypatch.setattr(sfma.power, "_pair_rate_slope", counted)
         again = wf.exact_totals(mu)
         assert calls == []
         for g, w in zip(again, first):
@@ -1087,22 +1167,31 @@ class TestSampledRefinement:
 
 class TestPairLookupAgainstReference:
     def test_bench_drops(self, monkeypatch):
-        jumps = 0
-        for m in (10, 30, 60):
-            for drop in range(25):
-                users, cfg = bench_drop(2026, m, drop)
-                got = solve(users, cfg)
-                with monkeypatch.context() as patch:
-                    patch.setattr(_GroupArrays, "rho_and_prime_pair", reference_rho_and_prime_pair)
-                    want = solve(users, cfg)
-                where = (m, drop)
-                assert (got.feasible, got.stage) == (want.feasible, want.stage), where
-                if got.allocation is None:
-                    continue
-                assert got.allocation.status == want.allocation.status, where
-                if got.allocation.status == "ok" and got.feasible:
-                    assert got.sum_rate == pytest.approx(want.sum_rate, rel=1e-10, abs=0), where
-                elif got.allocation.status == JUMP_STATUS:
-                    jumps += 1
-                    assert got.allocation.group_totals.sum() <= cfg.p_max_w * (1 + 1e-9), where
-        assert jumps >= 3
+        jumps = {"table": 0, "parametric": 0}
+        for kind in ("table", "parametric"):
+            for m in (10, 30, 60):
+                for drop in range(25):
+                    users, cfg = bench_drop(2026, m, drop, kind)
+                    got = solve(users, cfg)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(_GroupArrays, "rho_and_prime_pair", reference_rho_and_prime_pair)
+                        want = solve(users, cfg)
+                    where = (kind, m, drop)
+                    assert (got.feasible, got.stage) == (want.feasible, want.stage), where
+                    if got.allocation is None:
+                        continue
+                    assert got.allocation.status == want.allocation.status, where
+                    # on these drops the logistic axis form moves roundoff, not the search path
+                    logistic = kind == "parametric"
+                    if logistic:
+                        assert got.allocation.steps == want.allocation.steps, where
+                    if got.allocation.status == "ok" and got.feasible:
+                        rel = 1e-12 if logistic else 1e-10
+                        assert got.sum_rate == pytest.approx(want.sum_rate, rel=rel, abs=0), where
+                    elif got.allocation.status == JUMP_STATUS:
+                        jumps[kind] += 1
+                        assert got.allocation.group_totals.sum() <= cfg.p_max_w * (1 + 1e-9), where
+                        if logistic and got.feasible:
+                            assert got.sum_rate == pytest.approx(want.sum_rate, rel=1e-9, abs=0), where
+        # parametric M = 30, drop 23 lands its first exact water level on the jump
+        assert jumps["table"] >= 3 and jumps["parametric"] >= 1
