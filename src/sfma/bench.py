@@ -4,8 +4,10 @@ A sweep evaluates, for every (user count, BS power, drop) cell, the pairing
 plus power-allocation pipeline and the three baselines on one shared channel
 realization. Drops where the minimum rates are unattainable are counted and
 excluded from every scheme's mean so all schemes aggregate over the same
-support. Per-drop seeds derive from (root seed, user count, power index,
-drop index), so drops may run in parallel without changing any number.
+support. A drop whose solver raises ``ConvergenceError`` is one of them, at
+stage "numerics", and is also listed on the report. Per-drop seeds derive
+from (root seed, user count, power index, drop index), so drops may run in
+parallel without changing any number.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .baselines import fnoma_sum_rate, ofdma_sum_rate, ojscc_sum_rate, pair_distinctive
 from .channel import _stream, draw_channel, place_users
 from .pairing import UserTerminal
-from .power import SolveResult, SolverConfig, solve
+from .power import ConvergenceError, SolverConfig, solve
 from .semantic_rate import InterferenceProfile, Link, LogisticRhoParams, load_rho_table
 
 __all__ = [
@@ -210,6 +212,7 @@ class ReportRow:
 class RunReport:
     rows: list
     records: list = field(default_factory=list)
+    numerics: list = field(default_factory=list)  # DropOutcomes of stage "numerics"
 
     def row(self, scheme: str, users: int, p_max_dbw: float) -> ReportRow:
         for r in self.rows:
@@ -251,12 +254,16 @@ def evaluate_drop(config: ScenarioConfig, m: int, p_idx: int, drop_index: int,
     solver_cfg = SolverConfig(
         p_max_w=p_max_w, alpha=config.alpha, delta_max=config.delta_max, profile=profile
     )
-    result: SolveResult = solve(users, solver_cfg)
+    try:
+        result = solve(users, solver_cfg)
+        sfma_rate, feasible, stage = result.sum_rate, result.feasible, result.stage
+    except ConvergenceError:
+        sfma_rate, feasible, stage = float("nan"), False, "numerics"
     baseline_pairs = pair_distinctive(users)
     by_id = {u.id: u for u in users}
     pair_terms = [(by_id[a], by_id[b]) for a, b in baseline_pairs.pairs]
     rates = {
-        "sfma": result.sum_rate,
+        "sfma": sfma_rate,
         "fnoma": fnoma_sum_rate(pair_terms, p_max_w, config.fnoma_eta),
         "ojscc": ojscc_sum_rate(pair_terms, p_max_w),
         "ofdma": ofdma_sum_rate(users, p_max_w),
@@ -266,8 +273,8 @@ def evaluate_drop(config: ScenarioConfig, m: int, p_idx: int, drop_index: int,
         p_max_dbw=p_dbw,
         drop_index=drop_index,
         rates=rates,
-        feasible=result.feasible,
-        stage=result.stage,
+        feasible=feasible,
+        stage=stage,
     )
 
 
@@ -298,11 +305,13 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
 
     rows = []
     records = []
+    numerics = []
     for m in config.user_counts:
         for p_idx, p_dbw in enumerate(config.p_max_dbw):
             cell = [outcomes[(m, p_idx, d)] for d in range(config.drops)]
             if config.keep_records:
                 records.extend(cell)
+            numerics.extend(o for o in cell if o.stage == "numerics")
             feasible = [o for o in cell if o.feasible]
             n_bad = len(cell) - len(feasible)
             for scheme in SCHEMES:
@@ -319,7 +328,7 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
                     )
                 )
     rows.sort(key=lambda r: (r.scheme, r.users, r.p_max_dbw))
-    return RunReport(rows=rows, records=records)
+    return RunReport(rows=rows, records=records, numerics=numerics)
 
 
 def emit_csv(report: RunReport, path) -> None:

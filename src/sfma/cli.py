@@ -6,8 +6,8 @@ Subcommands:
   calibrate  turn distortion measurements into an interference-factor table
   verify     run the quick oracle suite on small instances
 
-Exit codes: 0 success, 1 failed verification, 2 bad configuration or input,
-3 infeasible instance.
+Exit codes: 0 success, 1 failed verification or a sweep with numerically
+failed drops, 2 bad configuration or input, 3 infeasible instance.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import ConfigError, ScenarioConfig, emit_csv, run_sweep
-from .power import Group, PowerAllocation, SolverConfig, kkt_residuals, solve
+from .power import Group, PowerAllocation, SolverConfig, kkt_residuals, solve, split_residuals
 from .semantic_rate import InterferenceProfile, Link, calibrate_rho, save_rho_table
 from .verify import run_all
 
@@ -88,6 +88,11 @@ def _cmd_sweep(args) -> int:
                     f"M={m} P={p_dbw:g} dBW: sfma/fnoma mean ratio {ratio:.3f} "
                     f"({sfma_row.drops} drops, {sfma_row.infeasible} infeasible)"
                 )
+    if report.numerics:
+        where = ", ".join(f"M={o.users} P={o.p_max_dbw:g} dBW drop {o.drop_index}" for o in report.numerics)
+        print(f"error: {len(report.numerics)} drop(s) failed numerically, counted as infeasible: {where}",
+              file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK
 
 
@@ -143,7 +148,7 @@ def _cmd_solve(args) -> int:
     by_id = {u.id: u for u in users}
     groups = [Group(users=(by_id[a], by_id[b]), profile=profile) for a, b in result.pairing.pairs]
     # the dual variables certify the group-level (equal-split) stage; the
-    # intra-pair resplit afterwards is a separate one-dimensional pass
+    # intra-pair resplit afterwards has its own residual, printed below
     stage_alloc = PowerAllocation(
         group_totals=alloc.group_totals,
         splits=np.column_stack([alloc.group_totals / 2.0, alloc.group_totals / 2.0]),
@@ -153,6 +158,8 @@ def _cmd_solve(args) -> int:
     report = kkt_residuals(groups, stage_alloc, p_max_w)
     print(f"total power {float(np.sum(alloc.group_totals)):.6g} of {p_max_w:.6g} W")
     print(f"max normalized group-stage KKT residual {report.max_normalized:.3e}")
+    split_res = float(np.max(split_residuals(groups, alloc), initial=0.0))
+    print(f"max normalized pair-split residual {split_res:.3e}")
     print(f"sum rate {result.sum_rate:.6f} bits/s/Hz")
     return EXIT_OK
 

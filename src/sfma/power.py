@@ -6,9 +6,10 @@ group powers under an equal intra-pair split: two fixed points where a
 user's minimum-rate constraint binds, and the root of the rate-derivative
 stationarity condition; the group keeps the largest feasible candidate and
 mu is driven until the totals meet the budget. The pair-level stage then
-reoptimizes each group's internal split by golden-section search with the
-interference factors frozen at the group total. A residual report checks
-the first-order optimality system of the allocation.
+reoptimizes each group's internal split with the interference factors frozen
+at the group total, where the rate's stationarity condition is a quadratic in
+the split, so the best of its roots and the interval ends is exact. A
+residual report checks the first-order optimality system of the allocation.
 
 Internals are vectorized across groups. The stationarity curve of every
 group is sampled once on a dense log grid; the mu search first bisects on
@@ -69,12 +70,12 @@ __all__ = [
     "intra_group_allocate",
     "kkt_residuals",
     "solve",
+    "split_residuals",
 ]
 
 logger = logging.getLogger(__name__)
 
 _LN2 = float(np.log(2.0))
-_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # golden-section step
 _GRID_N = 1024                     # stationarity-curve samples per group
 # a refined root samples _SUB_N sub-cells at each of _SUB_LEVELS levels:
 # 64**2 = 2**12, the width twelve bisections of a grid cell reach
@@ -165,7 +166,6 @@ class SolverConfig:
     delta_max: float = 4.0
     profile: InterferenceProfile = field(default_factory=lambda: InterferenceProfile.constant(1.0))
     inter_tol_w: float | None = None     # default 1e-8 * p_max
-    intra_tol_frac: float = 1e-9         # split tolerance as a fraction of p_k
     enforce_min_rate_split: bool = True
 
     def __post_init__(self):
@@ -321,14 +321,10 @@ def _pair_rate_slope(arrs: _GroupArrays, p, eta=None):
     """
     p = np.asarray(p, dtype=float)
     eta = arrs.eta if eta is None else np.asarray(eta, dtype=float)
-    if p.ndim == 2:
-        e1, e2 = eta[:, 0][:, None], eta[:, 1][:, None]
-        g1, g2 = arrs.gain[:, 0][:, None], arrs.gain[:, 1][:, None]
-        n1, n2 = arrs.noise[:, 0][:, None], arrs.noise[:, 1][:, None]
-    else:
-        e1, e2 = eta[..., 0], eta[..., 1]
-        g1, g2 = arrs.gain[:, 0], arrs.gain[:, 1]
-        n1, n2 = arrs.noise[:, 0], arrs.noise[:, 1]
+    col = (slice(None), None) if p.ndim == 2 else slice(None)
+    e1, e2 = eta[:, 0][col], eta[:, 1][col]
+    g1, g2 = arrs.gain[:, 0][col], arrs.gain[:, 1][col]
+    n1, n2 = arrs.noise[:, 0][col], arrs.noise[:, 1][col]
     rho1, rho2, rp1, rp2 = arrs.rho_and_prime_pair(p)
     d1 = rho1 * e2 * p * g1 + n1
     d2 = rho2 * e1 * p * g2 + n2
@@ -357,6 +353,19 @@ def _min_rate_fixed_points(arrs: _GroupArrays, p_start=None, damping=0.5,
     eta_other = arrs.eta[:, ::-1]
     one_minus = 1.0 - arrs.pow2r
     active = t > 0
+
+    def target(p, rows):
+        """The rate-binding power at rho(p), checked on ``rows``."""
+        denom = eta_self + eta_other * arrs.rho_cols(p) * one_minus
+        bad = rows & (denom <= 0)
+        if np.any(bad):
+            k_bad, col_bad = np.argwhere(bad)[0]
+            raise MinRateInfeasible(
+                f"group {k_bad}, user {col_bad + 1}: minimum rate unreachable "
+                f"(rate-binding denominator {denom[k_bad, col_bad]:.3e} <= 0)"
+            )
+        return arrs.noise * t / (arrs.gain * np.where(denom > 0, denom, 1.0))
+
     if p_start is None:
         p = np.where(active, arrs.noise * t / (arrs.gain * np.maximum(eta_self, 1e-300)), 0.0)
     else:
@@ -365,17 +374,7 @@ def _min_rate_fixed_points(arrs: _GroupArrays, p_start=None, damping=0.5,
     for _ in range(max_iter):
         if not np.any(live):
             break
-        rho_here = arrs.rho_cols(p)
-        denom = eta_self + eta_other * rho_here * one_minus
-        bad = live & (denom <= 0)
-        if np.any(bad):
-            k_bad, col_bad = np.argwhere(bad)[0]
-            raise MinRateInfeasible(
-                f"group {k_bad}, user {col_bad + 1}: minimum rate unreachable "
-                f"(rate-binding denominator {denom[k_bad, col_bad]:.3e} <= 0)"
-            )
-        target = arrs.noise * t / (arrs.gain * np.where(denom > 0, denom, 1.0))
-        new_p = np.where(live, (1.0 - damping) * p + damping * target, p)
+        new_p = np.where(live, (1.0 - damping) * p + damping * target(p, live), p)
         step = np.abs(new_p - p) / np.maximum(np.abs(new_p), np.finfo(float).tiny)
         p = new_p
         live = live & (step >= rel_tol)
@@ -385,16 +384,7 @@ def _min_rate_fixed_points(arrs: _GroupArrays, p_start=None, damping=0.5,
     if np.any(active):
         # one undamped polish step: exact for power-independent factors and
         # contraction-accurate otherwise
-        rho_here = arrs.rho_cols(p)
-        denom = eta_self + eta_other * rho_here * one_minus
-        bad = active & (denom <= 0)
-        if np.any(bad):
-            k_bad, col_bad = np.argwhere(bad)[0]
-            raise MinRateInfeasible(
-                f"group {k_bad}, user {col_bad + 1}: minimum rate unreachable "
-                f"(rate-binding denominator {denom[k_bad, col_bad]:.3e} <= 0)"
-            )
-        p = np.where(active, arrs.noise * t / (arrs.gain * np.where(denom > 0, denom, 1.0)), p)
+        p = np.where(active, target(p, active), p)
     return p
 
 
@@ -700,6 +690,15 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
     )
 
 
+def _rate_coeff(arrs: _GroupArrays, p_k, eta, p_other):
+    """Per-user multiplier coefficients of the stationarity row, and rho per user column."""
+    r1, r2, rp1, rp2 = arrs.rho_and_prime_pair(p_k)
+    rho_cols = np.column_stack([r1, r2])
+    rhop_cols = np.column_stack([rp1, rp2])
+    coeff = arrs.gain * ((1.0 - arrs.pow2r) * (eta[:, ::-1] * rho_cols + rhop_cols * p_other) + eta)
+    return coeff, rho_cols
+
+
 def _recover_lambdas(arrs: _GroupArrays, p_k, p_req, mu: float, binding) -> np.ndarray:
     """Min-rate multipliers from active-constraint detection.
 
@@ -712,16 +711,8 @@ def _recover_lambdas(arrs: _GroupArrays, p_k, p_req, mu: float, binding) -> np.n
     if not np.any(at_floor):
         return lam
     which = np.argmax(binding, axis=1)
-    deriv = _pair_rate_slope(arrs, p_k)
-    eq21 = deriv / _LN2
-    r1, r2, rp1, rp2 = arrs.rho_and_prime_pair(p_k)
-    rho_cols = np.column_stack([r1, r2])
-    rhop_cols = np.column_stack([rp1, rp2])
-    p_other = arrs.eta[:, ::-1] * p_k[:, None]
-    coeff = arrs.gain * (
-        (1.0 - arrs.pow2r) * (arrs.eta[:, ::-1] * rho_cols + rhop_cols * p_other)
-        + arrs.eta
-    )
+    eq21 = _pair_rate_slope(arrs, p_k) / _LN2
+    coeff, _ = _rate_coeff(arrs, p_k, arrs.eta, arrs.eta[:, ::-1] * p_k[:, None])
     for row in np.flatnonzero(at_floor):
         col = which[row]
         a = coeff[row, col]
@@ -734,9 +725,11 @@ def intra_group_allocate(group: Group, p_k: float, tol: float, interval=None):
     """Best intra-pair split of a fixed group power.
 
     Maximizes the pair sum rate over the first user's share with the
-    interference factors frozen at the group total, via a coarse bracket
-    scan followed by golden-section refinement to width ``tol``. The
-    default search interval is the full [0, p_k]; callers may restrict it.
+    interference factors frozen at the group total. The split is exact: the
+    best of the interval's ends and the stationary points inside it, which
+    solve a quadratic (see ``_intra_split_vec``). ``tol`` must be positive
+    but no longer sets a width. The default interval is the full [0, p_k];
+    callers may restrict it.
     """
     if p_k <= 0:
         raise ValueError(f"p_k must be positive, got {p_k}")
@@ -746,8 +739,10 @@ def intra_group_allocate(group: Group, p_k: float, tol: float, interval=None):
     if not (0.0 <= lo <= hi <= p_k * (1 + 1e-12)):
         raise ValueError(f"invalid split interval {interval} for p_k={p_k}")
     arrs = _GroupArrays([group])
-    p1 = _intra_split_vec(arrs, np.array([p_k]), np.array([lo]), np.array([hi]), np.array([tol]))[0]
-    return float(p1), float(p_k - p1)
+    p_k = np.array([p_k])
+    rho1, rho2 = arrs.rho_pair(p_k)
+    p1 = _intra_split_vec(arrs, p_k, np.array([lo]), np.array([hi]), rho1, rho2)[0]
+    return float(p1), float(p_k[0] - p1)
 
 
 def _intra_objective(arrs: _GroupArrays, p_k, rho1, rho2, p1):
@@ -762,53 +757,72 @@ def _intra_objective(arrs: _GroupArrays, p_k, rho1, rho2, p1):
     return np.log2(1.0 + s1) + np.log2(1.0 + s2)
 
 
-def _intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, tol, n_scan: int = 33):
-    rho1, rho2 = arrs.rho_pair(p_k)
+def _split_terms(arrs: _GroupArrays, p_k, rho1, rho2):
+    """Terms of the frozen-rho pair rate J in the share q = p1/p_k, per unit noise.
 
-    def j(p1):
-        return _intra_objective(arrs, p_k, rho1, rho2, p1)
+    With s_i = g_i p_k / n_i, u_i = (1 - rho_i) s_i, v_i = rho_i s_i and
+    d_i = 1 + v_i, J = log2(A1/B1) + log2(A2/B2) with A1 = d1 + u1 q,
+    B1 = d1 - v1 q, A2 = 1 + s2 - u2 q and B2 = 1 + v2 q, so that
+    ln2 dJ/dq = s1 d1/(A1 B1) - s2 d2/(A2 B2). Returns (s1, s2, u1, v1, u2, v2).
+    """
+    s1 = arrs.gain[:, 0] * p_k / arrs.noise[:, 0]
+    s2 = arrs.gain[:, 1] * p_k / arrs.noise[:, 1]
+    return s1, s2, (1.0 - rho1) * s1, rho1 * s1, (1.0 - rho2) * s2, rho2 * s2
 
-    width = hi - lo
-    degenerate = width <= tol
-    mid = 0.5 * (lo + hi)
-    # the pair objective can lose concavity in interference-limited regimes;
-    # the coarse scan below keeps the golden section on the global basin
-    j_lo, j_mid, j_hi = j(lo), j(mid), j(hi)
-    non_concave = j_mid < 0.5 * (j_lo + j_hi) - 1e-12 * np.maximum(1.0, np.abs(j_mid))
-    if np.any(non_concave):
-        logger.debug(
-            "intra-group objective not midpoint-concave for %d group(s)",
-            int(np.sum(non_concave)),
-        )
 
-    ts = np.linspace(0.0, 1.0, n_scan)
-    best = np.argmax(j(lo[:, None] + width[:, None] * ts[None, :]), axis=1)
-    a = lo + width * ts[np.maximum(best - 1, 0)]
-    b = lo + width * ts[np.minimum(best + 1, n_scan - 1)]
+def _intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, rho1, rho2):
+    """Exact maximizer of the frozen-rho pair rate over p1 in [lo, hi], per group.
 
-    span = float(np.max((b - a) / np.maximum(tol, np.finfo(float).tiny), initial=1.0))
-    n_iter = int(np.ceil(np.log(max(span, 1.0)) / -np.log(_PHI))) + 1
-    x1 = b - _PHI * (b - a)
-    x2 = a + _PHI * (b - a)
-    f1, f2 = j(x1), j(x2)
-    for _ in range(max(n_iter, 1)):
-        pick_left = f1 >= f2
-        b = np.where(pick_left, x2, b)
-        a = np.where(pick_left, a, x1)
-        # only the interior point that moved needs a new evaluation
-        x_new = np.where(pick_left, b - _PHI * (b - a), a + _PHI * (b - a))
-        f_new = j(x_new)
-        x1, x2 = np.where(pick_left, x_new, x2), np.where(pick_left, x1, x_new)
-        f1, f2 = np.where(pick_left, f_new, f2), np.where(pick_left, f1, f_new)
-    out = 0.5 * (a + b)
-    out = np.where(degenerate, np.minimum(np.maximum(mid, lo), hi), out)
-    out = np.minimum(np.maximum(out, lo), hi)
-    # boundary optima are returned exactly: golden section can only approach
-    # an endpoint to within its width, which a steep objective turns into a
-    # visible rate gap
-    j_out = j(out)
-    out = np.where(j_hi > j_out, hi, out)
-    out = np.where(j_lo > np.maximum(j_out, j_hi), lo, out)
+    A_i B_i > 0 on [0, 1], so dJ/dq has the sign of s1 d1 A2 B2 - s2 d2 A1 B1
+    (see ``_split_terms``), a quadratic in q. The best of lo, hi and its real
+    roots inside [lo, hi] is the global maximum, concave objective or not.
+    Ties keep a root, then hi, then lo.
+    """
+    s1, s2, u1, v1, u2, v2 = _split_terms(arrs, p_k, rho1, rho2)
+    d1 = 1.0 + v1
+    w1, w2 = s1 * d1, s2 * (1.0 + v2)
+    a = w2 * u1 * v1 - w1 * u2 * v2
+    b = w1 * ((1.0 + s2) * v2 - u2) - w2 * d1 * (u1 - v1)
+    c = w1 * (1.0 + s2) - w2 * d1 * d1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the stable pair of roots; a == 0 leaves the linear root in c / t
+        t = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        roots = np.stack([t / a, c / t], axis=1) * p_k[:, None]
+    # fmax/fmin send the nan of a negative discriminant or of 0/0 to lo
+    cand = np.column_stack([np.fmin(np.fmax(roots, lo[:, None]), hi[:, None]), hi, lo])
+    j = _intra_objective(arrs, p_k, rho1, rho2, cand)
+    if logger.isEnabledFor(logging.DEBUG):
+        # the pair objective can lose concavity in interference-limited regimes
+        j_mid = _intra_objective(arrs, p_k, rho1, rho2, 0.5 * (lo + hi))
+        non_concave = j_mid < 0.5 * (j[:, 3] + j[:, 2]) - 1e-12 * np.maximum(1.0, np.abs(j_mid))
+        if np.any(non_concave):
+            logger.debug("intra-group objective not midpoint-concave for %d group(s)",
+                         int(np.sum(non_concave)))
+    return cand[np.arange(cand.shape[0]), np.argmax(j, axis=1)]
+
+
+def split_residuals(groups, alloc: PowerAllocation) -> np.ndarray:
+    """Normalized first-order residual of each group's returned intra-pair split.
+
+    The residual is |dJ/dp1| * p_k / max(J, 1), with rho frozen at the group
+    total and J the pair sum rate; at the lower end of the min-rate split
+    interval only a positive slope counts, at its upper end only a negative
+    one. Groups at zero power have residual zero.
+    """
+    arrs = _GroupArrays(groups)
+    p_k, p1 = np.asarray(alloc.group_totals, dtype=float), np.asarray(alloc.splits, dtype=float)[:, 0]
+    out = np.zeros(arrs.k)
+    rows = np.flatnonzero(p_k > 0)
+    if rows.size:
+        sub, p_k, p1 = arrs.take(rows), p_k[rows], p1[rows]
+        rho1, rho2 = sub.rho_pair(p_k)
+        lo, hi = _min_rate_split_interval(sub, p_k, rho1, rho2)
+        s1, s2, u1, v1, u2, v2 = _split_terms(sub, p_k, rho1, rho2)
+        d1, d2, q = 1.0 + v1, 1.0 + v2, p1 / p_k
+        slope = (s1 * d1 / ((d1 + u1 * q) * (d1 - v1 * q))
+                 - s2 * d2 / ((1.0 + s2 - u2 * q) * (1.0 + v2 * q))) / _LN2
+        res = np.where(p1 < hi, np.maximum(slope, 0.0), 0.0) + np.where(p1 > lo, np.maximum(-slope, 0.0), 0.0)
+        out[rows] = res / np.maximum(_intra_objective(sub, p_k, rho1, rho2, p1), 1.0)
     return out
 
 
@@ -827,15 +841,9 @@ def kkt_residuals(groups, alloc: PowerAllocation, p_max: float) -> KKTReport:
     mu = float(alloc.mu)
     eta = np.where(p_k[:, None] > 0, splits / np.maximum(p_k, np.finfo(float).tiny)[:, None], 0.5)
 
-    deriv = _pair_rate_slope(arrs, p_k, eta=eta)
-    eq21 = deriv / _LN2
-    r1, r2, rp1, rp2 = arrs.rho_and_prime_pair(p_k)
-    rho_cols = np.column_stack([r1, r2])
-    rhop_cols = np.column_stack([rp1, rp2])
+    eq21 = _pair_rate_slope(arrs, p_k, eta=eta) / _LN2
     p_other = splits[:, ::-1]
-    coeff = arrs.gain * (
-        (1.0 - arrs.pow2r) * (eta[:, ::-1] * rho_cols + rhop_cols * p_other) + eta
-    )
+    coeff, rho_cols = _rate_coeff(arrs, p_k, eta, p_other)
     stationarity = np.abs(eq21 + (lam * coeff).sum(axis=1) - mu)
     stat_norm = stationarity / np.maximum(
         np.maximum(np.abs(eq21), abs(mu)), 1e-12
@@ -876,9 +884,8 @@ def kkt_residuals(groups, alloc: PowerAllocation, p_max: float) -> KKTReport:
     )
 
 
-def _min_rate_split_interval(arrs: _GroupArrays, p_k):
+def _min_rate_split_interval(arrs: _GroupArrays, p_k, rho1, rho2):
     """Feasible range of the first user's share keeping both min rates."""
-    rho1, rho2 = arrs.rho_pair(p_k)
     t = arrs.pow2r - 1.0
     g1, g2 = arrs.gain[:, 0], arrs.gain[:, 1]
     n1, n2 = arrs.noise[:, 0], arrs.noise[:, 1]
@@ -908,73 +915,44 @@ def solve(users, config: SolverConfig) -> SolveResult:
         raise ValueError(f"user count must be even and >= 2, got {len(users)}")
     per_user_power = config.p_max_w / len(users)
     assignment = pair_users(users, per_user_power, config.profile, config.alpha, config.delta_max)
-    if not assignment.feasible:
-        return SolveResult(
-            pairing=assignment,
-            allocation=None,
-            sum_rate=float("nan"),
-            user_rates={},
-            feasible=False,
-            stage="pairing",
-        )
 
+    def result(stage, alloc=None, user_rates=None, sum_rate=float("nan")):
+        return SolveResult(pairing=assignment, allocation=alloc, sum_rate=sum_rate,
+                           user_rates=user_rates or {}, feasible=stage is None, stage=stage)
+
+    if not assignment.feasible:
+        return result("pairing")
     by_id = {u.id: u for u in users}
-    groups = [
-        Group(users=(by_id[a], by_id[b]), profile=config.profile) for a, b in assignment.pairs
-    ]
+    groups = [Group(users=(by_id[a], by_id[b]), profile=config.profile) for a, b in assignment.pairs]
     alloc = inter_group_allocate(groups, config.p_max_w, tol=config.inter_tol_w)
     if not alloc.feasible:
-        return SolveResult(
-            pairing=assignment,
-            allocation=alloc,
-            sum_rate=float("nan"),
-            user_rates={},
-            feasible=False,
-            stage="power",
-        )
+        return result("power", alloc)
 
     arrs = _GroupArrays(groups)
     p_k = alloc.group_totals
+    # one lookup serves the split interval, the split and the rates
+    rho1, rho2 = arrs.rho_pair(p_k)
     p1 = np.zeros_like(p_k)
     rows = np.flatnonzero(p_k > 0)
     if rows.size:
-        sub = arrs.take(rows)
+        sub, r1, r2 = arrs.take(rows), rho1[rows], rho2[rows]
         if config.enforce_min_rate_split:
-            lo, hi = _min_rate_split_interval(sub, p_k[rows])
+            lo, hi = _min_rate_split_interval(sub, p_k[rows], r1, r2)
         else:
             lo, hi = np.zeros(rows.size), p_k[rows].copy()
-        tol = np.maximum(config.intra_tol_frac * p_k[rows], 1e-18)
-        p1[rows] = _intra_split_vec(sub, p_k[rows], lo, hi, tol)
+        p1[rows] = _intra_split_vec(sub, p_k[rows], lo, hi, r1, r2)
     splits = np.column_stack([p1, p_k - p1])
     alloc.splits = splits
 
-    rho1, rho2 = arrs.rho_pair(p_k)
-    rates = np.column_stack(
-        [
-            np.log2(1.0 + splits[:, 0] * arrs.gain[:, 0]
-                    / (rho1 * splits[:, 1] * arrs.gain[:, 0] + arrs.noise[:, 0])),
-            np.log2(1.0 + splits[:, 1] * arrs.gain[:, 1]
-                    / (rho2 * splits[:, 0] * arrs.gain[:, 1] + arrs.noise[:, 1])),
-        ]
-    )
+    g, n = arrs.gain, arrs.noise
+    rates = np.column_stack([
+        np.log2(1.0 + splits[:, 0] * g[:, 0] / (rho1 * splits[:, 1] * g[:, 0] + n[:, 0])),
+        np.log2(1.0 + splits[:, 1] * g[:, 1] / (rho2 * splits[:, 0] * g[:, 1] + n[:, 1])),
+    ])
     user_rates = {}
     for (a, b), r in zip(assignment.pairs, rates):
         user_rates[a] = float(r[0])
         user_rates[b] = float(r[1])
     if np.any(arrs.min_rate - rates > 1e-6):
-        return SolveResult(
-            pairing=assignment,
-            allocation=alloc,
-            sum_rate=float("nan"),
-            user_rates=user_rates,
-            feasible=False,
-            stage="power",
-        )
-    return SolveResult(
-        pairing=assignment,
-        allocation=alloc,
-        sum_rate=float(rates.sum()),
-        user_rates=user_rates,
-        feasible=True,
-        stage=None,
-    )
+        return result("power", alloc, user_rates)
+    return result(None, alloc, user_rates, float(rates.sum()))

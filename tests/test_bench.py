@@ -1,20 +1,44 @@
+import re
+
 import numpy as np
 import pytest
 
+import sfma.power
 from sfma.bench import (
     CSV_HEADER,
     ConfigError,
     ReportRow,
     RunReport,
     ScenarioConfig,
+    _build_users,
+    drop_seed,
     emit_csv,
     evaluate_drop,
     read_report,
     run_sweep,
 )
-from sfma.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, cli_main
+from sfma.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, cli_main
+from sfma.power import ConvergenceError
 
 TINY = dict(user_counts=(4,), p_max_dbw=(30.0,), drops=3, root_seed=5)
+
+
+def stall_one_drop(monkeypatch, config, drop):
+    """Make the rate-binding fixed point of one drop of ``config`` raise ConvergenceError.
+
+    The drop is told apart by its users' gains, so a forked worker process
+    stalls the same drop.
+    """
+    m = config.user_counts[0]
+    gains = {u.link.gain for u in _build_users(config, m, drop_seed(config.root_seed, m, 0, drop))}
+    fixed_points = sfma.power._min_rate_fixed_points
+
+    def stalled(arrs, *args, **kwargs):
+        if gains.intersection(arrs.gain.ravel().tolist()):
+            raise ConvergenceError("rate-binding fixed point stalled in groups [0]")
+        return fixed_points(arrs, *args, **kwargs)
+
+    monkeypatch.setattr(sfma.power, "_min_rate_fixed_points", stalled)
 
 
 class TestConfig:
@@ -149,6 +173,21 @@ class TestRunSweep:
         parallel = run_sweep(ScenarioConfig(**TINY, workers=2))
         assert serial.rows == parallel.rows
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_convergence_error_is_one_numerics_drop(self, monkeypatch, workers):
+        config = ScenarioConfig(**TINY, workers=workers, keep_records=True)
+        clean = run_sweep(config)
+        stall_one_drop(monkeypatch, config, 1)
+        report = run_sweep(config)
+        assert [(o.drop_index, o.feasible, o.stage) for o in report.numerics] == [(1, False, "numerics")]
+        assert [o.stage for o in report.records] == [None, "numerics", None]
+        kept = [clean.records[0], clean.records[2]]
+        for row in report.rows:
+            assert (row.drops, row.infeasible) == (2, 1)
+            values = [o.rates[row.scheme] for o in kept]
+            assert row.mean_sum_rate == pytest.approx(np.mean(values), rel=1e-12)
+        assert clean.numerics == []
+
     def test_drop_seed_isolation(self):
         cfg = ScenarioConfig(user_counts=(4,), p_max_dbw=(30.0,), drops=2, root_seed=5)
         a = evaluate_drop(cfg, 4, 0, 0)
@@ -207,6 +246,25 @@ class TestCli:
         assert code == EXIT_OK
         assert "pairs" in out
         assert "sum rate" in out
+
+    def test_solve_prints_pair_split_residual(self, capsys):
+        assert cli_main(["solve", "--users", "10", "--seed", "1"]) == EXIT_OK
+        found = re.findall(r"^max normalized pair-split residual (\S+)$", capsys.readouterr().out, re.M)
+        assert len(found) == 1
+        assert 0.0 <= float(found[0]) <= 1e-9
+
+    def test_sweep_with_numerics_drop_writes_csv_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "run.cfg"
+        out_path = tmp_path / "out.csv"
+        cfg_path.write_text("user_counts = 4\np_max_dbw = 30\ndrops = 3\nroot_seed = 5\n"
+                            f"output = {out_path}\n")
+        stall_one_drop(monkeypatch, ScenarioConfig(**TINY), 2)
+        assert cli_main(["sweep", "--config", str(cfg_path)]) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: 1 drop(s) failed numerically") and "drop 2" in err
+        rows = read_report(out_path).rows
+        assert len(rows) == 4 and all((r.drops, r.infeasible) == (2, 1) for r in rows)
 
     def test_solve_rejects_odd_users(self):
         assert cli_main(["solve", "--users", "3", "--seed", "1"]) == EXIT_CONFIG

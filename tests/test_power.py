@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -23,7 +24,10 @@ from sfma.power import (
     SolverConfig,
     _GroupArrays,
     _WaterFiller,
+    _intra_objective,
+    _intra_split_vec,
     _min_rate_fixed_points,
+    _min_rate_split_interval,
     _pair_rate_slope,
     _recover_lambdas,
     _stationarity_lhs,
@@ -33,6 +37,7 @@ from sfma.power import (
     intra_group_allocate,
     kkt_residuals,
     solve,
+    split_residuals,
 )
 from sfma.semantic_rate import (
     InterferenceProfile,
@@ -340,6 +345,29 @@ class TestIntraGroupAllocate:
         with caplog.at_level(logging.DEBUG, logger="sfma.power"):
             intra_group_allocate(concave, p_k=4.0, tol=1e-8)
         assert not any("not midpoint-concave" in r.message for r in caplog.records)
+
+
+class TestSplitResiduals:
+    def test_only_slopes_into_the_interval_count(self):
+        # no interference and a weak second link: all power goes to user 1,
+        # and the slope at the upper end still points up
+        group = simple_group(rho_c=0.0, r1=0.0, r2=0.0, g1=5.0, g2=0.2)
+
+        def residual(p1):
+            alloc = PowerAllocation(group_totals=np.array([3.0]), splits=np.array([[p1, 3.0 - p1]]),
+                                    mu=0.0, lambdas=np.zeros((1, 2)))
+            return float(split_residuals([group], alloc)[0])
+
+        assert residual(3.0) == 0.0
+        assert residual(0.0) > 0.1
+        assert residual(1.5) > 0.1
+
+    def test_zero_power_group(self):
+        alloc = PowerAllocation(group_totals=np.array([0.0, 2.0]), splits=np.array([[0.0, 0.0], [1.0, 1.0]]),
+                                mu=0.0, lambdas=np.zeros((2, 2)))
+        res = split_residuals([simple_group(r1=0.0, r2=0.0)] * 2, alloc)
+        # a symmetric interference-free pair peaks at the even split
+        assert res[0] == 0.0 and res[1] <= 1e-15
 
 
 class TestKKTResiduals:
@@ -1195,3 +1223,182 @@ class TestPairLookupAgainstReference:
                             assert got.sum_rate == pytest.approx(want.sum_rate, rel=1e-9, abs=0), where
         # parametric M = 30, drop 23 lands its first exact water level on the jump
         assert jumps["table"] >= 3 and jumps["parametric"] >= 1
+
+
+# _intra_split_vec before the closed form, kept verbatim as the reference of
+# the pair-split tests below: a 33-point scan, then golden-section steps to
+# width ``tol``, with rho looked up at the group total.
+
+_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # golden-section step
+logger = logging.getLogger(__name__)
+
+
+def reference_intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, tol, n_scan: int = 33):
+    rho1, rho2 = arrs.rho_pair(p_k)
+
+    def j(p1):
+        return _intra_objective(arrs, p_k, rho1, rho2, p1)
+
+    width = hi - lo
+    degenerate = width <= tol
+    mid = 0.5 * (lo + hi)
+    # the pair objective can lose concavity in interference-limited regimes;
+    # the coarse scan below keeps the golden section on the global basin
+    j_lo, j_mid, j_hi = j(lo), j(mid), j(hi)
+    non_concave = j_mid < 0.5 * (j_lo + j_hi) - 1e-12 * np.maximum(1.0, np.abs(j_mid))
+    if np.any(non_concave):
+        logger.debug(
+            "intra-group objective not midpoint-concave for %d group(s)",
+            int(np.sum(non_concave)),
+        )
+
+    ts = np.linspace(0.0, 1.0, n_scan)
+    best = np.argmax(j(lo[:, None] + width[:, None] * ts[None, :]), axis=1)
+    a = lo + width * ts[np.maximum(best - 1, 0)]
+    b = lo + width * ts[np.minimum(best + 1, n_scan - 1)]
+
+    span = float(np.max((b - a) / np.maximum(tol, np.finfo(float).tiny), initial=1.0))
+    n_iter = int(np.ceil(np.log(max(span, 1.0)) / -np.log(_PHI))) + 1
+    x1 = b - _PHI * (b - a)
+    x2 = a + _PHI * (b - a)
+    f1, f2 = j(x1), j(x2)
+    for _ in range(max(n_iter, 1)):
+        pick_left = f1 >= f2
+        b = np.where(pick_left, x2, b)
+        a = np.where(pick_left, a, x1)
+        # only the interior point that moved needs a new evaluation
+        x_new = np.where(pick_left, b - _PHI * (b - a), a + _PHI * (b - a))
+        f_new = j(x_new)
+        x1, x2 = np.where(pick_left, x_new, x2), np.where(pick_left, x1, x_new)
+        f1, f2 = np.where(pick_left, f_new, f2), np.where(pick_left, f1, f_new)
+    out = 0.5 * (a + b)
+    out = np.where(degenerate, np.minimum(np.maximum(mid, lo), hi), out)
+    out = np.minimum(np.maximum(out, lo), hi)
+    # boundary optima are returned exactly: golden section can only approach
+    # an endpoint to within its width, which a steep objective turns into a
+    # visible rate gap
+    j_out = j(out)
+    out = np.where(j_hi > j_out, hi, out)
+    out = np.where(j_lo > np.maximum(j_out, j_hi), lo, out)
+    return out
+
+
+def reference_split(arrs, p_k, lo, hi, rho1, rho2):
+    """The reference at the split tolerance ``solve`` gave it, 1e-9 of p_k."""
+    return reference_intra_split_vec(arrs, p_k, lo, hi, np.maximum(1e-9 * p_k, 1e-18))
+
+
+class SplitCheck:
+    """Closed-form splits against the reference, one call at a time."""
+
+    EPS = np.finfo(float).eps
+
+    def __init__(self):
+        self.groups = 0
+        self.non_concave = 0
+
+    def __call__(self, arrs, p_k, lo, hi, rho1, rho2):
+        got = _intra_split_vec(arrs, p_k, lo, hi, rho1, rho2)
+        want = reference_split(arrs, p_k, lo, hi, rho1, rho2)
+        assert np.all((lo <= got) & (got <= hi))
+        j_got, j_want = (_intra_objective(arrs, p_k, rho1, rho2, p) for p in (got, want))
+        assert np.all(j_got >= j_want - 4 * self.EPS * np.abs(j_want))
+        j_lo, j_hi = (_intra_objective(arrs, p_k, rho1, rho2, p) for p in (lo, hi))
+        j_mid = _intra_objective(arrs, p_k, rho1, rho2, 0.5 * (lo + hi))
+        non_concave = j_mid < 0.5 * (j_lo + j_hi) - 1e-12 * np.maximum(1.0, np.abs(j_mid))
+        self.groups += p_k.size
+        self.non_concave += int(np.sum(non_concave))
+        return got
+
+
+def split_cases(kind):
+    """(arrays, p_k, lo, hi) of random pair-split instances of one rho kind.
+
+    Each set of groups is split over the full range, over its min-rate
+    interval and over a random sub-interval, some of them a single point.
+    """
+    profile = {"constant": None, "table": InterferenceProfile.default_table(),
+               "parametric": InterferenceProfile.parametric()}[kind]
+    rng = np.random.default_rng([31, len(kind)])
+    for _ in range(40):
+        k = int(rng.integers(1, 9))
+        arrs = _GroupArrays(random_groups(rng, k, profile, min_rate_range=(0.0, 1.0)))
+        p_k = 10.0 ** rng.uniform(-3.0, 3.0, k)
+        rho1, rho2 = arrs.rho_pair(p_k)
+        yield arrs, p_k, np.zeros(k), p_k.copy()
+        yield (arrs, p_k) + _min_rate_split_interval(arrs, p_k, rho1, rho2)
+        ends = np.sort(rng.uniform(0.0, 1.0, (k, 2)), axis=1) * p_k[:, None]
+        point = rng.uniform(size=k) < 0.2
+        ends[point, 1] = ends[point, 0]
+        yield arrs, p_k, ends[:, 0], ends[:, 1]
+
+
+class TestPairSplitAgainstReference:
+    def test_bench_drops(self, monkeypatch):
+        check = SplitCheck()
+        for kind in ("table", "parametric"):
+            for m in (10, 30, 60):
+                for drop in range(25):
+                    users, cfg = bench_drop(2026, m, drop, kind)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(sfma.power, "_intra_split_vec", check)
+                        got = solve(users, cfg)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(sfma.power, "_intra_split_vec", reference_split)
+                        want = solve(users, cfg)
+                    where = (kind, m, drop)
+                    assert (got.feasible, got.stage) == (want.feasible, want.stage), where
+                    if got.feasible:
+                        assert got.sum_rate >= want.sum_rate * (1 - 1e-15), where
+                        by_id = {u.id: u for u in users}
+                        groups = [Group(users=(by_id[a], by_id[b]), profile=cfg.profile)
+                                  for a, b in got.pairing.pairs]
+                        assert np.max(split_residuals(groups, got.allocation)) <= 1e-9, where
+        # 436 of the 2135 splits are not midpoint-concave
+        assert check.groups > 2000 and check.non_concave > 0
+
+    @pytest.mark.parametrize("kind", ["constant", "table", "parametric"])
+    def test_random_groups(self, kind):
+        check = SplitCheck()
+        for arrs, p_k, lo, hi in split_cases(kind):
+            rho1, rho2 = arrs.rho_pair(p_k)
+            check(arrs, p_k, lo, hi, rho1, rho2)
+        assert check.non_concave > 0
+
+    def test_bimodal_group(self):
+        # full interference with symmetric strong links: the golden section
+        # lands at one end, the closed form compares both
+        check = SplitCheck()
+        arrs = _GroupArrays([simple_group(rho_c=1.0, r1=0.0, r2=0.0, g1=50.0, g2=50.0)] * 3)
+        p_k = np.array([2.0, 0.5, 7.0])
+        rho1, rho2 = arrs.rho_pair(p_k)
+        check(arrs, p_k, np.zeros(3), p_k.copy(), rho1, rho2)
+        check(arrs, p_k, 0.1 * p_k, 0.7 * p_k, rho1, rho2)
+        assert check.non_concave >= 3
+
+
+class TestPairSplitProperty:
+    @settings(max_examples=200)
+    @given(g1=st.floats(1e-12, 1.0), g2=st.floats(1e-12, 1.0),
+           n1=st.floats(1e-12, 1.0), n2=st.floats(1e-12, 1.0),
+           rho1=st.floats(0.0, 1.0), rho2=st.floats(0.0, 1.0),
+           p_k=st.floats(1e-12, 1e4),
+           ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    @example(g1=1.0, g2=0.3, n1=0.5, n2=1.0, rho1=0.0, rho2=0.0, p_k=2.0, ends=(0.0, 1.0))
+    @example(g1=1.0, g2=0.3, n1=0.5, n2=1.0, rho1=0.0, rho2=1.0, p_k=2.0, ends=(0.0, 1.0))
+    @example(g1=1.0, g2=0.3, n1=0.5, n2=1.0, rho1=1.0, rho2=0.0, p_k=2.0, ends=(0.0, 1.0))
+    @example(g1=1.0, g2=1.0, n1=0.02, n2=0.02, rho1=1.0, rho2=1.0, p_k=2.0, ends=(0.0, 1.0))
+    @example(g1=1.0, g2=0.3, n1=0.5, n2=1.0, rho1=0.4, rho2=0.7, p_k=2.0, ends=(0.3, 0.3))
+    @example(g1=1.0, g2=1.0, n1=1e-12, n2=1e-12, rho1=0.5, rho2=0.5, p_k=1e4, ends=(0.0, 1.0))
+    @example(g1=1.0, g2=1e-12, n1=1e-12, n2=1.0, rho1=0.9, rho2=0.1, p_k=1e-12, ends=(0.0, 1.0))
+    def test_beats_a_dense_grid(self, g1, g2, n1, n2, rho1, rho2, p_k, ends):
+        group = simple_group(g1=g1, g2=g2, n1=n1, n2=n2)
+        arrs = _GroupArrays([group])
+        p_k, rho1, rho2 = np.array([p_k]), np.array([rho1]), np.array([rho2])
+        lo, hi = np.array([min(ends)]) * p_k, np.array([max(ends)]) * p_k
+        p1 = _intra_split_vec(arrs, p_k, lo, hi, rho1, rho2)
+        assert lo[0] <= p1[0] <= hi[0]
+        got = _intra_objective(arrs, p_k, rho1, rho2, p1)[0]
+        grid = np.linspace(lo[0], hi[0], 2001)[None, :]
+        best = np.max(_intra_objective(arrs, p_k, rho1, rho2, grid))
+        assert got >= best - 1e-12 * max(1.0, abs(got))
