@@ -136,7 +136,7 @@ def _cmd_solve(args) -> int:
         f"({a},{b}) gap={g}" for (a, b), g in zip(result.pairing.pairs, result.pairing.gaps)
     ))
     alloc = result.allocation
-    print(f"water level mu = {alloc.mu:.6g}")
+    print(f"water level mu = {alloc.mu:.6g} (sampled_steps {alloc.sampled_steps}, steps {alloc.steps})")
     for idx, ((a, b), total, split) in enumerate(
         zip(result.pairing.pairs, alloc.group_totals, alloc.splits)
     ):

@@ -1,31 +1,33 @@
 """Group power allocation: budget split across pairs, then within each pair.
 
-The group-level stage runs a water-filling bisection on the budget
-multiplier mu. For each mu and each group it evaluates three candidate
-group powers under an equal intra-pair split: two fixed points where a
-user's minimum-rate constraint binds, and the root of the rate-derivative
-stationarity condition; the group keeps the largest feasible candidate and
-mu is driven until the totals meet the budget. The pair-level stage then
-reoptimizes each group's internal split with the interference factors frozen
-at the group total, where the rate's stationarity condition is a quadratic in
-the split, so the best of its roots and the interval ends is exact. A
-residual report checks the first-order optimality system of the allocation.
+The group-level stage water-fills the budget multiplier mu. For each mu and
+each group it evaluates three candidate group powers under an equal
+intra-pair split: two fixed points where a user's minimum-rate constraint
+binds, and the root of the rate-derivative stationarity condition; the
+group keeps the largest feasible candidate and mu is driven until the
+totals meet the budget. The pair-level stage then reoptimizes each group's
+internal split with the interference factors frozen at the group total,
+where the rate's stationarity condition is a quadratic in the split, so the
+best of its roots and the interval ends is exact. A residual report checks
+the first-order optimality system of the allocation.
 
 Internals are vectorized across groups. The stationarity curve of every
-group is sampled once on a dense log grid; the mu search first bisects on
-the interpolated curves and then polishes with a few exactly-evaluated
-secant steps, so the per-instance cost stays flat in the drop count. The
-first secant step takes its slope from the interpolated curves. An exact
-evaluation refines each root inside its grid cell by two levels of 64
-uniform samples, each taken in one call, and keeps the sub-cell that a
-bisection on the samples would pick; a secant step on the last sub-cell
-ends it. The curve does not depend on mu, so the samples are kept per
-(group, cell, sub-cell) and reused by later water levels. Where the
-summed group power jumps across the budget at one water level, the search
-stops once its bracket is 1e-9 wide (relative) and returns the end below the
-budget; a step cap does the same. A feasible allocation therefore never sums
-above the budget, and one that cannot spend it to within the tolerance says
-so in its status.
+group is sampled once on a dense log grid. The summed group power with
+roots interpolated on those samples is piecewise linear in mu, and each
+root's cell gives its slope exactly, so the mu search first takes
+bracketed Newton steps on it, in 1/mu where the sum is nearly linear. It
+then polishes with a few exactly-evaluated secant steps, so the
+per-instance cost stays flat in the drop count. The first secant step
+takes its slope from the interpolated curves. An exact evaluation refines
+each root inside its grid cell by two levels of 64 uniform samples, each
+taken in one call, and keeps the sub-cell that a bisection on the samples
+would pick; a secant step on the last sub-cell ends it. The curve does not
+depend on mu, so the samples are kept per (group, cell, sub-cell) and
+reused by later water levels. Where the summed group power jumps across the
+budget at one water level, the search stops once its bracket is 1e-9 wide
+(relative) and returns the end below the budget; a step cap does the same.
+A feasible allocation therefore never sums above the budget, and one that
+cannot spend it to within the tolerance says so in its status.
 
 Along one group's power axis a receiver's equal-split SNR in dB is
 x = 10*log10(p) plus a constant, and the stationarity curves use that axis
@@ -42,6 +44,7 @@ use. The table slope stays the central difference over max(1e-9, 1e-4 p).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +131,7 @@ class PowerAllocation:
     budget_exhausted: bool = True
     status: str = "ok"
     steps: int = 0                    # exactly refined water levels evaluated
+    sampled_steps: int = 0            # water levels evaluated on the sampled curves
 
 
 @dataclass
@@ -176,6 +180,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.p_max_w <= 0:
             raise ValueError(f"p_max_w must be positive, got {self.p_max_w}")
+        if self.inter_tol_w is not None and self.inter_tol_w <= 0:
+            raise ValueError(f"inter_tol_w must be positive, got {self.inter_tol_w}")
         if self.alpha < 0 or self.delta_max < 0:
             raise ValueError("alpha and delta_max must be nonnegative")
 
@@ -452,7 +458,8 @@ class _WaterFiller:
         self.arrs = arrs
         self.p_max = p_max
         self.p_req = p_req
-        self.steps = 0
+        self.steps = 0                      # exact_totals calls
+        self.sampled_steps = 0              # interp_total calls
         self.grid = np.geomspace(1e-6 * p_max, p_max, _GRID_N)
         deriv = _pair_rate_slope(arrs, self.grid[None, :])
         self.f_grid = deriv / _LN2          # (K, N) stationarity curve samples
@@ -467,17 +474,43 @@ class _WaterFiller:
         status = np.where(has_root, _ROOT, np.where(pos[:, -1], _CAP, _ZERO))
         return status, first
 
-    def interp_totals(self, mu):
-        """Group powers with roots linearly interpolated on the sampled curve."""
+    def floor_level(self):
+        """Water level at which the first group leaves its rate floor on the sampled curves.
+
+        The largest of the curves linearly interpolated at each group's p_req
+        (the end samples where p_req lies off the grid). Above it, every group
+        whose sampled curve falls monotonically sits on its floor, so the
+        interpolated totals are flat there.
+        """
+        cells = np.clip(np.searchsorted(self.grid, self.p_req) - 1, 0, _GRID_N - 2)
+        g0, g1 = self.grid[cells], self.grid[cells + 1]
+        rows = np.arange(self.arrs.k)
+        f0, f1 = self.f_grid[rows, cells], self.f_grid[rows, cells + 1]
+        t = np.clip((self.p_req - g0) / (g1 - g0), 0.0, 1.0)
+        return float(np.max(f0 + (f1 - f0) * t))
+
+    def interp_total(self, mu):
+        """Summed group power with roots interpolated on the sampled curves, and its mu slope.
+
+        A root row above its rate floor moves along its crossing cell's chord,
+        at (g[i+1] - g[i]) / (f[i+1] - f[i]) watts per unit of mu; rows at the
+        floor, capped rows and rows without a root do not move. So the total
+        is piecewise linear in mu and the slope is exact on each piece.
+        """
+        self.sampled_steps += 1
         status, first = self._locate(mu)
         p3 = np.where(status == _CAP, self.grid[-1], 0.0)
         rows = np.flatnonzero(status == _ROOT)
+        slope = 0.0
         if rows.size:
-            f0 = self.f_grid[rows, first[rows]]
-            f1 = self.f_grid[rows, first[rows] + 1]
+            cells = first[rows]
+            g0, g1 = self.grid[cells], self.grid[cells + 1]
+            f0, f1 = self.f_grid[rows, cells], self.f_grid[rows, cells + 1]
             t = (f0 - mu) / np.maximum(f0 - f1, np.finfo(float).tiny)
-            p3[rows] = self.grid[first[rows]] * (1.0 - t) + self.grid[first[rows] + 1] * t
-        return np.maximum(self.p_req, p3), status
+            p3[rows] = g0 * (1.0 - t) + g1 * t
+            moving = p3[rows] > self.p_req[rows]
+            slope = float(np.sum(((g1 - g0) / (f1 - f0))[moving]))
+        return float(np.maximum(self.p_req, p3).sum()), slope
 
     def exact_totals(self, mu):
         """Group powers with roots refined inside their sampled cells.
@@ -489,12 +522,14 @@ class _WaterFiller:
         secant step on the final sub-cell's end values then pins the root far
         below that width (the curve is smooth inside a cell). The curve does
         not depend on mu, so the samples of every bracket are kept and later
-        water levels evaluate only brackets not seen before.
+        water levels evaluate only brackets not seen before. A root in a cell
+        wholly at or below the group's rate floor is clamped to that floor
+        anyway, so such rows are not refined.
         """
         self.steps += 1
         status, first = self._locate(mu)
         p3 = np.where(status == _CAP, self.grid[-1], 0.0)
-        rows = np.flatnonzero(status == _ROOT)
+        rows = np.flatnonzero((status == _ROOT) & (self.grid[first + 1] > self.p_req))
         if rows.size:
             cells = first[rows]
             a, b = self.grid[cells], self.grid[cells + 1]
@@ -530,7 +565,7 @@ class _WaterFiller:
 
 
 def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> PowerAllocation:
-    """Split the budget across groups by bisection on the water level.
+    """Split the budget across groups by a search on the water level.
 
     Every group power is the largest of its two rate-binding fixed points
     and the stationary point at the current multiplier, all under an equal
@@ -538,7 +573,10 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
     power demand exceeding the budget) is reported on the returned
     allocation rather than raised. When the totals jump across the budget,
     the allocation stops at the water level just below the jump, with
-    status "budget not exhausted within tolerance".
+    status "budget not exhausted within tolerance". ``tol`` (default
+    1e-8 p_max) is how far from the budget the totals may stop, and must be
+    positive. ``sampled_steps`` on the result counts the evaluations on the
+    sampled curves, ``steps`` the exactly refined ones.
     """
     groups = list(groups)
     if not groups:
@@ -546,10 +584,12 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
     if p_max <= 0:
         raise ValueError(f"p_max must be positive, got {p_max}")
     tol = 1e-8 * p_max if tol is None else float(tol)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     arrs = _GroupArrays(groups)
     k = arrs.k
 
-    def failure(status: str, steps: int = 0) -> PowerAllocation:
+    def failure(status: str, wf: _WaterFiller | None = None) -> PowerAllocation:
         return PowerAllocation(
             group_totals=np.zeros(k),
             splits=np.zeros((k, 2)),
@@ -558,7 +598,8 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             feasible=False,
             budget_exhausted=False,
             status=status,
-            steps=steps,
+            steps=0 if wf is None else wf.steps,
+            sampled_steps=0 if wf is None else wf.sampled_steps,
         )
 
     try:
@@ -573,8 +614,7 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
 
     wf = _WaterFiller(arrs, p_max, p_req)
 
-    p_k0, status0 = wf.interp_totals(0.0)
-    if p_k0.sum() <= p_max - tol:
+    if wf.interp_total(0.0)[0] <= p_max - tol:
         p_k0, status0 = wf.exact_totals(0.0)
         if p_k0.sum() <= p_max - tol:
             # even a zero water level cannot spend the budget: rates saturate
@@ -588,24 +628,35 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
                 budget_exhausted=False,
                 status="budget slack at zero water level",
                 steps=wf.steps,
+                sampled_steps=wf.sampled_steps,
             )
 
     # upper bracket from the derivative at a vanishing power, doubled to hold
     d_small = _pair_rate_slope(arrs, np.full(k, p_max / k * 1e-3))
     mu_hi = max(float(np.max(d_small / _LN2)), 1e-12)
     for _ in range(200):
-        if wf.interp_totals(mu_hi)[0].sum() <= p_max:
+        if wf.interp_total(mu_hi)[0] <= p_max:
             break
         mu_hi *= 2.0
     else:
-        return failure("could not bracket the water level", wf.steps)
+        return failure("could not bracket the water level", wf)
 
-    # phase 1: bisection on the interpolated curves
+    # phase 1: bracketed Newton steps on the interpolated curves. The totals
+    # are linear in mu on each piece and behave like a / mu - b across
+    # pieces, so a step is taken in w = 1 / mu, where they are nearly
+    # linear, or in mu once it is shorter than 1e-3 mu. A step that leaves
+    # the bracket, or a flat total, bisects instead: in log mu while the
+    # bracket spans more than a factor of two, in mu after that, so that a
+    # jump of the totals across the budget ends between the same two
+    # neighbouring floats as plain bisection would. The search starts where
+    # the first group leaves its rate floor; above that level the totals
+    # are flat.
     mu_lo = 0.0
-    mu = mu_hi
+    mu = min(mu_hi, wf.floor_level())
+    if not mu > 0:      # curves at or below zero at every floor: keep inside the bracket
+        mu = 0.5 * mu_hi
     for _ in range(80):
-        mu = 0.5 * (mu_lo + mu_hi)
-        total = wf.interp_totals(mu)[0].sum()
+        total, slope = wf.interp_total(mu)
         if abs(total - p_max) < 0.5 * tol:
             break
         if total > p_max:
@@ -614,13 +665,22 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             mu_hi = mu
         if (mu_hi - mu_lo) <= 1e-16 * max(mu_hi, 1e-300):
             break
+        step = (p_max - total) / slope if slope < 0 else np.inf
+        if abs(step) < 1e-3 * mu:
+            mu_next = mu + step
+        else:
+            mu_next = mu * mu / (mu - step) if step < mu else -1.0   # 1 / (1/mu - step/mu**2)
+        if mu_lo < mu_next < mu_hi:
+            mu = mu_next
+        else:
+            mu = math.sqrt(mu_lo * mu_hi) if 0 < 2.0 * mu_lo < mu_hi else 0.5 * (mu_lo + mu_hi)
 
     # phase 2: secant polish with exactly-refined roots, bisection-guarded.
     # The first step takes its slope from the interpolated curves: a virtual
     # previous point on that tangent turns the secant into a Newton step.
     b_lo, b_hi = 0.0, None  # totals(b_lo) > p_max >= totals(b_hi)
     h = 1e-6 * mu
-    slope = (wf.interp_totals(mu + h)[0].sum() - wf.interp_totals(mu - h)[0].sum()) / (2.0 * h)
+    slope = (wf.interp_total(mu + h)[0] - wf.interp_total(mu - h)[0]) / (2.0 * h)
     p_k, status = wf.exact_totals(mu)
     prev = (mu + h, p_k.sum() + slope * h) if slope < 0 else None
     best = None  # the under-budget evaluation with the largest total
@@ -660,7 +720,7 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
         # a budget jump or the step cap: fall back to the best point that
         # stays within the budget, never to one above it
         if best is None:
-            return failure("could not bracket the water level", wf.steps)
+            return failure("could not bracket the water level", wf)
         mu, p_k, status = best
     # the stop test accepts totals up to tol above the budget; take that
     # excess from the power above the rate floors so "ok" never overspends
@@ -687,6 +747,7 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
         budget_exhausted=bool(exhausted),
         status="ok" if exhausted else "budget not exhausted within tolerance",
         steps=wf.steps,
+        sampled_steps=wf.sampled_steps,
     )
 
 

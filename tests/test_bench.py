@@ -246,6 +246,11 @@ class TestCli:
         assert code == EXIT_OK
         assert "pairs" in out
         assert "sum rate" in out
+        # the water level with its sampled and exactly refined evaluation counts
+        found = re.findall(r"^water level mu = \S+ \(sampled_steps (\d+), steps (\d+)\)$", out, re.M)
+        assert len(found) == 1
+        sampled, steps = map(int, found[0])
+        assert sampled >= 1 and steps >= 1
 
     def test_solve_prints_pair_split_residual(self, capsys):
         assert cli_main(["solve", "--users", "10", "--seed", "1"]) == EXIT_OK

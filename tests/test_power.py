@@ -530,6 +530,14 @@ class TestSolverConfig:
             with pytest.raises(ValueError, match=field):
                 solve(users, SolverConfig(**kwargs))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="inter_tol_w"):
+            SolverConfig(p_max_w=10.0, inter_tol_w=tol)
+        groups = random_groups(np.random.default_rng(0), 3, None, min_rate_range=(0.2, 1.0))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            inter_group_allocate(groups, 10.0, tol=tol)
+
 
 def bench_drop(root_seed, m, drop, kind="table", p_max_dbw=30.0):
     """Users and solver settings of one drop of a one-cell bench sweep."""
@@ -1124,7 +1132,8 @@ class TestSampledRefinement:
             # the same final sub-cell, and its secant step to a thousandth of it
             sub_cell = (self.grid[first + 1] - self.grid[first]) / _SUB_N ** _SUB_LEVELS
             assert np.all(np.abs(got - want) <= 1e-3 * np.where(root, sub_cell, 0.0))
-            for row in np.flatnonzero(root):
+            # rows whose cell lies at or below the rate floor are not refined
+            for row in np.flatnonzero(root & (self.grid[first + 1] > self.p_req)):
                 cell = int(first[row])
                 f = np.concatenate([self.f_grid[row, cell : cell + 1], self._sub_f[(int(row), cell)],
                                     self.f_grid[row, cell + 1 : cell + 2]])
@@ -1402,3 +1411,274 @@ class TestPairSplitProperty:
         grid = np.linspace(lo[0], hi[0], 2001)[None, :]
         best = np.max(_intra_objective(arrs, p_k, rho1, rho2, grid))
         assert got >= best - 1e-12 * max(1.0, abs(got))
+
+
+# inter_group_allocate before the Newton steps of phase 1, kept verbatim as
+# the reference of TestWaterLevelAgainstBisection: phase 1 bisects on the
+# interpolated curves. It runs on the current _WaterFiller, given back the
+# per-group interp_totals (the one of ReferenceWaterFiller above), whose
+# calls a class counter keeps.
+
+class BisectionWaterFiller(_WaterFiller):
+    evaluations = 0     # interp_totals calls, over all instances
+
+    def interp_totals(self, mu):
+        BisectionWaterFiller.evaluations += 1
+        return ReferenceWaterFiller.interp_totals(self, mu)
+
+
+def bisection_inter_group_allocate(groups, p_max: float, tol: float | None = None) -> PowerAllocation:
+    """Split the budget across groups by bisection on the water level.
+
+    Every group power is the largest of its two rate-binding fixed points
+    and the stationary point at the current multiplier, all under an equal
+    intra-pair split. Infeasibility (minimum rates unreachable, or their
+    power demand exceeding the budget) is reported on the returned
+    allocation rather than raised. When the totals jump across the budget,
+    the allocation stops at the water level just below the jump, with
+    status "budget not exhausted within tolerance".
+    """
+    groups = list(groups)
+    if not groups:
+        raise ValueError("need at least one group")
+    if p_max <= 0:
+        raise ValueError(f"p_max must be positive, got {p_max}")
+    tol = 1e-8 * p_max if tol is None else float(tol)
+    arrs = _GroupArrays(groups)
+    k = arrs.k
+
+    def failure(status: str, steps: int = 0) -> PowerAllocation:
+        return PowerAllocation(
+            group_totals=np.zeros(k),
+            splits=np.zeros((k, 2)),
+            mu=float("nan"),
+            lambdas=np.zeros((k, 2)),
+            feasible=False,
+            budget_exhausted=False,
+            status=status,
+            steps=steps,
+        )
+
+    try:
+        binding = _min_rate_fixed_points(arrs)
+    except MinRateInfeasible as exc:
+        return failure(f"min-rate infeasible: {exc}")
+    p_req = binding.max(axis=1)
+    if p_req.sum() > p_max * (1.0 + 1e-12):
+        return failure(
+            f"min-rate power demand {p_req.sum():.6g} W exceeds budget {p_max:.6g} W"
+        )
+
+    wf = BisectionWaterFiller(arrs, p_max, p_req)
+
+    p_k0, status0 = wf.interp_totals(0.0)
+    if p_k0.sum() <= p_max - tol:
+        p_k0, status0 = wf.exact_totals(0.0)
+        if p_k0.sum() <= p_max - tol:
+            # even a zero water level cannot spend the budget: rates saturate
+            lam = _recover_lambdas(arrs, p_k0, p_req, 0.0, binding)
+            return PowerAllocation(
+                group_totals=p_k0,
+                splits=np.column_stack([p_k0 / 2.0, p_k0 / 2.0]),
+                mu=0.0,
+                lambdas=lam,
+                feasible=True,
+                budget_exhausted=False,
+                status="budget slack at zero water level",
+                steps=wf.steps,
+            )
+
+    # upper bracket from the derivative at a vanishing power, doubled to hold
+    d_small = _pair_rate_slope(arrs, np.full(k, p_max / k * 1e-3))
+    mu_hi = max(float(np.max(d_small / _LN2)), 1e-12)
+    for _ in range(200):
+        if wf.interp_totals(mu_hi)[0].sum() <= p_max:
+            break
+        mu_hi *= 2.0
+    else:
+        return failure("could not bracket the water level", wf.steps)
+
+    # phase 1: bisection on the interpolated curves
+    mu_lo = 0.0
+    mu = mu_hi
+    for _ in range(80):
+        mu = 0.5 * (mu_lo + mu_hi)
+        total = wf.interp_totals(mu)[0].sum()
+        if abs(total - p_max) < 0.5 * tol:
+            break
+        if total > p_max:
+            mu_lo = mu
+        else:
+            mu_hi = mu
+        if (mu_hi - mu_lo) <= 1e-16 * max(mu_hi, 1e-300):
+            break
+
+    # phase 2: secant polish with exactly-refined roots, bisection-guarded.
+    # The first step takes its slope from the interpolated curves: a virtual
+    # previous point on that tangent turns the secant into a Newton step.
+    b_lo, b_hi = 0.0, None  # totals(b_lo) > p_max >= totals(b_hi)
+    h = 1e-6 * mu
+    slope = (wf.interp_totals(mu + h)[0].sum() - wf.interp_totals(mu - h)[0].sum()) / (2.0 * h)
+    p_k, status = wf.exact_totals(mu)
+    prev = (mu + h, p_k.sum() + slope * h) if slope < 0 else None
+    best = None  # the under-budget evaluation with the largest total
+    for _ in range(40):
+        total = p_k.sum()
+        if abs(total - p_max) < tol:
+            break
+        if total > p_max:
+            b_lo = mu
+        else:
+            b_hi = mu
+            if best is None or total > best[1].sum():
+                best = (mu, p_k, status)
+        # a continuous crossing comes within tol long before the bracket is
+        # this narrow, so the totals jump across the budget inside it
+        if b_hi is not None and b_hi - b_lo <= 1e-9 * b_hi:
+            break
+        if prev is not None and abs(total - prev[1]) > 0:
+            mu_next = mu - (total - p_max) * (mu - prev[0]) / (total - prev[1])
+        else:
+            mu_next = None
+        in_bracket = (
+            mu_next is not None
+            and mu_next > b_lo
+            and (b_hi is None or mu_next < b_hi)
+        )
+        prev = (mu, total)
+        if in_bracket:
+            mu = mu_next
+        elif b_hi is None:
+            mu = max(2.0 * mu, 1e-12)
+        else:
+            mu = 0.5 * (b_lo + b_hi)
+        p_k, status = wf.exact_totals(mu)
+    exhausted = abs(p_k.sum() - p_max) < max(tol, 1e-9 * p_max)
+    if not exhausted:
+        # a budget jump or the step cap: fall back to the best point that
+        # stays within the budget, never to one above it
+        if best is None:
+            return failure("could not bracket the water level", wf.steps)
+        mu, p_k, status = best
+    # the stop test accepts totals up to tol above the budget; take that
+    # excess from the power above the rate floors so "ok" never overspends
+    above = p_k - p_req
+    excess = p_k.sum() - p_max
+    if exhausted and 0 < excess < above.sum():
+        p_k = p_req + above * (1.0 - excess / above.sum())
+
+    # groups capped at the bracket top pin the multiplier to their own
+    # derivative (single-group full-budget case)
+    stationary_active = p_k > p_req * (1.0 + 1e-12)
+    capped = stationary_active & (status == _CAP)
+    if np.any(capped) and not np.any(stationary_active & (status == _ROOT)):
+        d_cap = _pair_rate_slope(arrs, p_k)
+        mu = float(np.min((d_cap / _LN2)[capped]))
+
+    lam = _recover_lambdas(arrs, p_k, p_req, mu, binding)
+    return PowerAllocation(
+        group_totals=p_k,
+        splits=np.column_stack([p_k / 2.0, p_k / 2.0]),
+        mu=float(mu),
+        lambdas=lam,
+        feasible=True,
+        budget_exhausted=bool(exhausted),
+        status="ok" if exhausted else "budget not exhausted within tolerance",
+        steps=wf.steps,
+    )
+
+
+def group_stage_rate(groups, alloc):
+    """Equal-split sum rate of an allocation's groups with positive power."""
+    return sum(float(equal_split_rate_curve(g, [p])[0])
+               for g, p in zip(groups, alloc.group_totals) if p > 0)
+
+
+def piece_of(wf, mu):
+    """What fixes the linear piece of the interpolated totals at ``mu``: status, cells, floors."""
+    status, first = wf._locate(mu)
+    root = status == _ROOT
+    rows = np.arange(first.size)
+    f0, f1 = wf.f_grid[rows, first], wf.f_grid[rows, first + 1]
+    g0, g1 = wf.grid[first], wf.grid[first + 1]
+    p3 = g0 + (g1 - g0) * (f0 - mu) / np.where(root, f0 - f1, 1.0)
+    return tuple(status), tuple(np.where(root, first, -1)), tuple(root & (p3 > wf.p_req))
+
+
+class TestWaterLevelAgainstBisection:
+    """Newton steps in phase 1 against the bisection they replaced."""
+
+    @staticmethod
+    def assert_same_exit(got, want, rate, want_rate, p_max, where):
+        assert (got.feasible, got.status) == (want.feasible, want.status), where
+        if got.status == "ok":
+            assert rate == pytest.approx(want_rate, rel=1e-10, abs=0), where
+        elif got.status == JUMP_STATUS:
+            assert got.group_totals.sum() <= p_max * (1 + 1e-9), where
+            assert rate == pytest.approx(want_rate, rel=1e-9, abs=0), where
+
+    def test_bench_drops(self, monkeypatch):
+        evaluations = {"got": 0, "want": 0}
+        for kind in ("table", "parametric"):
+            for m in (10, 30, 60):
+                for drop in range(25):
+                    users, cfg = bench_drop(2026, m, drop, kind)
+                    got = solve(users, cfg)
+                    before = BisectionWaterFiller.evaluations
+                    with monkeypatch.context() as patch:
+                        patch.setattr(sfma.power, "inter_group_allocate", bisection_inter_group_allocate)
+                        want = solve(users, cfg)
+                    where = (kind, m, drop)
+                    assert (got.feasible, got.stage) == (want.feasible, want.stage), where
+                    if got.allocation is None:
+                        continue
+                    self.assert_same_exit(got.allocation, want.allocation, got.sum_rate,
+                                          want.sum_rate, cfg.p_max_w, where)
+                    if got.allocation.status == "ok":
+                        evaluations["got"] += got.allocation.sampled_steps
+                        evaluations["want"] += BisectionWaterFiller.evaluations - before
+        # about 12 sampled evaluations per allocation where bisection takes 38
+        assert 0 < 3 * evaluations["got"] <= evaluations["want"]
+
+    @pytest.mark.parametrize("kind", ["constant", "table", "parametric"])
+    def test_random_groups(self, kind):
+        for i, (groups, p_max) in enumerate(random_group_cases(kind)):
+            got = inter_group_allocate(groups, p_max)
+            want = bisection_inter_group_allocate(groups, p_max)
+            self.assert_same_exit(got, want, group_stage_rate(groups, got),
+                                  group_stage_rate(groups, want), p_max, (kind, i))
+
+    @pytest.mark.parametrize("kind", ["table", "parametric"])
+    def test_slope_is_the_centred_difference_inside_a_piece(self, kind):
+        sloped = 0
+        for m, drop in ((10, 0), (30, 1), (60, 2)):
+            users, cfg = bench_drop(2026, m, drop, kind)
+            result = solve(users, cfg)
+            by_id = {u.id: u for u in users}
+            arrs = _GroupArrays([Group(users=(by_id[a], by_id[b]), profile=cfg.profile)
+                                 for a, b in result.pairing.pairs])
+            wf = _WaterFiller(arrs, cfg.p_max_w, _min_rate_fixed_points(arrs).max(axis=1))
+            for mu in result.allocation.mu * np.array([0.5, 0.9, 1.0, 1.1, 2.0]):
+                total, slope = wf.interp_total(mu)
+                assert slope <= 0
+                # halve the step until both ends lie in the piece of mu
+                piece, h = piece_of(wf, mu), 1e-3 * mu
+                while piece_of(wf, mu - h) != piece or piece_of(wf, mu + h) != piece:
+                    h /= 2
+                diff = (wf.interp_total(mu + h)[0] - wf.interp_total(mu - h)[0]) / (2 * h)
+                # the totals are linear on the piece, so only their roundoff remains
+                assert diff == pytest.approx(slope, rel=1e-9, abs=1e-12 * total / h)
+                sloped += slope < 0
+        assert sloped >= 10
+
+    def test_floor_level_on_falling_curves(self, rng):
+        # constant rho makes each group rate concave, so every curve falls
+        arrs = _GroupArrays(random_groups(rng, 6, None, min_rate_range=(0.2, 1.0)))
+        p_req = _min_rate_fixed_points(arrs).max(axis=1)
+        wf = _WaterFiller(arrs, 40.0, p_req)
+        assert np.all(np.diff(wf.f_grid, axis=1) < 0)
+        level = wf.floor_level()
+        total, slope = wf.interp_total(level * (1 + 1e-9))
+        assert total == pytest.approx(p_req.sum(), rel=1e-12)
+        assert slope == 0.0
+        assert wf.interp_total(level * (1 - 1e-6))[1] < 0
