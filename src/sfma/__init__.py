@@ -10,11 +10,9 @@ from .semantic_rate import (
     load_rho_table,
     pair_sum_rate,
     rho,
-    rho_derivative,
     save_rho_table,
     sinr_conventional,
     sinr_semantic,
-    user_rate,
 )
 from .pairing import (
     PairingAssignment,
@@ -30,14 +28,12 @@ from .power import (
     PowerAllocation,
     SolveResult,
     SolverConfig,
-    extreme_point_min_rate,
-    extreme_point_stationary,
     inter_group_allocate,
     intra_group_allocate,
     kkt_residuals,
     solve,
 )
-from .baselines import BaselineScheme, fnoma_sum_rate, ofdma_sum_rate, ojscc_sum_rate, pair_distinctive
+from .baselines import fnoma_sum_rate, ofdma_sum_rate, ojscc_sum_rate, pair_distinctive
 from .bench import ConfigError, RunReport, ScenarioConfig, emit_csv, read_report, run_sweep
 
 __version__ = "0.1.0"

@@ -8,31 +8,16 @@ single-user full-band limits of every scheme coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .pairing import PairingAssignment, UserTerminal, temporal_gap
 
 __all__ = [
-    "BaselineScheme",
     "pair_distinctive",
     "fnoma_sum_rate",
     "ojscc_sum_rate",
     "ofdma_sum_rate",
 ]
-
-
-@dataclass(frozen=True)
-class BaselineScheme:
-    kind: str                 # one of {"fnoma", "ojscc", "ofdma"}
-    fnoma_eta: float = 0.8    # fixed power fraction handed to the weak user
-
-    def __post_init__(self):
-        if self.kind not in ("fnoma", "ojscc", "ofdma"):
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if not 0.0 < self.fnoma_eta < 1.0:
-            raise ValueError(f"fnoma_eta must lie in (0, 1), got {self.fnoma_eta}")
 
 
 def pair_distinctive(users) -> PairingAssignment:

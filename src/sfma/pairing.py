@@ -58,14 +58,6 @@ class PairingAssignment:
         if len(self.pairs) != len(self.gaps):
             raise ValueError("gaps must align with pairs")
 
-    def partner_of(self, user_id: int) -> int | None:
-        for a, b in self.pairs:
-            if a == user_id:
-                return b
-            if b == user_id:
-                return a
-        return None
-
 
 def temporal_gap(u: UserTerminal, v: UserTerminal) -> int:
     """Absolute difference of the two users' requested frame indices."""

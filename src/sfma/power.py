@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pairing import PairingAssignment, UserTerminal, pair_users
+from .pairing import PairingAssignment, pair_users
 from .semantic_rate import (
     InterferenceProfile,
     _logistic_axis,
@@ -67,8 +67,6 @@ __all__ = [
     "KKTReport",
     "MinRateInfeasible",
     "ConvergenceError",
-    "extreme_point_min_rate",
-    "extreme_point_stationary",
     "inter_group_allocate",
     "intra_group_allocate",
     "kkt_residuals",
@@ -102,21 +100,16 @@ class ConvergenceError(RuntimeError):
 class Group:
     """Two paired users sharing one resource block.
 
-    ``eta`` holds the intra-pair power fractions (p_i = eta_i * p_k). The
-    group-level stage always works at the equal split, where the fraction
-    and amplitude-ratio conventions coincide.
+    The group-level stage works at the equal intra-pair split; the
+    pair-level stage then chooses each group's split.
     """
 
     users: tuple  # (UserTerminal, UserTerminal)
     profile: InterferenceProfile
-    eta: tuple = (0.5, 0.5)
 
     def __post_init__(self):
         if len(self.users) != 2:
             raise ValueError("a group holds exactly two users")
-        e1, e2 = self.eta
-        if not (0 < e1 < 1 and 0 < e2 < 1) or abs(e1 + e2 - 1.0) > 1e-9:
-            raise ValueError(f"eta must be fractions in (0,1) summing to 1, got {self.eta}")
 
 
 @dataclass
@@ -170,7 +163,6 @@ class SolverConfig:
     delta_max: float = 4.0
     profile: InterferenceProfile = field(default_factory=lambda: InterferenceProfile.constant(1.0))
     inter_tol_w: float | None = None     # default 1e-8 * p_max
-    enforce_min_rate_split: bool = True
 
     def __post_init__(self):
         # nan fails no comparison, so it must be caught before the range checks
@@ -205,7 +197,6 @@ class _GroupArrays:
         self.gain = np.array([[u.link.gain for u in g.users] for g in self.groups])
         self.noise = np.array([[u.link.noise for u in g.users] for g in self.groups])
         self.min_rate = np.array([[u.min_rate for u in g.users] for g in self.groups])
-        self.eta = np.array([g.eta for g in self.groups])
         self.pow2r = 2.0 ** self.min_rate
         # equal-split SNR in dB is 10*log10(p) plus this per-user offset
         self.snr_offset_db = 10.0 * np.log10(self.gain / (2.0 * self.noise))
@@ -310,7 +301,6 @@ class _GroupArrays:
         sub.gain = self.gain[rows]
         sub.noise = self.noise[rows]
         sub.min_rate = self.min_rate[rows]
-        sub.eta = self.eta[rows]
         sub.pow2r = self.pow2r[rows]
         sub.snr_offset_db = self.snr_offset_db[rows]
         sub.profiles = [self.profiles[i] for i in rows]
@@ -323,12 +313,16 @@ class _GroupArrays:
 def _pair_rate_slope(arrs: _GroupArrays, p, eta=None):
     """Per-group d(r1 + r2)/dp in bits/s/Hz per watt, at fixed fractions.
 
-    ``p`` may be (K,) or (K, G); eta defaults to the stored fractions.
+    ``p`` may be (K,) or (K, G); eta, the (K, 2) fractions, defaults to the
+    equal split.
     """
     p = np.asarray(p, dtype=float)
-    eta = arrs.eta if eta is None else np.asarray(eta, dtype=float)
     col = (slice(None), None) if p.ndim == 2 else slice(None)
-    e1, e2 = eta[:, 0][col], eta[:, 1][col]
+    if eta is None:
+        e1 = e2 = 0.5
+    else:
+        eta = np.asarray(eta, dtype=float)
+        e1, e2 = eta[:, 0][col], eta[:, 1][col]
     g1, g2 = arrs.gain[:, 0][col], arrs.gain[:, 1][col]
     n1, n2 = arrs.noise[:, 0][col], arrs.noise[:, 1][col]
     rho1, rho2, rp1, rp2 = arrs.rho_and_prime_pair(p)
@@ -341,28 +335,21 @@ def _pair_rate_slope(arrs: _GroupArrays, p, eta=None):
     return (ds1 / (1.0 + s1) + ds2 / (1.0 + s2)) / _LN2
 
 
-def _stationarity_lhs(arrs: _GroupArrays, p, mu: float, eta=None):
-    """Stationarity expression d(r1+r2)/dp / ln2 - mu (zero at a candidate)."""
-    deriv = _pair_rate_slope(arrs, p, eta=eta)
-    return deriv / _LN2 - mu
+def _min_rate_fixed_points(arrs: _GroupArrays):
+    """Solve both users' rate-binding group powers at the equal split by damped fixed point.
 
-
-def _min_rate_fixed_points(arrs: _GroupArrays, p_start=None, damping=0.5,
-                           rel_tol=1e-8, max_iter=200):
-    """Solve both users' rate-binding group powers by damped fixed point.
-
-    Returns a (K, 2) array; raises MinRateInfeasible when a denominator
-    turns nonpositive and ConvergenceError when iteration stalls.
+    Each step moves halfway to the target until the relative step falls
+    below 1e-8; one undamped step then polishes. Returns a (K, 2) array;
+    raises MinRateInfeasible when a denominator turns nonpositive and
+    ConvergenceError when 200 steps do not converge.
     """
     t = arrs.pow2r - 1.0                     # (K, 2): 2^R - 1
-    eta_self = arrs.eta
-    eta_other = arrs.eta[:, ::-1]
     one_minus = 1.0 - arrs.pow2r
     active = t > 0
 
     def target(p, rows):
         """The rate-binding power at rho(p), checked on ``rows``."""
-        denom = eta_self + eta_other * arrs.rho_cols(p) * one_minus
+        denom = 0.5 + 0.5 * arrs.rho_cols(p) * one_minus
         bad = rows & (denom <= 0)
         if np.any(bad):
             k_bad, col_bad = np.argwhere(bad)[0]
@@ -372,18 +359,15 @@ def _min_rate_fixed_points(arrs: _GroupArrays, p_start=None, damping=0.5,
             )
         return arrs.noise * t / (arrs.gain * np.where(denom > 0, denom, 1.0))
 
-    if p_start is None:
-        p = np.where(active, arrs.noise * t / (arrs.gain * np.maximum(eta_self, 1e-300)), 0.0)
-    else:
-        p = np.where(active, float(p_start), 0.0)
+    p = np.where(active, arrs.noise * t / (arrs.gain * 0.5), 0.0)
     live = active.copy()
-    for _ in range(max_iter):
+    for _ in range(200):
         if not np.any(live):
             break
-        new_p = np.where(live, (1.0 - damping) * p + damping * target(p, live), p)
+        new_p = np.where(live, 0.5 * p + 0.5 * target(p, live), p)
         step = np.abs(new_p - p) / np.maximum(np.abs(new_p), np.finfo(float).tiny)
         p = new_p
-        live = live & (step >= rel_tol)
+        live = live & (step >= 1e-8)
     else:
         bad_rows = sorted({int(r) for r, _ in np.argwhere(live)})
         raise ConvergenceError(f"rate-binding fixed point stalled in groups {bad_rows}")
@@ -392,63 +376,6 @@ def _min_rate_fixed_points(arrs: _GroupArrays, p_start=None, damping=0.5,
         # contraction-accurate otherwise
         p = np.where(active, target(p, active), p)
     return p
-
-
-def extreme_point_min_rate(group: Group, which_user: int, p_guess: float) -> float:
-    """Group power at which ``which_user``'s minimum-rate constraint binds.
-
-    Damped fixed-point iteration of the rate-binding equation under the
-    group's stored power fractions. Raises MinRateInfeasible when the
-    constraint is unreachable and ConvergenceError when iteration stalls.
-    """
-    if which_user not in (1, 2):
-        raise ValueError("which_user must be 1 or 2")
-    if p_guess <= 0:
-        raise ValueError("p_guess must be positive")
-    # only the requested user's constraint matters here; silence the partner
-    users = list(group.users)
-    other = 2 - which_user
-    users[other] = UserTerminal(
-        id=users[other].id, link=users[other].link, min_rate=0.0,
-        frame_time=users[other].frame_time,
-    )
-    probe = Group(users=tuple(users), profile=group.profile, eta=group.eta)
-    arrs = _GroupArrays([probe])
-    solved = _min_rate_fixed_points(arrs, p_start=p_guess)
-    return float(solved[0, which_user - 1])
-
-
-def extreme_point_stationary(group: Group, mu: float, bracket) -> float | None:
-    """Root of the pair-rate stationarity condition inside ``bracket``.
-
-    Scans a log-spaced grid for a sign change of d(r1+r2)/dp/ln2 - mu, then
-    bisects; returns None when the expression never crosses zero on the
-    bracket.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0 < lo < hi):
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    arrs = _GroupArrays([group])
-    grid = np.geomspace(lo, hi, 96)
-    vals = _stationarity_lhs(arrs, grid[None, :], mu)[0]
-    sign = vals >= 0
-    change = np.flatnonzero(sign[:-1] != sign[1:])
-    if change.size == 0:
-        return None
-    a, b = grid[change[0]], grid[change[0] + 1]
-    fa = vals[change[0]]
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        fm = float(_stationarity_lhs(arrs, np.array([mid]), mu)[0])
-        if (fm >= 0) == (fa >= 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-        if (b - a) <= 1e-14 * max(b, 1.0):
-            break
-    return float(0.5 * (a + b))
 
 
 class _WaterFiller:
@@ -648,9 +575,9 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
     # the bracket, or a flat total, bisects instead: in log mu while the
     # bracket spans more than a factor of two, in mu after that, so that a
     # jump of the totals across the budget ends between the same two
-    # neighbouring floats as plain bisection would. The search starts where
-    # the first group leaves its rate floor; above that level the totals
-    # are flat.
+    # neighbouring floats as plain bisection would, and stops there. The
+    # search starts where the first group leaves its rate floor; above that
+    # level the totals are flat.
     mu_lo = 0.0
     mu = min(mu_hi, wf.floor_level())
     if not mu > 0:      # curves at or below zero at every floor: keep inside the bracket
@@ -663,7 +590,9 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             mu_lo = mu
         else:
             mu_hi = mu
-        if (mu_hi - mu_lo) <= 1e-16 * max(mu_hi, 1e-300):
+        if math.nextafter(mu_lo, math.inf) >= mu_hi:
+            # neighbouring floats: later steps would only park on the midpoint
+            mu = 0.5 * (mu_lo + mu_hi)
             break
         step = (p_max - total) / slope if slope < 0 else np.inf
         if abs(step) < 1e-3 * mu:
@@ -773,7 +702,8 @@ def _recover_lambdas(arrs: _GroupArrays, p_k, p_req, mu: float, binding) -> np.n
         return lam
     which = np.argmax(binding, axis=1)
     eq21 = _pair_rate_slope(arrs, p_k) / _LN2
-    coeff, _ = _rate_coeff(arrs, p_k, arrs.eta, arrs.eta[:, ::-1] * p_k[:, None])
+    half = np.full((arrs.k, 2), 0.5)
+    coeff, _ = _rate_coeff(arrs, p_k, half, half * p_k[:, None])
     for row in np.flatnonzero(at_floor):
         col = which[row]
         a = coeff[row, col]
@@ -968,7 +898,7 @@ def solve(users, config: SolverConfig) -> SolveResult:
 
     Users are matched under fixed equal-split powers, the budget is spread
     across the resulting groups, and each group's split is then reoptimized
-    (restricted to its min-rate-feasible range unless disabled). Returns
+    within its min-rate-feasible range. Returns
     the realized system sum rate; infeasibility carries the failing stage.
     """
     users = list(users)
@@ -997,10 +927,7 @@ def solve(users, config: SolverConfig) -> SolveResult:
     rows = np.flatnonzero(p_k > 0)
     if rows.size:
         sub, r1, r2 = arrs.take(rows), rho1[rows], rho2[rows]
-        if config.enforce_min_rate_split:
-            lo, hi = _min_rate_split_interval(sub, p_k[rows], r1, r2)
-        else:
-            lo, hi = np.zeros(rows.size), p_k[rows].copy()
+        lo, hi = _min_rate_split_interval(sub, p_k[rows], r1, r2)
         p1[rows] = _intra_split_vec(sub, p_k[rows], lo, hi, r1, r2)
     splits = np.column_stack([p1, p_k - p1])
     alloc.splits = splits

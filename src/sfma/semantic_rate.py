@@ -37,11 +37,9 @@ __all__ = [
     "InterferenceProfile",
     "CalibratedRho",
     "rho",
-    "rho_derivative",
     "sinr_conventional",
     "sinr_semantic",
     "calibrate_rho",
-    "user_rate",
     "pair_sum_rate",
     "load_rho_table",
     "save_rho_table",
@@ -146,10 +144,6 @@ class InterferenceProfile:
     @classmethod
     def parametric(cls, params: LogisticRhoParams | None = None) -> "InterferenceProfile":
         return cls(kind="parametric", params=params or LogisticRhoParams())
-
-    @classmethod
-    def from_csv(cls, path) -> "InterferenceProfile":
-        return load_rho_table(path)
 
     @classmethod
     def default_table(cls) -> "InterferenceProfile":
@@ -359,10 +353,6 @@ def rho_derivative_eval(profile: InterferenceProfile, group_power, gain, noise):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def rho_derivative(profile: InterferenceProfile, group_power: float, link: Link) -> float:
-    return rho_derivative_eval(profile, group_power, link.gain, link.noise)
-
-
 def sinr_conventional(p_self: float, p_other: float, link: Link):
     """Standard SINR with the partner's full power as interference."""
     return p_self * link.gain / (p_other * link.gain + link.noise)
@@ -390,28 +380,16 @@ def calibrate_rho(p_self: float, p_other: float, link: Link, mse: float) -> Cali
     return CalibratedRho(value=float(min(max(raw, 0.0), 1.0)), clamped=clamped)
 
 
-def user_rate(p_self: float, p_other: float, rho_val: float, link: Link):
-    """Achievable rate log2(1 + semantic SINR) in bits/s/Hz."""
-    return np.log2(1.0 + sinr_semantic(p_self, p_other, rho_val, link))
+def pair_sum_rate(p1: float, p2: float, profile: InterferenceProfile, link1: Link, link2: Link) -> float:
+    """Group sum rate: both users' log2(1 + semantic SINR), rho at the group power.
 
-
-def pair_sum_rate(
-    p1: float,
-    p2: float,
-    profile: InterferenceProfile,
-    link1: Link,
-    link2: Link,
-    profile2: InterferenceProfile | None = None,
-) -> float:
-    """Group sum rate: both users' rates with rho evaluated at the group power.
-
-    One shared profile is evaluated on each receiver's own link by default;
-    pass ``profile2`` to model asymmetric interference factors.
+    The one profile is evaluated on each receiver's own link.
     """
     p_group = p1 + p2
     rho_21 = rho_eval(profile, p_group, link1.gain, link1.noise)
-    rho_12 = rho_eval(profile2 or profile, p_group, link2.gain, link2.noise)
-    return float(user_rate(p1, p2, rho_21, link1) + user_rate(p2, p1, rho_12, link2))
+    rho_12 = rho_eval(profile, p_group, link2.gain, link2.noise)
+    return float(np.log2(1.0 + sinr_semantic(p1, p2, rho_21, link1))
+                 + np.log2(1.0 + sinr_semantic(p2, p1, rho_12, link2)))
 
 
 def _parse_rho_table(handle, source: str) -> InterferenceProfile:

@@ -1,10 +1,11 @@
 """Independent oracles and a quick self-check suite.
 
 The helpers here deliberately avoid the solver's internal code paths: the
-matching oracle enumerates every perfect matching, the power oracles scan
+matching oracle enumerates every perfect matching, the power oracles search
 dense grids of the rate formulas, and derivatives are checked by finite
-differences. They back both the ``verify`` CLI subcommand and the test
-suite.
+differences. The inter-group oracle is a max-plus dynamic program over a
+uniform power grid, so it takes any number of groups and any rho kind.
+They back both the ``verify`` CLI subcommand and the test suite.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .pairing import UserTerminal, pair_users, preference_matrix
 from .power import Group, inter_group_allocate, intra_group_allocate, kkt_residuals
@@ -84,31 +86,35 @@ def find_blocking_pair(matching, values, gaps, delta_max, ids, unmatched=()):
     return None
 
 
+def _equal_split_user_rates(group: Group, powers) -> np.ndarray:
+    """(2, N) rates of the group's two users at an equal split of each group power."""
+    powers = np.asarray(powers, dtype=float)
+    half = powers / 2.0
+    rates = []
+    for u in group.users:
+        rho_u = rho_eval(group.profile, powers, u.link.gain, u.link.noise)
+        sinr = half * u.link.gain / (np.asarray(rho_u) * half * u.link.gain + u.link.noise)
+        rates.append(np.log2(1.0 + sinr))
+    return np.stack(rates)
+
+
 def equal_split_rate_curve(group: Group, powers) -> np.ndarray:
     """Pair sum rate at an equal split for each group power in ``powers``."""
-    powers = np.asarray(powers, dtype=float)
-    u1, u2 = group.users
-    rho1 = rho_eval(group.profile, powers, u1.link.gain, u1.link.noise)
-    rho2 = rho_eval(group.profile, powers, u2.link.gain, u2.link.noise)
-    half = powers / 2.0
-    s1 = half * u1.link.gain / (np.asarray(rho1) * half * u1.link.gain + u1.link.noise)
-    s2 = half * u2.link.gain / (np.asarray(rho2) * half * u2.link.gain + u2.link.noise)
-    return np.log2(1.0 + s1) + np.log2(1.0 + s2)
+    r1, r2 = _equal_split_user_rates(group, powers)
+    return r1 + r2
 
 
 def min_rate_floor_constant_rho(group: Group) -> float:
-    """Closed-form rate-binding group power for constant-rho groups."""
+    """Closed-form rate-binding group power at the equal split, for constant-rho groups."""
     if group.profile.kind != "constant":
         raise ValueError("closed form requires a constant profile")
     rho_c = group.profile.constant_value
     floor = 0.0
-    for which, user in enumerate(group.users):
+    for user in group.users:
         t = 2.0 ** user.min_rate - 1.0
         if t == 0:
             continue
-        e_self = group.eta[which]
-        e_other = group.eta[1 - which]
-        denom = e_self + e_other * rho_c * (1.0 - 2.0 ** user.min_rate)
+        denom = 0.5 + 0.5 * rho_c * (1.0 - 2.0 ** user.min_rate)
         if denom <= 0:
             return float("inf")
         floor = max(floor, user.link.noise * t / (user.link.gain * denom))
@@ -116,39 +122,44 @@ def min_rate_floor_constant_rho(group: Group) -> float:
 
 
 def inter_group_grid_oracle(groups, p_max: float, n: int = 2000):
-    """Best equal-split allocation on a simplex grid with min-rate floors.
+    """Best equal-split allocation on the grid linspace(0, p_max, n + 1) with min-rate floors.
 
-    Returns (best total sum rate, allocation array). Supports K <= 3.
+    Each group's equal-split rate curve is -inf wherever either user's rate
+    falls below its minimum. A max-plus dynamic program folds the groups in
+    one at a time, best[t] = max_s best[t - s] + r_k[s] over grid indices,
+    and the last group takes the running maximum of its curve, so totals at
+    or below p_max count. Works for any number of groups and any rho kind.
+    Returns (best total sum rate, allocation array), or (-inf, None) when
+    no grid allocation meets every minimum rate.
     """
-    k = len(groups)
-    if k > 3:
-        raise ValueError("grid oracle supports at most 3 groups")
-    floors = np.array([min_rate_floor_constant_rho(g) for g in groups])
-    if np.any(np.isinf(floors)) or floors.sum() > p_max:
-        return float("-inf"), None
     grid = np.linspace(0.0, p_max, n + 1)
-    curves = np.stack([equal_split_rate_curve(g, grid) for g in groups])
-    floor_idx = np.ceil(floors / (p_max / n) - 1e-12).astype(int)
-    masked = curves.copy()
-    for i in range(k):
-        masked[i, : floor_idx[i]] = -np.inf
-    if k == 1:
-        best_idx = n
-        return float(masked[0, best_idx]), np.array([grid[best_idx]])
-    if k == 2:
-        totals = masked[0] + masked[1][::-1]
-        i = int(np.argmax(totals))
-        return float(totals[i]), np.array([grid[i], grid[n - i]])
-    two = masked[0][:, None] + masked[1][None, :]
-    anti = masked[2][::-1]
-    best_val, best_ij = -np.inf, (0, 0)
-    for i in range(n + 1):
-        row = two[i, : n - i + 1] + anti[i : n + 1]
-        j = int(np.argmax(row))
-        if row[j] > best_val:
-            best_val, best_ij = float(row[j]), (i, j)
-    i, j = best_ij
-    return best_val, np.array([grid[i], grid[j], grid[n - i - j]])
+    curves = []
+    for g in groups:
+        rates = _equal_split_user_rates(g, grid)
+        floors = np.array([[u.min_rate] for u in g.users])
+        curves.append(np.where(np.all(rates >= floors, axis=0), rates[0] + rates[1], -np.inf))
+    best = np.full(n + 1, -np.inf)
+    best[0] = 0.0                       # before the first group nothing is spent
+    shares, pad, rows = [], np.full(n, -np.inf), np.arange(n + 1)
+    for curve in curves[:-1]:
+        if not shares:
+            best, share = curve, rows
+        else:
+            # window t holds best[t - n .. t], against curve[n .. 0]
+            totals = sliding_window_view(np.concatenate([pad, best]), n + 1) + curve[::-1]
+            j = np.argmax(totals, axis=1)
+            best, share = totals[rows, j], n - j
+        shares.append(share)
+    totals = best + np.maximum.accumulate(curves[-1])[::-1]
+    t = int(np.argmax(totals))
+    if totals[t] == -np.inf:
+        return float("-inf"), None
+    value = float(totals[t])
+    alloc = [int(np.argmax(curves[-1][: n - t + 1]))]
+    for share in reversed(shares):
+        alloc.append(int(share[t]))
+        t -= alloc[-1]
+    return value, grid[alloc[::-1]]
 
 
 def intra_grid_argmax(group: Group, p_k: float, n: int = 100_000, interval=None):
@@ -257,15 +268,9 @@ def _check_inter(rng) -> tuple[bool, str]:
             continue
         if not alloc.feasible:
             return False, "solver infeasible on a feasible instance"
-        got = float(np.sum(equal_split_rate_curve_groups(groups, alloc.group_totals)))
+        got = float(np.sum([equal_split_rate_curve(g, [p])[0] for g, p in zip(groups, alloc.group_totals)]))
         worst = max(worst, oracle_val - got)
     return worst <= 1e-3, f"worst shortfall vs grid oracle {worst:.2e}"
-
-
-def equal_split_rate_curve_groups(groups, totals) -> np.ndarray:
-    return np.array(
-        [float(equal_split_rate_curve(g, np.array([p]))[0]) for g, p in zip(groups, totals)]
-    )
 
 
 def _check_intra(rng) -> tuple[bool, str]:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sfma.baselines import (
-    BaselineScheme,
     fnoma_sum_rate,
     ofdma_sum_rate,
     ojscc_sum_rate,
@@ -23,17 +22,6 @@ def users_with_gains(gains, noise=1.0):
         UserTerminal(id=i, link=Link(gain=float(g), noise=noise), frame_time=i)
         for i, g in enumerate(gains)
     ]
-
-
-class TestBaselineScheme:
-    def test_kinds_validated(self):
-        with pytest.raises(ValueError):
-            BaselineScheme(kind="tdma")
-
-    def test_eta_range(self):
-        with pytest.raises(ValueError):
-            BaselineScheme(kind="fnoma", fnoma_eta=1.0)
-        BaselineScheme(kind="fnoma", fnoma_eta=0.8)
 
 
 class TestPairDistinctive:

@@ -343,9 +343,3 @@ class TestAssignmentType:
     def test_duplicate_user_rejected(self):
         with pytest.raises(ValueError):
             PairingAssignment(pairs=((0, 1), (1, 2)), gaps=(0, 0))
-
-    def test_partner_lookup(self):
-        out = PairingAssignment(pairs=((0, 3), (1, 2)), gaps=(1, 0))
-        assert out.partner_of(3) == 0
-        assert out.partner_of(2) == 1
-        assert out.partner_of(9) is None

@@ -13,11 +13,10 @@ from sfma.semantic_rate import (
     load_rho_table,
     pair_sum_rate,
     rho,
-    rho_derivative,
+    rho_derivative_eval,
     save_rho_table,
     sinr_conventional,
     sinr_semantic,
-    user_rate,
 )
 
 from conftest import NOISE_W, make_link
@@ -151,14 +150,14 @@ class TestProfiles:
 class TestRhoDerivative:
     def test_constant_is_zero(self):
         link = make_link(5.0)
-        assert rho_derivative(InterferenceProfile.constant(0.7), 3.0, link) == 0.0
+        assert rho_derivative_eval(InterferenceProfile.constant(0.7), 3.0, link.gain, link.noise) == 0.0
 
     def test_parametric_matches_finite_difference(self, rng):
         prof = InterferenceProfile.parametric(LogisticRhoParams())
         for _ in range(30):
             link = make_link(rng.uniform(-10, 30))
             p = float(rng.uniform(0.05, 50.0))
-            analytic = rho_derivative(prof, p, link)
+            analytic = rho_derivative_eval(prof, p, link.gain, link.noise)
             h = 1e-6 * p
             fd = (rho(prof, p + h, link) - rho(prof, p - h, link)) / (2 * h)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-15)
@@ -168,14 +167,14 @@ class TestRhoDerivative:
         for _ in range(30):
             link = make_link(rng.uniform(-5, 25))
             p = float(rng.uniform(0.05, 8.0))
-            got = rho_derivative(prof, p, link)
+            got = rho_derivative_eval(prof, p, link.gain, link.noise)
             h = max(1e-9, 1e-4 * p)
             secant = (rho(prof, p + h, link) - rho(prof, p - h, link)) / (2 * h)
             assert got == pytest.approx(secant, abs=1e-4)
 
     def test_requires_positive_power(self):
         with pytest.raises(ValueError):
-            rho_derivative(small_table(), 0.0, make_link(5.0))
+            rho_derivative_eval(small_table(), 0.0, 1.0, 1.0)
 
 
 class TestSinr:
@@ -258,15 +257,20 @@ class TestCalibrateRho:
 
 
 class TestRates:
+    # a user given no power adds a zero rate, so one user's rate shows alone
     def test_unit_sinr_gives_unit_rate(self, unit_link):
-        assert user_rate(1.0, 0.0, 0.0, unit_link) == pytest.approx(1.0, abs=1e-15)
+        prof = InterferenceProfile.constant(0.0)
+        assert pair_sum_rate(1.0, 0.0, prof, unit_link, unit_link) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_power_zero_rate(self, unit_link):
-        assert user_rate(0.0, 1.0, 0.5, unit_link) == 0.0
+        # user 1 silent: user 2 sees no interference whatever rho is
+        prof = InterferenceProfile.constant(0.5)
+        assert pair_sum_rate(0.0, 1.0, prof, unit_link, unit_link) == 1.0
 
     def test_log2_of_four(self):
         link = Link(gain=3.0, noise=1.0)
-        assert user_rate(1.0, 0.0, 1.0, link) == pytest.approx(2.0, abs=1e-15)
+        prof = InterferenceProfile.constant(1.0)
+        assert pair_sum_rate(1.0, 0.0, prof, link, link) == pytest.approx(2.0, abs=1e-15)
 
     def test_pair_sum_rate_zero_at_zero_power(self, unit_link):
         prof = InterferenceProfile.constant(0.5)
@@ -288,12 +292,3 @@ class TestRates:
         a = pair_sum_rate(0.7, 1.9, prof, link, link)
         b = pair_sum_rate(1.9, 0.7, prof, link, link)
         assert a == pytest.approx(b, rel=1e-12)
-
-    def test_pair_sum_rate_two_profiles(self):
-        link = make_link(12.0)
-        shared = pair_sum_rate(1.0, 1.0, InterferenceProfile.constant(0.3), link, link)
-        split = pair_sum_rate(
-            1.0, 1.0, InterferenceProfile.constant(0.3), link, link,
-            profile2=InterferenceProfile.constant(0.9),
-        )
-        assert split < shared
