@@ -22,8 +22,13 @@ takes its slope from the interpolated curves. An exact evaluation refines
 each root inside its grid cell by two levels of 64 uniform samples, each
 taken in one call, and keeps the sub-cell that a bisection on the samples
 would pick; a secant step on the last sub-cell ends it. The curve does not
-depend on mu, so the samples are kept per (group, cell, sub-cell) and
-reused by later water levels. Where the summed group power jumps across the
+depend on mu, so each group keeps the samples of its last bracket at each
+level, in a (level, group, sample) array tagged by the bracket's cell and
+sub-cell, and later water levels refine again only the groups whose tag
+changed. Each allocation owns one scratch block sized for the grid: every
+evaluation of the curves, on the grid and inside its cells, keeps its
+temporaries there, so they are neither allocated nor faulted in per call.
+Where the summed group power jumps across the
 budget at one water level, the search stops once its bracket is 1e-9 wide
 (relative) and returns the end below the budget; a step cap does the same.
 A feasible allocation therefore never sums above the budget, and one that
@@ -51,6 +56,8 @@ import numpy as np
 
 from .pairing import PairingAssignment, pair_users
 from .semantic_rate import (
+    _LOGISTIC_WORK,
+    _PIECE_WORK,
     InterferenceProfile,
     _logistic_axis,
     _piece_rho,
@@ -189,10 +196,16 @@ class SolveResult:
 
 
 class _GroupArrays:
-    """Column-wise numpy views of a list of groups with fused rho dispatch."""
+    """Column-wise numpy views of a list of groups with fused rho dispatch.
+
+    It iterates over its groups, so it can stand wherever a list of groups
+    is taken.
+    """
 
     def __init__(self, groups):
         self.groups = list(groups)
+        if not self.groups:
+            raise ValueError("need at least one group")
         self.k = len(self.groups)
         self.gain = np.array([[u.link.gain for u in g.users] for g in self.groups])
         self.noise = np.array([[u.link.noise for u in g.users] for g in self.groups])
@@ -205,6 +218,9 @@ class _GroupArrays:
         self._fused = self.profiles[0] if len(uniq) == 1 else None
         self._pieces = None     # table pieces of these rows, built on first use
         self._piece_base = None
+
+    def __iter__(self):
+        return iter(self.groups)
 
     def _dispatch(self, kernel, p):
         """Kernel values on rows stacked as all first users, then all second users."""
@@ -242,7 +258,14 @@ class _GroupArrays:
             self._piece_base = span * np.arange(2 * self.k).reshape(2, self.k)
         return self._pieces, self._piece_base
 
-    def rho_and_prime_pair(self, p):
+    def work_size(self, points: int) -> int:
+        """Floats of scratch that ``_pair_rate_slope`` takes at ``points`` group powers."""
+        kind = None if self._fused is None else self._fused.kind
+        # two receivers; the table kind evaluates three samples per point
+        lookup = {"parametric": 2 * _LOGISTIC_WORK, "table": 2 * 3 * _PIECE_WORK}.get(kind, 0)
+        return (2 + lookup) * points
+
+    def rho_and_prime_pair(self, p, work=None):
         """(rho1, rho2, rho1', rho2'), with the slopes zero at p <= 0.
 
         Both axis forms below take x = 10*log10(p) once per power and give
@@ -255,15 +278,23 @@ class _GroupArrays:
         cuts (see ``_TablePieces``), so the value and both samples come from
         one search of their dBW powers in the cuts and a quadratic per point.
         Mixed-profile and constant groups use the single-link kernels.
+
+        Given ``work``, a flat float array (``_pair_rate_slope`` sizes it by
+        ``work_size``), the axis forms evaluate into it, and otherwise into
+        fresh arrays. Either way the caller may overwrite the four results.
         """
         p = np.asarray(p, dtype=float)
         tiny = np.finfo(float).tiny
         safe = np.maximum(p, tiny)
         kind = None if self._fused is None else self._fused.kind
+        shape = (2, self.k) + p.shape[1:]
         if kind == "parametric":
             # (user, group[, 1]) offsets against the powers' own shape
             offset = self.snr_offset_db.T.reshape((2, self.k) + (1,) * (p.ndim - 1))
-            (r1, r2), (d1, d2) = _logistic_axis(self._fused.params, offset, safe)
+            out = None
+            if work is not None:
+                out = work[: _LOGISTIC_WORK * math.prod(shape)].reshape((_LOGISTIC_WORK,) + shape)
+            (r1, r2), (d1, d2) = _logistic_axis(self._fused.params, offset, safe, out)
         elif kind != "table":
             r1, r2 = self.rho_pair(p)
             d1, d2 = self._pair_eval(_rho_derivative_kernel, safe)
@@ -273,9 +304,9 @@ class _GroupArrays:
             x = 10.0 * np.log10(np.stack([safe, up, lo]))
             pieces, base = self._table_rows()
             # (user, 1, group[, 1]) against (sample, group or 1[, point])
-            rho = _piece_rho(pieces, base.reshape((2, 1, self.k) + (1,) * (p.ndim - 1)), x)
+            rho = _piece_rho(pieces, base.reshape((2, 1, self.k) + (1,) * (p.ndim - 1)), x, work)
             r1, r2 = rho[:, 0]
-            d1, d2 = (rho[:, 1] - rho[:, 2]) / (up - lo)
+            d1, d2 = np.divide(np.subtract(rho[:, 1], rho[:, 2], out=rho[:, 1]), up - lo, out=rho[:, 1])
         if np.any(p <= 0):
             zero = p <= 0
             if kind in ("table", "parametric"):
@@ -291,6 +322,8 @@ class _GroupArrays:
     def rho_cols(self, p_cols):
         """rho for each user column at column-specific powers; p_cols is (K, 2)."""
         p_cols = np.asarray(p_cols, dtype=float)
+        if self._fused is not None:
+            return _rho_kernel(self._fused, p_cols, self.gain, self.noise)
         out = self._dispatch(_rho_kernel, np.concatenate([p_cols[:, 0], p_cols[:, 1]]))
         return np.column_stack([out[: self.k], out[self.k :]])
 
@@ -310,11 +343,13 @@ class _GroupArrays:
         return sub
 
 
-def _pair_rate_slope(arrs: _GroupArrays, p, eta=None):
+def _pair_rate_slope(arrs: _GroupArrays, p, eta=None, work=None):
     """Per-group d(r1 + r2)/dp in bits/s/Hz per watt, at fixed fractions.
 
-    ``p`` may be (K,) or (K, G); eta, the (K, 2) fractions, defaults to the
-    equal split.
+    ``p`` may be (K,), (K, G) or (1, G); eta, the (K, 2) fractions, defaults
+    to the equal split. With ``work``, a flat float array of at least
+    ``arrs.work_size`` floats for the result's size, every temporary is a
+    view of it, and so is the result, which the next call overwrites.
     """
     p = np.asarray(p, dtype=float)
     col = (slice(None), None) if p.ndim == 2 else slice(None)
@@ -325,14 +360,37 @@ def _pair_rate_slope(arrs: _GroupArrays, p, eta=None):
         e1, e2 = eta[:, 0][col], eta[:, 1][col]
     g1, g2 = arrs.gain[:, 0][col], arrs.gain[:, 1][col]
     n1, n2 = arrs.noise[:, 0][col], arrs.noise[:, 1][col]
-    rho1, rho2, rp1, rp2 = arrs.rho_and_prime_pair(p)
-    d1 = rho1 * e2 * p * g1 + n1
-    d2 = rho2 * e1 * p * g2 + n2
-    s1 = e1 * p * g1 / d1
-    s2 = e2 * p * g2 / d2
-    ds1 = e1 * g1 * (n1 - rp1 * e2 * g1 * p * p) / (d1 * d1)
-    ds2 = e2 * g2 * (n2 - rp2 * e1 * g2 * p * p) / (d2 * d2)
-    return (ds1 / (1.0 + s1) + ds2 / (1.0 + s2)) / _LN2
+    shape = (2, arrs.k) + p.shape[1:]
+    if work is None:
+        s1, s2 = np.empty(shape)
+    else:
+        s1, s2 = work[: math.prod(shape)].reshape(shape)
+        work = work[s1.size + s2.size :]
+    rho1, rho2, rp1, rp2 = arrs.rho_and_prime_pair(p, work)
+    # in place, as on the stationarity grid temporaries cost more than the
+    # arithmetic, and in the operand order of d_i = rho_i e_j p g_i + n_i,
+    # s_i = e_i p g_i / d_i, ds_i = e_i g_i (n_i - rp_i e_j g_i p p) / (d_i d_i)
+    # and (ds1 / (1 + s1) + ds2 / (1 + s2)) / ln2, so that results round alike
+    for rho, rp, s, e_i, e_j, g, n in ((rho1, rp1, s1, e1, e2, g1, n1),
+                                        (rho2, rp2, s2, e2, e1, g2, n2)):
+        d = np.multiply(rho, e_j, out=rho)
+        d *= p
+        d *= g
+        d += n
+        np.multiply(e_i * p, g, out=s)
+        s /= d
+        ds = np.multiply(rp, e_j, out=rp)
+        ds *= g
+        ds *= p
+        ds *= p
+        np.subtract(n, ds, out=ds)
+        np.multiply(e_i * g, ds, out=ds)
+        ds /= np.multiply(d, d, out=d)
+        s += 1.0
+        ds /= s
+    rp1 += rp2
+    rp1 /= _LN2
+    return rp1
 
 
 def _min_rate_fixed_points(arrs: _GroupArrays):
@@ -379,7 +437,11 @@ def _min_rate_fixed_points(arrs: _GroupArrays):
 
 
 class _WaterFiller:
-    """Shared state of one group-level allocation: dense stationarity curves."""
+    """Shared state of one group-level allocation: dense stationarity curves.
+
+    Every evaluation of the curves, on the grid and inside its cells, works
+    in one scratch block that the filler owns, sized for the grid.
+    """
 
     def __init__(self, arrs: _GroupArrays, p_max: float, p_req: np.ndarray):
         self.arrs = arrs
@@ -388,17 +450,21 @@ class _WaterFiller:
         self.steps = 0                      # exact_totals calls
         self.sampled_steps = 0              # interp_total calls
         self.grid = np.geomspace(1e-6 * p_max, p_max, _GRID_N)
-        deriv = _pair_rate_slope(arrs, self.grid[None, :])
+        self.work = np.empty(arrs.work_size(arrs.k * _GRID_N))
+        deriv = _pair_rate_slope(arrs, self.grid[None, :], work=self.work)
         self.f_grid = deriv / _LN2          # (K, N) stationarity curve samples
-        self._sub_f = {}                    # (row, cell[, sub-cell]) -> interior samples
+        self._rows = np.arange(arrs.k)
+        # the interior samples of each row's last refined bracket at each
+        # level, and that bracket's tag: its cell, then cell * _SUB_N + sub-cell
+        self._sub_tag = np.full((_SUB_LEVELS, arrs.k), -1)
+        self._sub_f = np.empty((_SUB_LEVELS, arrs.k, _SUB_N - 1))
 
     def _locate(self, mu):
         """First high-to-low crossing cell of each group's sampled curve."""
         pos = self.f_grid >= mu
-        trans = pos[:, :-1] & ~pos[:, 1:]
-        has_root = trans.any(axis=1)
+        trans = pos[:, :-1] > pos[:, 1:]
         first = np.argmax(trans, axis=1)
-        status = np.where(has_root, _ROOT, np.where(pos[:, -1], _CAP, _ZERO))
+        status = np.where(trans[self._rows, first], _ROOT, np.where(pos[:, -1], _CAP, _ZERO))
         return status, first
 
     def floor_level(self):
@@ -411,8 +477,7 @@ class _WaterFiller:
         """
         cells = np.clip(np.searchsorted(self.grid, self.p_req) - 1, 0, _GRID_N - 2)
         g0, g1 = self.grid[cells], self.grid[cells + 1]
-        rows = np.arange(self.arrs.k)
-        f0, f1 = self.f_grid[rows, cells], self.f_grid[rows, cells + 1]
+        f0, f1 = self.f_grid[self._rows, cells], self.f_grid[self._rows, cells + 1]
         t = np.clip((self.p_req - g0) / (g1 - g0), 0.0, 1.0)
         return float(np.max(f0 + (f1 - f0) * t))
 
@@ -448,47 +513,53 @@ class _WaterFiller:
         they reach the width of twelve bisections of the grid cell. One
         secant step on the final sub-cell's end values then pins the root far
         below that width (the curve is smooth inside a cell). The curve does
-        not depend on mu, so the samples of every bracket are kept and later
-        water levels evaluate only brackets not seen before. A root in a cell
-        wholly at or below the group's rate floor is clamped to that floor
-        anyway, so such rows are not refined.
+        not depend on mu, so each row keeps the samples of its last bracket
+        at each level, and later water levels evaluate only rows whose
+        bracket changed. A root in a cell wholly at or below the group's rate
+        floor is clamped to that floor anyway, so such rows are not refined.
         """
         self.steps += 1
         status, first = self._locate(mu)
         p3 = np.where(status == _CAP, self.grid[-1], 0.0)
         rows = np.flatnonzero((status == _ROOT) & (self.grid[first + 1] > self.p_req))
         if rows.size:
-            cells = first[rows]
-            a, b = self.grid[cells], self.grid[cells + 1]
-            fa, fb = self.f_grid[rows, cells], self.f_grid[rows, cells + 1]
-            keys = list(zip(rows.tolist(), cells.tolist()))
+            tag = first[rows]
             at = np.arange(rows.size)
-            for _ in range(_SUB_LEVELS):
-                pts = np.column_stack([a, a[:, None] + (b - a)[:, None] * _SUB_FRACS, b])
-                f = np.column_stack([fa, self._samples(rows, keys, pts[:, 1:-1]), fb])
-                # replay the bisection: the midpoint of [lo, lo + 2 step] decides
+            # bracket points and curve values, the ends in the first and last column
+            pts, f = np.empty((2, rows.size, _SUB_N + 1))
+            pts[:, 0], pts[:, -1] = self.grid[tag], self.grid[tag + 1]
+            f[:, 0], f[:, -1] = self.f_grid[rows, tag], self.f_grid[rows, tag + 1]
+            for level in range(_SUB_LEVELS):
+                a, b = pts[:, 0], pts[:, -1]
+                pts[:, 1:-1] = a[:, None] + (b - a)[:, None] * _SUB_FRACS
+                f[:, 1:-1] = self._samples(level, rows, tag, pts[:, 1:-1])
+                # replay the bisection: the midpoint of [lo, lo + 2 step] decides,
+                # going right unless f(mid) < mu
+                right = ~(f < mu)
                 lo = np.zeros(rows.size, dtype=int)
                 step = _SUB_N // 2
                 while step:
-                    lo = np.where(f[at, lo + step] - mu < 0, lo, lo + step)
+                    lo += step * right[at, lo + step]
                     step //= 2
-                a, b = pts[at, lo], pts[at, lo + 1]
-                fa, fb = f[at, lo], f[at, lo + 1]
-                keys = [key + (j,) for key, j in zip(keys, lo.tolist())]
-            fa, fb = fa - mu, fb - mu
+                tag = tag * _SUB_N + lo
+                pts[:, 0], pts[:, -1] = pts[at, lo], pts[at, lo + 1]
+                f[:, 0], f[:, -1] = f[at, lo], f[at, lo + 1]
+            a, b = pts[:, 0], pts[:, -1]
+            fa, fb = f[:, 0] - mu, f[:, -1] - mu
             spread = fa - fb
             t = np.where(spread > 0, fa / np.maximum(spread, np.finfo(float).tiny), 0.5)
             p3[rows] = a + (b - a) * np.minimum(np.maximum(t, 0.0), 1.0)
         return np.maximum(self.p_req, p3), status
 
-    def _samples(self, rows, keys, pts):
-        """Stationarity curve at the interior points ``pts`` of each keyed bracket."""
-        missing = [i for i, key in enumerate(keys) if key not in self._sub_f]
-        if missing:
-            deriv = _pair_rate_slope(self.arrs.take(rows[missing]), pts[missing])
-            for i, f in zip(missing, deriv / _LN2):
-                self._sub_f[keys[i]] = f
-        return np.stack([self._sub_f[key] for key in keys])
+    def _samples(self, level, rows, tag, pts):
+        """Stationarity curve at the interior points ``pts`` of each row's tagged bracket."""
+        miss = np.flatnonzero(self._sub_tag[level, rows] != tag)
+        if miss.size:
+            stale = rows[miss]
+            deriv = _pair_rate_slope(self.arrs.take(stale), pts[miss], work=self.work)
+            self._sub_f[level, stale] = deriv / _LN2
+            self._sub_tag[level, stale] = tag[miss]
+        return self._sub_f[level, rows]
 
 
 def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> PowerAllocation:
@@ -503,17 +574,15 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
     status "budget not exhausted within tolerance". ``tol`` (default
     1e-8 p_max) is how far from the budget the totals may stop, and must be
     positive. ``sampled_steps`` on the result counts the evaluations on the
-    sampled curves, ``steps`` the exactly refined ones.
+    sampled curves, ``steps`` the exactly refined ones. ``groups`` may also
+    be the groups' ``_GroupArrays``, which ``solve`` reuses for the pair stage.
     """
-    groups = list(groups)
-    if not groups:
-        raise ValueError("need at least one group")
+    arrs = groups if isinstance(groups, _GroupArrays) else _GroupArrays(groups)
     if p_max <= 0:
         raise ValueError(f"p_max must be positive, got {p_max}")
     tol = 1e-8 * p_max if tol is None else float(tol)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    arrs = _GroupArrays(groups)
     k = arrs.k
 
     def failure(status: str, wf: _WaterFiller | None = None) -> PowerAllocation:
@@ -914,12 +983,12 @@ def solve(users, config: SolverConfig) -> SolveResult:
     if not assignment.feasible:
         return result("pairing")
     by_id = {u.id: u for u in users}
-    groups = [Group(users=(by_id[a], by_id[b]), profile=config.profile) for a, b in assignment.pairs]
-    alloc = inter_group_allocate(groups, config.p_max_w, tol=config.inter_tol_w)
+    arrs = _GroupArrays(Group(users=(by_id[a], by_id[b]), profile=config.profile)
+                        for a, b in assignment.pairs)
+    alloc = inter_group_allocate(arrs, config.p_max_w, tol=config.inter_tol_w)
     if not alloc.feasible:
         return result("power", alloc)
 
-    arrs = _GroupArrays(groups)
     p_k = alloc.group_totals
     # one lookup serves the split interval, the split and the rates
     rho1, rho2 = arrs.rho_pair(p_k)

@@ -212,7 +212,7 @@ class _TablePieces(NamedTuple):
 
     edges: np.ndarray    # (E,) every row's cuts, sorted and unique
     lookup: np.ndarray   # (R * (E + 1),) piece of row r holding x, at r * (E + 1) + #(edges <= x)
-    coef: np.ndarray     # (R * (C + 1), 4) center, a, b, c per piece, for C cuts a row
+    coef: np.ndarray     # (4, R * (C + 1)) center, a, b, c of each piece, for C cuts a row
 
 
 def _table_pieces(profile: InterferenceProfile, snr_offset_db) -> _TablePieces:
@@ -241,57 +241,89 @@ def _table_pieces(profile: InterferenceProfile, snr_offset_db) -> _TablePieces:
     slot = np.searchsorted(edges, cuts) + 1 + span * np.arange(rows)[:, None]
     counts = np.bincount(slot.ravel(), minlength=rows * span).reshape(rows, span)
     lookup = np.cumsum(counts, axis=1) + (cuts.shape[1] + 1) * np.arange(rows)[:, None]
-    return _TablePieces(edges, lookup.ravel(), np.stack([center, f_mid, b, c], axis=-1).reshape(-1, 4))
+    return _TablePieces(edges, lookup.ravel(), np.stack([center, f_mid, b, c]).reshape(4, -1))
 
 
-def _piece_rho(pieces: _TablePieces, row_base, x):
+# Scratch floats per output point of the axis forms; see ``_piece_rho`` and ``_logistic_axis``.
+_PIECE_WORK, _LOGISTIC_WORK = 4, 3
+
+
+def _piece_rho(pieces: _TablePieces, row_base, x, work=None):
     """rho at finite x = 10*log10(p), for rows whose lookup starts at ``row_base``.
 
-    ``row_base`` is row * (E + 1) and broadcasts against ``x``.
+    ``row_base`` is row * (E + 1) and broadcasts against ``x``. The result and
+    its temporaries are _PIECE_WORK blocks of the broadcast shape, taken from
+    the flat float array ``work`` when one is given; the result is the first.
     """
-    at = pieces.lookup.take(row_base + np.searchsorted(pieces.edges, x, side="right"))
-    q = pieces.coef.take(at, axis=0)
-    # in place: on the stationarity grid the temporaries, not the arithmetic, cost most
-    u = x - q[..., 0]
-    out = q[..., 3] * u
-    out += q[..., 2]
+    slot = np.searchsorted(pieces.edges, x, side="right")
+    shape = np.broadcast_shapes(np.shape(row_base), slot.shape)
+    size = math.prod(shape)
+    if work is None:
+        work = np.empty(_PIECE_WORK * size)
+    out, u, col, at = work[: _PIECE_WORK * size].reshape((_PIECE_WORK,) + shape)
+    # the lookup index and the piece index are integers in float-sized blocks
+    idx, at = col.view(np.int64), at.view(np.int64)
+    np.add(row_base, slot, out=idx)
+    pieces.lookup.take(idx, out=at, mode="clip")
+    # one coefficient column at a time: u = x - center, then (q3 u + q2) u + q1
+    center, q1, q2, q3 = pieces.coef
+    center.take(at, out=u, mode="clip")
+    np.subtract(x, u, out=u)
+    q3.take(at, out=out, mode="clip")
     out *= u
-    out += q[..., 1]
+    out += q2.take(at, out=col, mode="clip")
+    out *= u
+    out += q1.take(at, out=col, mode="clip")
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _logistic_axis(params: LogisticRhoParams, snr_offset_db, p):
+def _logistic_axis(params: LogisticRhoParams, snr_offset_db, p, out=None):
     """Logistic rho and d(rho)/dp at powers p > 0, for receivers at fixed SNR offsets.
 
     A receiver's equal-split SNR in dB is x + snr_offset_db, with
     x = 10*log10(p), so its exponent is affine along the power axis:
     a + b*x, with b = snr_slope + power_coeff and a fixed per receiver.
     x is taken once on p's own shape; ``snr_offset_db`` broadcasts against p.
+    ``out``, if given, is _LOGISTIC_WORK arrays of the broadcast shape: rho,
+    the slope and a scratch block.
     """
     b = params.snr_slope + params.power_coeff
     a = params.snr_slope * (snr_offset_db - params.snr_mid_db) \
         - params.power_coeff * 10.0 * np.log10(params.power_ref_w)
     x = 10.0 * np.log10(p)
-    # in place: on the stationarity grid the temporaries, not the arithmetic, cost most
-    den = np.asarray(b * x + a)
+    bx = b * x
+    if out is None:
+        shape = np.broadcast_shapes(bx.shape, np.shape(a))
+        out = [np.empty(shape) for _ in range(_LOGISTIC_WORK)]
+    rho, slope, den = out
+    np.add(bx, a, out=den)
     np.clip(den, -60.0, 60.0, out=den)
     np.exp(den, out=den)
     den += 1.0
-    rho = params.limit / den
+    np.divide(params.limit, den, out=rho)
     sig = np.reciprocal(den, out=den)
     # d(expo)/dp = 10 b / (p ln10)
-    slope = -params.limit * sig
-    slope *= 1.0 - sig
+    np.multiply(-params.limit, sig, out=slope)
+    slope *= np.subtract(1.0, sig, out=den)
     slope *= 10.0 * b / (p * _LN10)
     return rho, slope
 
 
 def _parametric_rho(params: LogisticRhoParams, group_power, gain, noise):
-    snr = _equal_split_snr_db(group_power, gain, noise)
+    def exponent(p):
+        snr = _equal_split_snr_db(p, gain, noise)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power_db = 10.0 * np.log10(p / params.power_ref_w)
+            return params.snr_slope * (snr - params.snr_mid_db) + params.power_coeff * power_db
+
     p = np.asarray(group_power, dtype=float)
-    with np.errstate(divide="ignore"):
-        power_db = 10.0 * np.log10(p / params.power_ref_w)
-    expo = params.snr_slope * (snr - params.snr_mid_db) + params.power_coeff * power_db
+    expo = exponent(p)
+    zero = p == 0
+    if np.any(zero):
+        # both dB terms are -inf at p = 0, so the sum can be inf - inf; take the
+        # limit of the exponent, affine in x = 10*log10(p) with slope b, as x -> -inf
+        b = params.snr_slope + params.power_coeff
+        expo = np.where(zero, exponent(1.0) if b == 0 else -b * np.inf, expo)
     expo = np.clip(expo, -60.0, 60.0)
     return params.limit / (1.0 + np.exp(expo))
 

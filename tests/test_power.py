@@ -662,7 +662,7 @@ def logistic_tolerance(params, p, gain, noise, value):
 # pieces, kept verbatim as the reference of the lookup tests below; its other
 # kinds take the slope of the verbatim single-link kernel above.
 
-def reference_rho_and_prime_pair(self, p):
+def reference_rho_and_prime_pair(self, p, work=None):
     """(rho1, rho2, rho1', rho2'), with the slopes zero at p <= 0.
 
     The table kind takes the central difference with step
@@ -1151,7 +1151,9 @@ class TestSampledRefinement:
             # rows whose cell lies at or below the rate floor are not refined
             for row in np.flatnonzero(root & (self.grid[first + 1] > self.p_req)):
                 cell = int(first[row])
-                f = np.concatenate([self.f_grid[row, cell : cell + 1], self._sub_f[(int(row), cell)],
+                # the row's first-level samples are those of the cell just refined
+                assert self._sub_tag[0, row] == cell
+                f = np.concatenate([self.f_grid[row, cell : cell + 1], self._sub_f[0, row],
                                     self.f_grid[row, cell + 1 : cell + 2]])
                 seen["multi"] += np.count_nonzero(np.diff(f >= mu)) > 1
             return got, status
@@ -1198,6 +1200,9 @@ class TestSampledRefinement:
         mu = float(np.median(wf.f_grid[:, _GRID_N // 2]))
         first = wf.exact_totals(mu)
         assert np.any(first[1] == _ROOT)
+        # every refined row holds a tagged bracket at both levels
+        refined = (first[1] == _ROOT) & (first[0] > wf.p_req)
+        assert np.any(refined) and np.all(wf._sub_tag[:, refined] >= 0)
         calls = []
 
         def counted(*args, **kwargs):
@@ -1216,6 +1221,42 @@ class TestSampledRefinement:
         alloc = solve(users, cfg).allocation
         assert alloc.status == JUMP_STATUS
         assert alloc.steps == 12
+
+
+class TestWorkspace:
+    """The scratch of the stationarity curves changes no number and outlives no allocation."""
+
+    @pytest.mark.parametrize("kind", ["table", "parametric"])
+    def test_no_state_across_solves(self, kind):
+        small, large = bench_drop(2026, 10, 0, kind), bench_drop(2026, 60, 0, kind)
+        first = solve(*small)
+        assert solve(*large).allocation.group_totals.size > first.allocation.group_totals.size
+        again = solve(*small)
+        assert again.sum_rate == first.sum_rate
+        for name, value in vars(first.allocation).items():
+            np.testing.assert_array_equal(getattr(again.allocation, name), value, err_msg=name)
+
+    @pytest.mark.parametrize("kind", ["constant", "table", "parametric", "mixed"])
+    def test_slope_with_and_without_workspace(self, kind):
+        rng = np.random.default_rng([41, len(kind)])
+        k = 5
+        if kind == "mixed":
+            groups = (random_groups(rng, 2, InterferenceProfile.default_table())
+                      + random_groups(rng, 2, InterferenceProfile.parametric())
+                      + random_groups(rng, 1))
+        else:
+            profile = {"constant": None, "table": InterferenceProfile.default_table(),
+                       "parametric": InterferenceProfile.parametric()}[kind]
+            groups = random_groups(rng, k, profile)
+        arrs = _GroupArrays(groups)
+        for p in (rng.uniform(0.01, 50.0, k), rng.uniform(0.01, 50.0, (k, 7)),
+                  np.geomspace(1e-5, 100.0, 64)[None, :]):
+            want = _pair_rate_slope(arrs, p)
+            points = k * p.shape[-1] if p.ndim == 2 else k
+            # filled with nan, so that no value may come from the block's old contents
+            work = np.full(arrs.work_size(points), np.nan)
+            for _ in range(2):
+                np.testing.assert_array_equal(_pair_rate_slope(arrs, p, work=work), want)
 
 
 class TestPairLookupAgainstReference:
@@ -1774,6 +1815,23 @@ class TestGridOracle:
         for where, rate, value in ok:
             assert rate >= value - 1e-4 * abs(value), where
         assert any(status == JUMP_STATUS for _, status, _, _ in oracle_bench_drops)
+
+    def test_zero_power_is_feasible_on_a_rising_profile(self):
+        # rho rises with power here (snr_slope and power_coeff of opposite
+        # signs); zero power stays on the grid only if its rate reads 0, not nan
+        prof = InterferenceProfile.parametric(
+            LogisticRhoParams(snr_slope=0.1, snr_mid_db=30.0, power_coeff=-0.9, power_ref_w=0.05))
+
+        def group(i, gain):
+            return Group(users=tuple(UserTerminal(id=2 * i + j, link=Link(gain=gain, noise=1e-3),
+                                                  min_rate=0.0) for j in (0, 1)), profile=prof)
+
+        strong, weak = group(0, 1.0), group(1, 1e-6)
+        assert equal_split_rate_curve(weak, [0.0])[0] == 0.0
+        value, alloc = inter_group_grid_oracle([strong, weak], 1.0, n=10)
+        # a grid step moves the strong group's rate more than the weak one's
+        np.testing.assert_array_equal(alloc, [1.0, 0.0])
+        assert value == equal_split_rate_curve(strong, [1.0])[0]
 
     @pytest.mark.xfail(strict=True, reason="FOUND: a budget-jump exit leaves budget unspent "
                                            "that the jumping group could use")

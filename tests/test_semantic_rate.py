@@ -147,6 +147,35 @@ class TestProfiles:
         Link(gain=np.float64(1e-9), noise=np.array([1e-13, 2e-13]))
 
 
+class TestLogisticAtZeroPower:
+    """rho at p = 0 is the limit of the logistic exponent a + b*x as x -> -inf."""
+
+    @staticmethod
+    def profile(snr_slope, power_coeff):
+        return InterferenceProfile.parametric(
+            LogisticRhoParams(snr_slope=snr_slope, snr_mid_db=30.0, power_coeff=power_coeff,
+                              power_ref_w=0.05))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("snr_slope, power_coeff, expo", [
+        (0.1, -0.9, 60.0),      # opposite signs, b < 0: the dB terms give inf - inf
+        (-0.1, 0.9, -60.0),     # opposite signs, b > 0
+        (0.42, 0.0, -60.0),     # the dB terms give 0 * -inf
+        (0.42, 0.015, -60.0),
+    ])
+    def test_limit_by_the_sign_of_b(self, snr_slope, power_coeff, expo):
+        got = rho(self.profile(snr_slope, power_coeff), 0.0, Link(gain=1.0, noise=1e-3))
+        assert got == 0.95 / (1.0 + math.exp(expo))
+
+    def test_flat_axis_gives_the_constant_exponent(self):
+        # b = 0: the exponent is a at every power, so rho at 0 is rho anywhere
+        prof, link = self.profile(0.42, -0.42), Link(gain=1.0, noise=1e-3)
+        assert rho(prof, 0.0, link) == pytest.approx(rho(prof, 3.0, link), rel=1e-12)
+
+    def test_default_profile_unchanged(self):
+        assert rho(InterferenceProfile.parametric(), 0.0, make_link(10.0)) == 0.95
+
+
 class TestRhoDerivative:
     def test_constant_is_zero(self):
         link = make_link(5.0)
