@@ -28,9 +28,9 @@ sub-cell, and later water levels refine again only the groups whose tag
 changed. Each allocation owns one scratch block sized for the grid: every
 evaluation of the curves, on the grid and inside its cells, keeps its
 temporaries there, so they are neither allocated nor faulted in per call.
-Where the summed group power jumps across the
-budget at one water level, the search stops once its bracket is 1e-9 wide
-(relative) and returns the end below the budget; a step cap does the same.
+Where the summed group power jumps across the budget at one water level,
+the search stops once its bracket is 1e-9 wide (relative) and returns the
+end below the budget; a step cap does the same.
 A feasible allocation therefore never sums above the budget, and one that
 cannot spend it to within the tolerance says so in its status.
 
@@ -287,13 +287,13 @@ class _GroupArrays:
         tiny = np.finfo(float).tiny
         safe = np.maximum(p, tiny)
         kind = None if self._fused is None else self._fused.kind
-        shape = (2, self.k) + p.shape[1:]
         if kind == "parametric":
             # (user, group[, 1]) offsets against the powers' own shape
             offset = self.snr_offset_db.T.reshape((2, self.k) + (1,) * (p.ndim - 1))
             out = None
             if work is not None:
-                out = work[: _LOGISTIC_WORK * math.prod(shape)].reshape((_LOGISTIC_WORK,) + shape)
+                shape = (_LOGISTIC_WORK, 2, self.k) + p.shape[1:]
+                out = work[: math.prod(shape)].reshape(shape)
             (r1, r2), (d1, d2) = _logistic_axis(self._fused.params, offset, safe, out)
         elif kind != "table":
             r1, r2 = self.rho_pair(p)
