@@ -8,7 +8,9 @@ its ``steps`` and ``sampled_steps``, and the ``repr`` of the sum rate, the
 water level mu, the group totals, the splits and the min-rate multipliers.
 ``repr`` of a float round-trips, so the test that reads the record asserts
 exact equality: any change that moves a number must write the record again
-and say which drops moved.
+and say which drops moved. Writing the record prints, for each drop that
+moved from the file it replaces, the fields that moved and the largest
+relative change of the sum rate and of the group totals.
 
     python scripts/write_drop_record.py [--output PATH]
 """
@@ -65,13 +67,38 @@ def record() -> list:
     return [drop_entry(kind, m, drop) for kind in KINDS for m in USER_COUNTS for drop in DROPS]
 
 
+def _largest_change(got, want) -> str:
+    """Largest relative change between two lists of float reprs, as text."""
+    if len(got) != len(want):
+        return "n/a"
+    pairs = [(float(g), float(w)) for g, w in zip(got, want) if g != w]
+    return f"{max((abs(g - w) / abs(w) if w else abs(g) for g, w in pairs), default=0.0):.2g}"
+
+
+def moved_drops(got: list, want: list) -> list:
+    """One line per drop whose entry differs: the fields that moved, then the
+    largest relative change of its sum rate and of its group totals."""
+    lines = []
+    for g, w in zip(got, want):
+        if g == w:
+            continue
+        fields = sorted(k for k in g.keys() | w.keys() if g.get(k) != w.get(k))
+        lines.append(f"{w['kind']} M={w['users']} drop {w['drop']}: {', '.join(fields)}; "
+                     f"sum_rate {_largest_change([g['sum_rate']], [w['sum_rate']])}, "
+                     f"totals {_largest_change(g.get('totals', []), w.get('totals', []))}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     args = parser.parse_args(argv)
     args.output.parent.mkdir(parents=True, exist_ok=True)
+    entries = record()
+    if args.output.exists():
+        print("\n".join(moved_drops(entries, json.loads(args.output.read_text()))) or "no drop moved")
     # one drop a line, so that a diff of the record names the drops that moved
-    args.output.write_text("[\n" + ",\n".join(json.dumps(e) for e in record()) + "\n]\n")
+    args.output.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
     return 0
 
 

@@ -43,7 +43,8 @@ profile, rho and its slope come from quadratic pieces: both table
 coordinates move with x, so bilinear rho is a quadratic in x between the
 receiver's cuts, where x crosses a power node or the equal-split SNR
 crosses an SNR node. The pieces are built once per set of groups, on first
-use. The table slope stays the central difference over max(1e-9, 1e-4 p).
+use; the slope is the piece's own, from the right at a cut, and the same
+lookup gives the rate floors their Newton steps.
 """
 
 from __future__ import annotations
@@ -85,11 +86,15 @@ logger = logging.getLogger(__name__)
 
 _LN2 = float(np.log(2.0))
 _GRID_N = 1024                     # stationarity-curve samples per group
+_GRID_LOW = 1e-6                   # the grid runs geometrically from _GRID_LOW * p_max to p_max
 # a refined root samples _SUB_N sub-cells at each of _SUB_LEVELS levels:
 # 64**2 = 2**12, the width twelve bisections of a grid cell reach
 _SUB_N = 64
 _SUB_LEVELS = 2
 _SUB_FRACS = np.arange(1, _SUB_N) / _SUB_N
+# two final sub-cells, relative to the power: how far a refined root may sit
+# from where its curve crosses the water level
+_KKT_DELTA = 2.0 * (_GRID_LOW ** (-1.0 / (_GRID_N - 1)) - 1.0) / _SUB_N ** _SUB_LEVELS
 
 # stationary-point resolution markers
 _ROOT, _ZERO, _CAP = 0, 1, 2
@@ -222,33 +227,23 @@ class _GroupArrays:
     def __iter__(self):
         return iter(self.groups)
 
-    def _dispatch(self, kernel, p):
-        """Kernel values on rows stacked as all first users, then all second users."""
-        gain = np.concatenate([self.gain[:, 0], self.gain[:, 1]])
-        noise = np.concatenate([self.noise[:, 0], self.noise[:, 1]])
-        if p.ndim == 2:
-            gain, noise = gain[:, None], noise[:, None]
+    def _rows_eval(self, kernel, p):
+        """A single-link kernel on every (user, group) row, at powers that
+        broadcast against (2, K[, G]), users first."""
+        shape = np.broadcast_shapes(p.shape, (2, self.k) + p.shape[2:])
+        p = np.broadcast_to(p, shape)
+        gain, noise = (a.T.reshape((2, self.k) + (1,) * (len(shape) - 2)) for a in (self.gain, self.noise))
         if self._fused is not None:
             return kernel(self._fused, p, gain, noise)
-        plan = {}
-        for idx, prof in enumerate(self.profiles * 2):
-            plan.setdefault(id(prof), (prof, []))[1].append(idx)
-        out = np.empty(p.shape)
-        for prof, rows in plan.values():
-            rows = np.asarray(rows)
-            out[rows] = kernel(prof, p[rows], gain[rows], noise[rows])
+        out = np.empty(shape)
+        for prof in {id(q): q for q in self.profiles}.values():
+            rows = np.array([q is prof for q in self.profiles])
+            out[:, rows] = kernel(prof, p[:, rows], gain[:, rows], noise[:, rows])
         return out
 
-    def _pair_eval(self, kernel, p):
-        """Evaluate a rho kernel for both receivers; returns (val1, val2)."""
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 2:
-            p = np.broadcast_to(p, (self.k, p.shape[-1]))
-        out = self._dispatch(kernel, np.concatenate([p, p], axis=0))
-        return out[: self.k], out[self.k :]
-
     def rho_pair(self, p):
-        return self._pair_eval(_rho_kernel, p)
+        """rho of both receivers at group powers ``p``, (K,) or (K or 1, G); rows are users."""
+        return self._rows_eval(_rho_kernel, np.asarray(p, dtype=float)[None])
 
     def _table_rows(self):
         """Quadratic pieces of a fused table, and each (user, group) row's lookup base."""
@@ -261,71 +256,48 @@ class _GroupArrays:
     def work_size(self, points: int) -> int:
         """Floats of scratch that ``_pair_rate_slope`` takes at ``points`` group powers."""
         kind = None if self._fused is None else self._fused.kind
-        # two receivers; the table kind evaluates three samples per point
-        lookup = {"parametric": 2 * _LOGISTIC_WORK, "table": 2 * 3 * _PIECE_WORK}.get(kind, 0)
+        # two receivers, each with its lookup's scratch
+        lookup = {"parametric": 2 * _LOGISTIC_WORK, "table": 2 * _PIECE_WORK}.get(kind, 0)
         return (2 + lookup) * points
 
-    def rho_and_prime_pair(self, p, work=None):
-        """(rho1, rho2, rho1', rho2'), with the slopes zero at p <= 0.
+    def rho_and_prime(self, p, work=None):
+        """rho and d(rho)/dp of every (user, group) row, the slope zero at p <= 0.
 
-        Both axis forms below take x = 10*log10(p) once per power and give
-        the values at p <= 0 from ``rho_pair``. Along a group's power axis
-        the logistic exponent is a + b*x, with a per receiver from its SNR
-        offset, so one exp per receiver and point gives the value and the
-        analytic slope (see ``_logistic_axis``). The table kind takes the
-        central difference with step h = max(1e-9, 1e-4 p), its lower sample
-        kept positive. Bilinear rho is a quadratic in x between the row's
-        cuts (see ``_TablePieces``), so the value and both samples come from
-        one search of their dBW powers in the cuts and a quadratic per point.
-        Mixed-profile and constant groups use the single-link kernels.
-
-        Given ``work``, a flat float array (``_pair_rate_slope`` sizes it by
-        ``work_size``), the axis forms evaluate into it, and otherwise into
-        fresh arrays. Either way the caller may overwrite the four results.
+        ``p`` broadcasts against (2, K[, G]), users first: ``p[None]`` puts
+        both receivers of a group at its power, ``p_cols.T`` each user at
+        its own. A fused profile takes its axis form (``_logistic_axis``,
+        ``_piece_rho``), with x = 10*log10(p) once per power; its values at
+        p <= 0 come from the single-link kernels, which mixed-profile and
+        constant groups use throughout. Given ``work`` (``_pair_rate_slope``
+        sizes it by ``work_size``), the axis forms evaluate into it. Either
+        way the caller may overwrite both results.
         """
         p = np.asarray(p, dtype=float)
-        tiny = np.finfo(float).tiny
-        safe = np.maximum(p, tiny)
+        safe = np.maximum(p, np.finfo(float).tiny)
         kind = None if self._fused is None else self._fused.kind
+        rows = (2, self.k) + (1,) * (p.ndim - 2)
         if kind == "parametric":
-            # (user, group[, 1]) offsets against the powers' own shape
-            offset = self.snr_offset_db.T.reshape((2, self.k) + (1,) * (p.ndim - 1))
+            offset = self.snr_offset_db.T.reshape(rows)
             out = None
             if work is not None:
-                shape = (_LOGISTIC_WORK, 2, self.k) + p.shape[1:]
+                shape = (_LOGISTIC_WORK,) + np.broadcast_shapes(rows, p.shape)
                 out = work[: math.prod(shape)].reshape(shape)
-            (r1, r2), (d1, d2) = _logistic_axis(self._fused.params, offset, safe, out)
-        elif kind != "table":
-            r1, r2 = self.rho_pair(p)
-            d1, d2 = self._pair_eval(_rho_derivative_kernel, safe)
-        else:
-            h = np.maximum(1e-9, 1e-4 * safe)
-            up, lo = safe + h, np.maximum(safe - h, tiny)
-            x = 10.0 * np.log10(np.stack([safe, up, lo]))
+            rho, slope = _logistic_axis(self._fused.params, offset, safe, out)
+        elif kind == "table":
             pieces, base = self._table_rows()
-            # (user, 1, group[, 1]) against (sample, group or 1[, point])
-            rho = _piece_rho(pieces, base.reshape((2, 1, self.k) + (1,) * (p.ndim - 1)), x, work)
-            r1, r2 = rho[:, 0]
-            d1, d2 = np.divide(np.subtract(rho[:, 1], rho[:, 2], out=rho[:, 1]), up - lo, out=rho[:, 1])
+            rho, slope = _piece_rho(pieces, base.reshape(rows), safe, work)
+        else:
+            rho = self._rows_eval(_rho_kernel, p)
+            slope = self._rows_eval(_rho_derivative_kernel, safe)
         if np.any(p <= 0):
             zero = p <= 0
             if kind in ("table", "parametric"):
                 # the axis forms start at a positive power: the kernel gives
                 # the values at and below zero, nan or not as its profile dictates
                 with np.errstate(invalid="ignore"):
-                    z1, z2 = self.rho_pair(p)
-                r1, r2 = np.where(zero, z1, r1), np.where(zero, z2, r2)
-            d1 = np.where(zero, 0.0, d1)
-            d2 = np.where(zero, 0.0, d2)
-        return r1, r2, d1, d2
-
-    def rho_cols(self, p_cols):
-        """rho for each user column at column-specific powers; p_cols is (K, 2)."""
-        p_cols = np.asarray(p_cols, dtype=float)
-        if self._fused is not None:
-            return _rho_kernel(self._fused, p_cols, self.gain, self.noise)
-        out = self._dispatch(_rho_kernel, np.concatenate([p_cols[:, 0], p_cols[:, 1]]))
-        return np.column_stack([out[: self.k], out[self.k :]])
+                    rho = np.where(zero, self._rows_eval(_rho_kernel, p), rho)
+            slope = np.where(zero, 0.0, slope)
+        return rho, slope
 
     def take(self, rows) -> "_GroupArrays":
         sub = object.__new__(_GroupArrays)
@@ -366,7 +338,7 @@ def _pair_rate_slope(arrs: _GroupArrays, p, eta=None, work=None):
     else:
         s1, s2 = work[: math.prod(shape)].reshape(shape)
         work = work[s1.size + s2.size :]
-    rho1, rho2, rp1, rp2 = arrs.rho_and_prime_pair(p, work)
+    (rho1, rho2), (rp1, rp2) = arrs.rho_and_prime(p[None], work)
     # in place, as on the stationarity grid temporaries cost more than the
     # arithmetic, and in the operand order of d_i = rho_i e_j p g_i + n_i,
     # s_i = e_i p g_i / d_i, ds_i = e_i g_i (n_i - rp_i e_j g_i p p) / (d_i d_i)
@@ -394,46 +366,66 @@ def _pair_rate_slope(arrs: _GroupArrays, p, eta=None, work=None):
 
 
 def _min_rate_fixed_points(arrs: _GroupArrays):
-    """Solve both users' rate-binding group powers at the equal split by damped fixed point.
+    """Both users' rate-binding group powers at the equal split, by Newton steps.
 
-    Each step moves halfway to the target until the relative step falls
-    below 1e-8; one undamped step then polishes. Returns a (K, 2) array;
-    raises MinRateInfeasible when a denominator turns nonpositive and
-    ConvergenceError when 200 steps do not converge.
+    A user's rate meets its minimum R where p = T(p) = c / den(p), with
+    c = n t / g, t = 2^R - 1 and den = (1 - t rho(p)) / 2. Newton steps on
+    F(p) = p - T(p) start at p0 = T at rho = 0, below which no floor lies;
+    where F' <= 0 they take the plain step T(p), and none goes below p0. A
+    step into den <= 0, where the rate misses R at any split, is halved.
+    Once a step would move less than 1e-14 relative, T(p) polishes.
+    Returns a (K, 2) array. Raises MinRateInfeasible when den <= 0 at p0,
+    before any step, or when the steps end pinned below a power where den
+    reaches zero; ConvergenceError when 100 steps do not converge otherwise.
     """
-    t = arrs.pow2r - 1.0                     # (K, 2): 2^R - 1
-    one_minus = 1.0 - arrs.pow2r
+    # the lookup's (user, group) layout
+    t = arrs.pow2r.T - 1.0
     active = t > 0
+    c = arrs.noise.T * t / arrs.gain.T
+    k = -0.5 * t
 
-    def target(p, rows):
-        """The rate-binding power at rho(p), checked on ``rows``."""
-        denom = 0.5 + 0.5 * arrs.rho_cols(p) * one_minus
-        bad = rows & (denom <= 0)
-        if np.any(bad):
-            k_bad, col_bad = np.argwhere(bad)[0]
-            raise MinRateInfeasible(
-                f"group {k_bad}, user {col_bad + 1}: minimum rate unreachable "
-                f"(rate-binding denominator {denom[k_bad, col_bad]:.3e} <= 0)"
-            )
-        return arrs.noise * t / (arrs.gain * np.where(denom > 0, denom, 1.0))
+    def at(p):
+        """den and den' at the (2, K) powers p."""
+        den, d_den = arrs.rho_and_prime(p)
+        den *= k
+        den += 0.5
+        d_den *= k
+        return den, d_den
 
-    p = np.where(active, arrs.noise * t / (arrs.gain * 0.5), 0.0)
-    live = active.copy()
-    for _ in range(200):
+    def newton(p, den, d_den):
+        f_slope = den * den + c * d_den          # den^2 F'
+        ok = f_slope > 0
+        step = np.where(ok, c * (den + p * d_den) / np.where(ok, f_slope, 1.0), c / den)
+        return np.maximum(step, p0, out=step)
+
+    def unreachable(bad, den):
+        k_bad, col_bad = np.argwhere(bad.T)[0]
+        return MinRateInfeasible(
+            f"group {k_bad}, user {col_bad + 1}: minimum rate unreachable "
+            f"(rate-binding denominator {den[col_bad, k_bad]:.3e} <= 0)"
+        )
+
+    # a row without a minimum rate has den = 1/2 and its floor at zero; any
+    # positive power keeps it off the lookup's zero-power path
+    p0 = np.where(active, 2.0 * c, 1.0)
+    den, d_den = at(p0)
+    if np.any(active & (den <= 0)):
+        raise unreachable(active & (den <= 0), den)
+    p, live, back = p0, active.copy(), np.zeros_like(active)
+    q = newton(p, den, d_den)
+    for _ in range(100):
+        live &= back | (np.abs(q - p) >= 1e-14 * q)
         if not np.any(live):
-            break
-        new_p = np.where(live, 0.5 * p + 0.5 * target(p, live), p)
-        step = np.abs(new_p - p) / np.maximum(np.abs(new_p), np.finfo(float).tiny)
-        p = new_p
-        live = live & (step >= 1e-8)
-    else:
-        bad_rows = sorted({int(r) for r, _ in np.argwhere(live)})
-        raise ConvergenceError(f"rate-binding fixed point stalled in groups {bad_rows}")
-    if np.any(active):
-        # one undamped polish step: exact for power-independent factors and
-        # contraction-accurate otherwise
-        p = np.where(active, target(p, active), p)
-    return p
+            return np.where(active, c / den, 0.0).T
+        den_q, d_den_q = at(q)
+        back = live & (den_q <= 0)
+        take = live & ~back
+        p, den, d_den = np.where(take, q, p), np.where(take, den_q, den), np.where(take, d_den_q, d_den)
+        q = np.where(back, 0.5 * (p + q), newton(p, den, d_den))
+    if np.any(back):
+        raise unreachable(back, den_q)
+    bad_rows = sorted({int(r) for r in np.flatnonzero(live.any(axis=0))})
+    raise ConvergenceError(f"rate-binding fixed point stalled in groups {bad_rows}")
 
 
 class _WaterFiller:
@@ -449,7 +441,7 @@ class _WaterFiller:
         self.p_req = p_req
         self.steps = 0                      # exact_totals calls
         self.sampled_steps = 0              # interp_total calls
-        self.grid = np.geomspace(1e-6 * p_max, p_max, _GRID_N)
+        self.grid = np.geomspace(_GRID_LOW * p_max, p_max, _GRID_N)
         self.work = np.empty(arrs.work_size(arrs.k * _GRID_N))
         deriv = _pair_rate_slope(arrs, self.grid[None, :], work=self.work)
         self.f_grid = deriv / _LN2          # (K, N) stationarity curve samples
@@ -751,9 +743,8 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
 
 def _rate_coeff(arrs: _GroupArrays, p_k, eta, p_other):
     """Per-user multiplier coefficients of the stationarity row, and rho per user column."""
-    r1, r2, rp1, rp2 = arrs.rho_and_prime_pair(p_k)
-    rho_cols = np.column_stack([r1, r2])
-    rhop_cols = np.column_stack([rp1, rp2])
+    rho, slope = arrs.rho_and_prime(p_k[None])
+    rho_cols, rhop_cols = rho.T, slope.T
     coeff = arrs.gain * ((1.0 - arrs.pow2r) * (eta[:, ::-1] * rho_cols + rhop_cols * p_other) + eta)
     return coeff, rho_cols
 
@@ -890,9 +881,12 @@ def kkt_residuals(groups, alloc: PowerAllocation, p_max: float) -> KKTReport:
     """First-order optimality residuals of an allocation with its duals.
 
     Raw residuals keep physical units (watts, rate); normalized ones are
-    scaled by the natural magnitude of each condition. Groups at exactly
-    zero power bind the nonnegativity constraint, whose multiplier is not
-    modeled; their stationarity residual reflects that boundary honestly.
+    scaled by the natural magnitude of each condition. A table's rho slope
+    jumps at its cuts, so stationarity is the distance of mu - sum(lambda *
+    coeff) from the values the curve takes within two final refinement
+    sub-cells of the group power. Groups at exactly zero power bind the
+    nonnegativity constraint, whose multiplier is not modeled; their
+    stationarity residual reflects that boundary honestly.
     """
     arrs = _GroupArrays(groups)
     p_k = np.asarray(alloc.group_totals, dtype=float)
@@ -901,10 +895,13 @@ def kkt_residuals(groups, alloc: PowerAllocation, p_max: float) -> KKTReport:
     mu = float(alloc.mu)
     eta = np.where(p_k[:, None] > 0, splits / np.maximum(p_k, np.finfo(float).tiny)[:, None], 0.5)
 
-    eq21 = _pair_rate_slope(arrs, p_k, eta=eta) / _LN2
+    # the stationarity curve at p (1 - delta), p and p (1 + delta)
+    curve = _pair_rate_slope(arrs, p_k[:, None] * [1.0 - _KKT_DELTA, 1.0, 1.0 + _KKT_DELTA], eta=eta) / _LN2
+    eq21 = curve[:, 1]
     p_other = splits[:, ::-1]
     coeff, rho_cols = _rate_coeff(arrs, p_k, eta, p_other)
-    stationarity = np.abs(eq21 + (lam * coeff).sum(axis=1) - mu)
+    target = mu - (lam * coeff).sum(axis=1)
+    stationarity = np.maximum(curve.min(axis=1) - target, 0.0) + np.maximum(target - curve.max(axis=1), 0.0)
     stat_norm = stationarity / np.maximum(
         np.maximum(np.abs(eq21), abs(mu)), 1e-12
     )

@@ -183,12 +183,21 @@ def _axis_locate(axis: np.ndarray, x):
     return idx, t
 
 
-def _bilinear(profile: InterferenceProfile, p_dbw, snr_db_val):
+def _axis_rate(axis: np.ndarray, x, idx):
+    """d(offset)/dx of ``_axis_locate`` from the right: zero where x clamps."""
+    inside = (x >= axis[0]) & (x < axis[-1])
+    return np.where(inside, 1.0 / np.diff(axis, append=np.inf)[idx], 0.0)
+
+
+def _bilinear(profile: InterferenceProfile, p_dbw, snr_db_val, slope=False):
     """Table lookup gathered from the flattened values; ``p_dbw`` broadcasts
-    against ``snr_db_val``, so one power coordinate can serve many links."""
+    against ``snr_db_val``, so one power coordinate can serve many links.
+    ``slope`` adds the derivative, from the right, along a line on which both
+    coordinates move at unit rate."""
     p_ax, s_ax = profile.power_axis_dbw, profile.snr_axis_db
-    ip, tp = _axis_locate(p_ax, np.asarray(p_dbw, dtype=float))
-    js, ts = _axis_locate(s_ax, np.asarray(snr_db_val, dtype=float))
+    p_dbw, snr_db_val = np.asarray(p_dbw, dtype=float), np.asarray(snr_db_val, dtype=float)
+    ip, tp = _axis_locate(p_ax, p_dbw)
+    js, ts = _axis_locate(s_ax, snr_db_val)
     # a one-point axis has no upper neighbour: step 0 keeps the gather in its row
     step_s = 1 if s_ax.size > 1 else 0
     step_p = s_ax.size if p_ax.size > 1 else 0
@@ -196,7 +205,12 @@ def _bilinear(profile: InterferenceProfile, p_dbw, snr_db_val):
     base = ip * s_ax.size + js
     v00, v01 = flat[base], flat[base + step_s]
     v10, v11 = flat[base + step_p], flat[base + step_p + step_s]
-    return (1 - tp) * ((1 - ts) * v00 + ts * v01) + tp * ((1 - ts) * v10 + ts * v11)
+    value = (1 - tp) * ((1 - ts) * v00 + ts * v01) + tp * ((1 - ts) * v10 + ts * v11)
+    if not slope:
+        return value
+    along_p = ((1 - ts) * (v10 - v00) + ts * (v11 - v01)) * _axis_rate(p_ax, p_dbw, ip)
+    along_s = ((1 - tp) * (v01 - v00) + tp * (v11 - v10)) * _axis_rate(s_ax, snr_db_val, js)
+    return value, along_p + along_s
 
 
 class _TablePieces(NamedTuple):
@@ -245,36 +259,44 @@ def _table_pieces(profile: InterferenceProfile, snr_offset_db) -> _TablePieces:
 
 
 # Scratch floats per output point of the axis forms; see ``_piece_rho`` and ``_logistic_axis``.
-_PIECE_WORK, _LOGISTIC_WORK = 4, 3
+_PIECE_WORK, _LOGISTIC_WORK = 5, 3
 
 
-def _piece_rho(pieces: _TablePieces, row_base, x, work=None):
-    """rho at finite x = 10*log10(p), for rows whose lookup starts at ``row_base``.
+def _piece_rho(pieces: _TablePieces, row_base, p, work=None):
+    """rho and d(rho)/dp at powers p > 0, for rows whose lookup starts at ``row_base``.
 
-    ``row_base`` is row * (E + 1) and broadcasts against ``x``. The result and
-    its temporaries are _PIECE_WORK blocks of the broadcast shape, taken from
-    the flat float array ``work`` when one is given; the result is the first.
+    ``row_base`` is row * (E + 1) and broadcasts against ``p``. In a piece,
+    rho is a + b*u + c*u^2 in u = x - center, x = 10*log10(p), so the slope
+    is (b + 2*c*u) * 10 / (p ln10), from the right at a cut. The results and
+    their temporaries are _PIECE_WORK blocks of the broadcast shape, taken
+    from the flat float array ``work`` when one is given: rho, then slope.
     """
+    x = 10.0 * np.log10(p)
     slot = np.searchsorted(pieces.edges, x, side="right")
     shape = np.broadcast_shapes(np.shape(row_base), slot.shape)
     size = math.prod(shape)
     if work is None:
         work = np.empty(_PIECE_WORK * size)
-    out, u, col, at = work[: _PIECE_WORK * size].reshape((_PIECE_WORK,) + shape)
+    rho, slope, u, col, at = work[: _PIECE_WORK * size].reshape((_PIECE_WORK,) + shape)
     # the lookup index and the piece index are integers in float-sized blocks
     idx, at = col.view(np.int64), at.view(np.int64)
     np.add(row_base, slot, out=idx)
     pieces.lookup.take(idx, out=at, mode="clip")
     # one coefficient column at a time: u = x - center, then (q3 u + q2) u + q1
+    # and the slope in x, 2 q3 u + q2
     center, q1, q2, q3 = pieces.coef
     center.take(at, out=u, mode="clip")
     np.subtract(x, u, out=u)
-    q3.take(at, out=out, mode="clip")
-    out *= u
-    out += q2.take(at, out=col, mode="clip")
-    out *= u
-    out += q1.take(at, out=col, mode="clip")
-    return np.clip(out, 0.0, 1.0, out=out)
+    q3.take(at, out=rho, mode="clip")
+    rho *= u
+    q2.take(at, out=col, mode="clip")
+    np.multiply(rho, 2.0, out=slope)
+    slope += col
+    slope /= _LN10 / 10.0 * p
+    rho += col
+    rho *= u
+    rho += q1.take(at, out=col, mode="clip")
+    return np.clip(rho, 0.0, 1.0, out=rho), slope
 
 
 def _logistic_axis(params: LogisticRhoParams, snr_offset_db, p, out=None):
@@ -356,27 +378,23 @@ def rho(profile: InterferenceProfile, group_power: float, link: Link) -> float:
 
 
 def _rho_derivative_kernel(profile: InterferenceProfile, p, gain, noise):
-    """Unvalidated d(rho)/dp on arrays (hot path)."""
+    """Unvalidated d(rho)/dp at p > 0 on arrays (hot path)."""
     if profile.kind == "constant":
         return np.zeros(np.shape(p))
     if profile.kind == "parametric":
         offset = 10.0 * np.log10(gain / (2.0 * noise))
         return _logistic_axis(profile.params, offset, p)[1]
-    h = np.maximum(1e-9, 1e-4 * p)
-    lo = p - h
-    hi = p + h
-    # fall back to a forward difference when the lower sample would be <= 0
-    fwd = lo <= 0
-    lo = np.where(fwd, p, lo)
-    denom = np.where(fwd, h, 2.0 * h)
-    return (_rho_kernel(profile, hi, gain, noise) - _rho_kernel(profile, lo, gain, noise)) / denom
+    # both table coordinates move by 10 / (p ln10) dB per watt
+    x = 10.0 * np.log10(p)
+    return _bilinear(profile, x, _equal_split_snr_db(p, gain, noise), slope=True)[1] / (_LN10 / 10.0 * p)
 
 
 def rho_derivative_eval(profile: InterferenceProfile, group_power, gain, noise):
     """d(rho)/d(group power), vector-friendly.
 
-    Analytic for constant and parametric kinds; central finite difference
-    with step max(1e-9, 1e-4 * p) for the table kind.
+    Analytic for every kind. The table kind differentiates the bilinear
+    cell along the power axis, from the right at a grid line; a clamped
+    coordinate contributes nothing.
     """
     p = np.asarray(group_power, dtype=float)
     if np.any(p <= 0):
