@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import ConfigError, ScenarioConfig, emit_csv, run_sweep
-from .power import Group, PowerAllocation, SolverConfig, kkt_residuals, solve, split_residuals
+from .power import Group, SolverConfig, kkt_residuals, solve, split_residuals
 from .semantic_rate import InterferenceProfile, Link, calibrate_rho, save_rho_table
 from .verify import run_all
 
@@ -149,12 +150,7 @@ def _cmd_solve(args) -> int:
     groups = [Group(users=(by_id[a], by_id[b]), profile=profile) for a, b in result.pairing.pairs]
     # the dual variables certify the group-level (equal-split) stage; the
     # intra-pair resplit afterwards has its own residual, printed below
-    stage_alloc = PowerAllocation(
-        group_totals=alloc.group_totals,
-        splits=np.column_stack([alloc.group_totals / 2.0, alloc.group_totals / 2.0]),
-        mu=alloc.mu,
-        lambdas=alloc.lambdas,
-    )
+    stage_alloc = dataclasses.replace(alloc, splits=np.column_stack([alloc.group_totals / 2.0] * 2))
     report = kkt_residuals(groups, stage_alloc, p_max_w)
     print(f"total power {float(np.sum(alloc.group_totals)):.6g} of {p_max_w:.6g} W")
     print(f"max normalized group-stage KKT residual {report.max_normalized:.3e}")

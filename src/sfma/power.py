@@ -34,17 +34,19 @@ end below the budget; a step cap does the same.
 A feasible allocation therefore never sums above the budget, and one that
 cannot spend it to within the tolerance says so in its status.
 
-Along one group's power axis a receiver's equal-split SNR in dB is
-x = 10*log10(p) plus a constant, and the stationarity curves use that axis
-form when all groups share one table or logistic profile. On a logistic
-profile the exponent is affine in x, so one log10 per power and one exp per
-receiver and power give rho and its analytic slope together. On a table
-profile, rho and its slope come from quadratic pieces: both table
-coordinates move with x, so bilinear rho is a quadratic in x between the
-receiver's cuts, where x crosses a power node or the equal-split SNR
-crosses an SNR node. The pieces are built once per set of groups, on first
-use; the slope is the piece's own, from the right at a cut, and the same
-lookup gives the rate floors their Newton steps.
+The groups of one allocation share one rho profile; constant profiles may
+differ, one value per group. Along one group's power axis a receiver's
+equal-split SNR in dB is x = 10*log10(p) plus a constant, so each
+receiver's rho is a function of x, and one power-axis lookup of the
+profile (``semantic_rate._RhoAxis``), built once per set of groups on
+first use, gives rho and its analytic slope together to every stage: the
+stationarity curves, the rate floors' Newton steps, the multipliers and the
+pair split. On a logistic profile the exponent is affine in x, so one
+log10 per power and one exp per receiver and power give both. On a table
+profile, both table coordinates move with x, so bilinear rho is a
+quadratic in x between the receiver's cuts, where x crosses a power node
+or the equal-split SNR crosses an SNR node; the slope is the piece's own,
+from the right at a cut.
 """
 
 from __future__ import annotations
@@ -56,16 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pairing import PairingAssignment, pair_users
-from .semantic_rate import (
-    _LOGISTIC_WORK,
-    _PIECE_WORK,
-    InterferenceProfile,
-    _logistic_axis,
-    _piece_rho,
-    _rho_derivative_kernel,
-    _rho_kernel,
-    _table_pieces,
-)
+from .semantic_rate import InterferenceProfile, _one_profile, _RhoAxis
 
 __all__ = [
     "Group",
@@ -113,7 +106,9 @@ class Group:
     """Two paired users sharing one resource block.
 
     The group-level stage works at the equal intra-pair split; the
-    pair-level stage then chooses each group's split.
+    pair-level stage then chooses each group's split. The groups of one
+    allocation share one profile, or hold constant profiles; any other mix
+    is a ValueError.
     """
 
     users: tuple  # (UserTerminal, UserTerminal)
@@ -174,18 +169,15 @@ class SolverConfig:
     alpha: float = 0.1
     delta_max: float = 4.0
     profile: InterferenceProfile = field(default_factory=lambda: InterferenceProfile.constant(1.0))
-    inter_tol_w: float | None = None     # default 1e-8 * p_max
 
     def __post_init__(self):
         # nan fails no comparison, so it must be caught before the range checks
-        for name in ("p_max_w", "alpha", "delta_max", "inter_tol_w"):
+        for name in ("p_max_w", "alpha", "delta_max"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
+            if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.p_max_w <= 0:
             raise ValueError(f"p_max_w must be positive, got {self.p_max_w}")
-        if self.inter_tol_w is not None and self.inter_tol_w <= 0:
-            raise ValueError(f"inter_tol_w must be positive, got {self.inter_tol_w}")
         if self.alpha < 0 or self.delta_max < 0:
             raise ValueError("alpha and delta_max must be nonnegative")
 
@@ -201,10 +193,13 @@ class SolveResult:
 
 
 class _GroupArrays:
-    """Column-wise numpy views of a list of groups with fused rho dispatch.
+    """Column-wise numpy views of a list of groups, and their rho lookup.
 
-    It iterates over its groups, so it can stand wherever a list of groups
-    is taken.
+    The groups of one allocation share one rho profile: profiles equal in
+    kind and values are one, and constant profiles may differ, each group
+    keeping its own value. Any other mix raises ValueError here, before any
+    work. It iterates over its groups, so it can stand wherever a list of
+    groups is taken.
     """
 
     def __init__(self, groups):
@@ -216,88 +211,43 @@ class _GroupArrays:
         self.noise = np.array([[u.link.noise for u in g.users] for g in self.groups])
         self.min_rate = np.array([[u.min_rate for u in g.users] for g in self.groups])
         self.pow2r = 2.0 ** self.min_rate
-        # equal-split SNR in dB is 10*log10(p) plus this per-user offset
-        self.snr_offset_db = 10.0 * np.log10(self.gain / (2.0 * self.noise))
-        self.profiles = [g.profile for g in self.groups]
-        uniq = {id(p) for p in self.profiles}
-        self._fused = self.profiles[0] if len(uniq) == 1 else None
-        self._pieces = None     # table pieces of these rows, built on first use
-        self._piece_base = None
+        self._profile, self._rho_value = _one_profile(g.profile for g in self.groups)
+        self._axis = None       # the rho lookup of these rows, built on first use
 
     def __iter__(self):
         return iter(self.groups)
 
-    def _rows_eval(self, kernel, p):
-        """A single-link kernel on every (user, group) row, at powers that
-        broadcast against (2, K[, G]), users first."""
-        shape = np.broadcast_shapes(p.shape, (2, self.k) + p.shape[2:])
-        p = np.broadcast_to(p, shape)
-        gain, noise = (a.T.reshape((2, self.k) + (1,) * (len(shape) - 2)) for a in (self.gain, self.noise))
-        if self._fused is not None:
-            return kernel(self._fused, p, gain, noise)
-        out = np.empty(shape)
-        for prof in {id(q): q for q in self.profiles}.values():
-            rows = np.array([q is prof for q in self.profiles])
-            out[:, rows] = kernel(prof, p[:, rows], gain[:, rows], noise[:, rows])
-        return out
+    def rho_axis(self):
+        """The power-axis rho lookup of every (user, group) row, rows (2, K, 1)."""
+        if self._axis is None:
+            rows = (2, self.k, 1)
+            value = None if self._rho_value is None else self._rho_value[:, None]
+            self._axis = _RhoAxis(self._profile, self.gain.T.reshape(rows), self.noise.T.reshape(rows), value)
+        return self._axis
 
     def rho_pair(self, p):
         """rho of both receivers at group powers ``p``, (K,) or (K or 1, G); rows are users."""
-        return self._rows_eval(_rho_kernel, np.asarray(p, dtype=float)[None])
-
-    def _table_rows(self):
-        """Quadratic pieces of a fused table, and each (user, group) row's lookup base."""
-        if self._pieces is None:
-            self._pieces = _table_pieces(self._fused, self.snr_offset_db.T)
-            span = self._pieces.edges.size + 1
-            self._piece_base = span * np.arange(2 * self.k).reshape(2, self.k)
-        return self._pieces, self._piece_base
+        return self.rho_and_prime(np.asarray(p, dtype=float)[None])[0]
 
     def work_size(self, points: int) -> int:
         """Floats of scratch that ``_pair_rate_slope`` takes at ``points`` group powers."""
-        kind = None if self._fused is None else self._fused.kind
-        # two receivers, each with its lookup's scratch
-        lookup = {"parametric": 2 * _LOGISTIC_WORK, "table": 2 * _PIECE_WORK}.get(kind, 0)
-        return (2 + lookup) * points
+        # two rate terms, and two receivers, each with its lookup's scratch
+        return (2 + 2 * self.rho_axis().work) * points
 
     def rho_and_prime(self, p, work=None):
-        """rho and d(rho)/dp of every (user, group) row, the slope zero at p <= 0.
+        """rho and d(rho)/dp of every (user, group) row from the rho lookup.
 
         ``p`` broadcasts against (2, K[, G]), users first: ``p[None]`` puts
         both receivers of a group at its power, ``p_cols.T`` each user at
-        its own. A fused profile takes its axis form (``_logistic_axis``,
-        ``_piece_rho``), with x = 10*log10(p) once per power; its values at
-        p <= 0 come from the single-link kernels, which mixed-profile and
-        constant groups use throughout. Given ``work`` (``_pair_rate_slope``
-        sizes it by ``work_size``), the axis forms evaluate into it. Either
-        way the caller may overwrite both results.
+        its own. Given ``work`` (``_pair_rate_slope`` sizes it by
+        ``work_size``), the lookup evaluates into it. Either way the caller
+        may overwrite both results.
         """
         p = np.asarray(p, dtype=float)
-        safe = np.maximum(p, np.finfo(float).tiny)
-        kind = None if self._fused is None else self._fused.kind
-        rows = (2, self.k) + (1,) * (p.ndim - 2)
-        if kind == "parametric":
-            offset = self.snr_offset_db.T.reshape(rows)
-            out = None
-            if work is not None:
-                shape = (_LOGISTIC_WORK,) + np.broadcast_shapes(rows, p.shape)
-                out = work[: math.prod(shape)].reshape(shape)
-            rho, slope = _logistic_axis(self._fused.params, offset, safe, out)
-        elif kind == "table":
-            pieces, base = self._table_rows()
-            rho, slope = _piece_rho(pieces, base.reshape(rows), safe, work)
-        else:
-            rho = self._rows_eval(_rho_kernel, p)
-            slope = self._rows_eval(_rho_derivative_kernel, safe)
-        if np.any(p <= 0):
-            zero = p <= 0
-            if kind in ("table", "parametric"):
-                # the axis forms start at a positive power: the kernel gives
-                # the values at and below zero, nan or not as its profile dictates
-                with np.errstate(invalid="ignore"):
-                    rho = np.where(zero, self._rows_eval(_rho_kernel, p), rho)
-            slope = np.where(zero, 0.0, slope)
-        return rho, slope
+        if p.ndim == 3:
+            return self.rho_axis()(p, work)
+        rho, slope = self.rho_axis()(p[..., None], work)
+        return rho[..., 0], slope[..., 0]
 
     def take(self, rows) -> "_GroupArrays":
         sub = object.__new__(_GroupArrays)
@@ -307,11 +257,7 @@ class _GroupArrays:
         sub.noise = self.noise[rows]
         sub.min_rate = self.min_rate[rows]
         sub.pow2r = self.pow2r[rows]
-        sub.snr_offset_db = self.snr_offset_db[rows]
-        sub.profiles = [self.profiles[i] for i in rows]
-        sub._fused = self._fused
-        sub._pieces = self._pieces
-        sub._piece_base = None if self._piece_base is None else self._piece_base[:, rows]
+        sub._axis = self.rho_axis().take(rows, axis=1)
         return sub
 
 
@@ -372,11 +318,15 @@ def _min_rate_fixed_points(arrs: _GroupArrays):
     c = n t / g, t = 2^R - 1 and den = (1 - t rho(p)) / 2. Newton steps on
     F(p) = p - T(p) start at p0 = T at rho = 0, below which no floor lies;
     where F' <= 0 they take the plain step T(p), and none goes below p0. A
-    step into den <= 0, where the rate misses R at any split, is halved.
-    Once a step would move less than 1e-14 relative, T(p) polishes.
-    Returns a (K, 2) array. Raises MinRateInfeasible when den <= 0 at p0,
-    before any step, or when the steps end pinned below a power where den
-    reaches zero; ConvergenceError when 100 steps do not converge otherwise.
+    step into den <= 0, where the rate misses R at any split, is retried as
+    the plain step if that is shorter, else halved. Once a step would move
+    less than 1e-14 relative, T(p) polishes. Returns a (K, 2) array.
+    Raises MinRateInfeasible when den <= 0 at p0, before any step, or when
+    the row is pinned below a power where den reaches zero: a step no
+    longer than the plain one lands there from a p at which rho does not
+    fall. While rho keeps rising up to that step, every power x below it
+    has x den(x) <= x den(p) < c, short of the rate. ConvergenceError when
+    100 steps do not converge.
     """
     # the lookup's (user, group) layout
     t = arrs.pow2r.T - 1.0
@@ -419,11 +369,13 @@ def _min_rate_fixed_points(arrs: _GroupArrays):
             return np.where(active, c / den, 0.0).T
         den_q, d_den_q = at(q)
         back = live & (den_q <= 0)
+        pinned = back & (q <= c / den) & (d_den <= 0)
+        if np.any(pinned):
+            raise unreachable(pinned, den_q)
         take = live & ~back
         p, den, d_den = np.where(take, q, p), np.where(take, den_q, den), np.where(take, d_den_q, d_den)
-        q = np.where(back, 0.5 * (p + q), newton(p, den, d_den))
-    if np.any(back):
-        raise unreachable(back, den_q)
+        plain = c / den
+        q = np.where(back, np.where((p < plain) & (plain < q), plain, 0.5 * (p + q)), newton(p, den, d_den))
     bad_rows = sorted({int(r) for r in np.flatnonzero(live.any(axis=0))})
     raise ConvergenceError(f"rate-binding fixed point stalled in groups {bad_rows}")
 
@@ -982,7 +934,7 @@ def solve(users, config: SolverConfig) -> SolveResult:
     by_id = {u.id: u for u in users}
     arrs = _GroupArrays(Group(users=(by_id[a], by_id[b]), profile=config.profile)
                         for a, b in assignment.pairs)
-    alloc = inter_group_allocate(arrs, config.p_max_w, tol=config.inter_tol_w)
+    alloc = inter_group_allocate(arrs, config.p_max_w)
     if not alloc.feasible:
         return result("power", alloc)
 

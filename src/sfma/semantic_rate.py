@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _LN10 = float(np.log(10.0))
+_TINY = float(np.finfo(float).tiny)
 _DEFAULT_TABLE_RESOURCE = "rho_default.csv"
 
 
@@ -183,17 +184,9 @@ def _axis_locate(axis: np.ndarray, x):
     return idx, t
 
 
-def _axis_rate(axis: np.ndarray, x, idx):
-    """d(offset)/dx of ``_axis_locate`` from the right: zero where x clamps."""
-    inside = (x >= axis[0]) & (x < axis[-1])
-    return np.where(inside, 1.0 / np.diff(axis, append=np.inf)[idx], 0.0)
-
-
-def _bilinear(profile: InterferenceProfile, p_dbw, snr_db_val, slope=False):
+def _bilinear(profile: InterferenceProfile, p_dbw, snr_db_val):
     """Table lookup gathered from the flattened values; ``p_dbw`` broadcasts
-    against ``snr_db_val``, so one power coordinate can serve many links.
-    ``slope`` adds the derivative, from the right, along a line on which both
-    coordinates move at unit rate."""
+    against ``snr_db_val``, so one power coordinate can serve many links."""
     p_ax, s_ax = profile.power_axis_dbw, profile.snr_axis_db
     p_dbw, snr_db_val = np.asarray(p_dbw, dtype=float), np.asarray(snr_db_val, dtype=float)
     ip, tp = _axis_locate(p_ax, p_dbw)
@@ -205,12 +198,7 @@ def _bilinear(profile: InterferenceProfile, p_dbw, snr_db_val, slope=False):
     base = ip * s_ax.size + js
     v00, v01 = flat[base], flat[base + step_s]
     v10, v11 = flat[base + step_p], flat[base + step_p + step_s]
-    value = (1 - tp) * ((1 - ts) * v00 + ts * v01) + tp * ((1 - ts) * v10 + ts * v11)
-    if not slope:
-        return value
-    along_p = ((1 - ts) * (v10 - v00) + ts * (v11 - v01)) * _axis_rate(p_ax, p_dbw, ip)
-    along_s = ((1 - tp) * (v01 - v00) + tp * (v11 - v10)) * _axis_rate(s_ax, snr_db_val, js)
-    return value, along_p + along_s
+    return (1 - tp) * ((1 - ts) * v00 + ts * v01) + tp * ((1 - ts) * v10 + ts * v11)
 
 
 class _TablePieces(NamedTuple):
@@ -258,77 +246,143 @@ def _table_pieces(profile: InterferenceProfile, snr_offset_db) -> _TablePieces:
     return _TablePieces(edges, lookup.ravel(), np.stack([center, f_mid, b, c]).reshape(4, -1))
 
 
-# Scratch floats per output point of the axis forms; see ``_piece_rho`` and ``_logistic_axis``.
-_PIECE_WORK, _LOGISTIC_WORK = 5, 3
+def _same_profile(a: InterferenceProfile, b: InterferenceProfile) -> bool:
+    """Equal in kind and values."""
+    return a is b or ((a.kind, a.constant_value, a.params) == (b.kind, b.constant_value, b.params) and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in ("power_axis_dbw", "snr_axis_db", "values")))
 
 
-def _piece_rho(pieces: _TablePieces, row_base, p, work=None):
-    """rho and d(rho)/dp at powers p > 0, for rows whose lookup starts at ``row_base``.
+def _one_profile(profiles):
+    """The one rho profile of a set of groups, and each group's constant rho.
 
-    ``row_base`` is row * (E + 1) and broadcasts against ``p``. In a piece,
-    rho is a + b*u + c*u^2 in u = x - center, x = 10*log10(p), so the slope
-    is (b + 2*c*u) * 10 / (p ln10), from the right at a cut. The results and
-    their temporaries are _PIECE_WORK blocks of the broadcast shape, taken
-    from the flat float array ``work`` when one is given: rho, then slope.
+    Profiles equal in kind and values are one profile. Constant profiles
+    may differ: the second result is then the groups' constants, and None
+    for any other kind. Any other mix raises ValueError.
     """
-    x = 10.0 * np.log10(p)
-    slot = np.searchsorted(pieces.edges, x, side="right")
-    shape = np.broadcast_shapes(np.shape(row_base), slot.shape)
-    size = math.prod(shape)
-    if work is None:
-        work = np.empty(_PIECE_WORK * size)
-    rho, slope, u, col, at = work[: _PIECE_WORK * size].reshape((_PIECE_WORK,) + shape)
-    # the lookup index and the piece index are integers in float-sized blocks
-    idx, at = col.view(np.int64), at.view(np.int64)
-    np.add(row_base, slot, out=idx)
-    pieces.lookup.take(idx, out=at, mode="clip")
-    # one coefficient column at a time: u = x - center, then (q3 u + q2) u + q1
-    # and the slope in x, 2 q3 u + q2
-    center, q1, q2, q3 = pieces.coef
-    center.take(at, out=u, mode="clip")
-    np.subtract(x, u, out=u)
-    q3.take(at, out=rho, mode="clip")
-    rho *= u
-    q2.take(at, out=col, mode="clip")
-    np.multiply(rho, 2.0, out=slope)
-    slope += col
-    slope /= _LN10 / 10.0 * p
-    rho += col
-    rho *= u
-    rho += q1.take(at, out=col, mode="clip")
-    return np.clip(rho, 0.0, 1.0, out=rho), slope
+    profiles = list(profiles)
+    first = profiles[0]
+    if all(q.kind == "constant" for q in profiles):
+        return first, np.array([q.constant_value for q in profiles])
+    if not all(_same_profile(q, first) for q in profiles):
+        raise ValueError("the groups of one allocation must share one rho profile; "
+                         "only constant profiles may differ by group")
+    return first, None
 
 
-def _logistic_axis(params: LogisticRhoParams, snr_offset_db, p, out=None):
-    """Logistic rho and d(rho)/dp at powers p > 0, for receivers at fixed SNR offsets.
+class _RhoAxis:
+    """rho and d(rho)/dp of fixed receivers along the group-power axis, for every kind.
 
-    A receiver's equal-split SNR in dB is x + snr_offset_db, with
-    x = 10*log10(p), so its exponent is affine along the power axis:
-    a + b*x, with b = snr_slope + power_coeff and a fixed per receiver.
-    x is taken once on p's own shape; ``snr_offset_db`` broadcasts against p.
-    ``out``, if given, is _LOGISTIC_WORK arrays of the broadcast shape: rho,
-    the slope and a scratch block.
+    The receivers are the rows: ``gain`` and ``noise`` broadcast to the row
+    shape, and the powers of a lookup broadcast against it. A receiver's
+    equal-split SNR in dB is x + offset, with x = 10*log10(p), so each kind
+    is a function of x per row, set by ``row``:
+
+    * constant -- the row's value (``value``, else the profile's), zero slope;
+    * table -- the start, row * (E + 1), of the row's lookup in
+      ``_table_pieces``. In a piece rho is a + b*u + c*u^2 in u = x - center,
+      so the slope is (b + 2*c*u) * 10 / (p ln10), from the right at a cut;
+    * parametric -- the intercept a of the logistic exponent a + b*x, with
+      b = snr_slope + power_coeff: one exp per row and power.
+
+    ``work`` is the scratch floats a lookup takes per output point. Given a
+    flat float array of that many per point, it keeps its results and
+    temporaries there; either way the caller may overwrite both results.
+    At p <= 0 the value is the single-link kernel's, nan or not as the
+    profile dictates, and the slope is zero.
     """
-    b = params.snr_slope + params.power_coeff
-    a = params.snr_slope * (snr_offset_db - params.snr_mid_db) \
-        - params.power_coeff * 10.0 * np.log10(params.power_ref_w)
-    x = 10.0 * np.log10(p)
-    bx = b * x
-    if out is None:
-        shape = np.broadcast_shapes(bx.shape, np.shape(a))
-        out = [np.empty(shape) for _ in range(_LOGISTIC_WORK)]
-    rho, slope, den = out
-    np.add(bx, a, out=den)
-    np.clip(den, -60.0, 60.0, out=den)
-    np.exp(den, out=den)
-    den += 1.0
-    np.divide(params.limit, den, out=rho)
-    sig = np.reciprocal(den, out=den)
-    # d(expo)/dp = 10 b / (p ln10)
-    np.multiply(-params.limit, sig, out=slope)
-    slope *= np.subtract(1.0, sig, out=den)
-    slope *= 10.0 * b / (p * _LN10)
-    return rho, slope
+
+    def __init__(self, profile: InterferenceProfile, gain, noise, value=None):
+        self.profile = profile
+        self.gain, self.noise = np.broadcast_arrays(np.asarray(gain, dtype=float), np.asarray(noise, dtype=float))
+        self.offset = 10.0 * np.log10(self.gain / (2.0 * self.noise))
+        self.work = {"constant": 2, "table": 5, "parametric": 3}[profile.kind]
+        if profile.kind == "table":
+            self.pieces = _table_pieces(profile, self.offset)
+            self.row = (self.pieces.edges.size + 1) * np.arange(self.offset.size).reshape(self.offset.shape)
+        elif profile.kind == "parametric":
+            prm = profile.params
+            self.row = prm.snr_slope * (self.offset - prm.snr_mid_db) \
+                - prm.power_coeff * 10.0 * np.log10(prm.power_ref_w)
+        else:
+            value = profile.constant_value if value is None else value
+            self.row = np.broadcast_to(value, np.broadcast_shapes(np.shape(value), self.offset.shape))
+
+    def __call__(self, p, work=None):
+        p = np.asarray(p, dtype=float)
+        shape = np.broadcast(self.offset, p).shape
+        size = math.prod(shape)
+        if work is None:
+            work = np.empty(self.work * size)
+        blocks = work[: self.work * size].reshape((self.work,) + shape)
+        # indexed with an ellipsis, a block of a scalar lookup stays an array
+        blocks = [blocks[i, ...] for i in range(self.work)]
+        safe = np.maximum(p, _TINY)
+        kind = self.profile.kind
+        if kind == "table":
+            rho, slope = self._table(safe, *blocks)
+        elif kind == "parametric":
+            rho, slope = self._logistic(safe, *blocks)
+        else:
+            rho, slope = self._constant(*blocks)
+        if np.any(p <= 0):
+            zero = p <= 0
+            if kind != "constant":
+                with np.errstate(invalid="ignore"):
+                    rho = np.where(zero, _rho_kernel(self.profile, p, self.gain, self.noise), rho)
+            slope = np.where(zero, 0.0, slope)
+        return rho, slope
+
+    def take(self, rows, axis) -> "_RhoAxis":
+        """The lookup of the rows ``rows`` along ``axis`` of the row shape."""
+        sub = object.__new__(_RhoAxis)
+        sub.__dict__.update(self.__dict__)
+        for name in ("gain", "noise", "offset", "row"):
+            setattr(sub, name, getattr(self, name).take(rows, axis=axis))
+        return sub
+
+    def _constant(self, rho, slope):
+        rho[...] = self.row
+        slope[...] = 0.0
+        return rho, slope
+
+    def _table(self, p, rho, slope, u, col, at):
+        pieces = self.pieces
+        x = 10.0 * np.log10(p)
+        slot = np.searchsorted(pieces.edges, x, side="right")
+        # the lookup index and the piece index are integers in float-sized blocks
+        idx, at = col.view(np.int64), at.view(np.int64)
+        np.add(self.row, slot, out=idx)
+        pieces.lookup.take(idx, out=at, mode="clip")
+        # one coefficient column at a time: u = x - center, then (q3 u + q2) u + q1
+        # and the slope in x, 2 q3 u + q2
+        center, q1, q2, q3 = pieces.coef
+        center.take(at, out=u, mode="clip")
+        np.subtract(x, u, out=u)
+        q3.take(at, out=rho, mode="clip")
+        rho *= u
+        q2.take(at, out=col, mode="clip")
+        np.multiply(rho, 2.0, out=slope)
+        slope += col
+        slope /= _LN10 / 10.0 * p
+        rho += col
+        rho *= u
+        rho += q1.take(at, out=col, mode="clip")
+        return np.clip(rho, 0.0, 1.0, out=rho), slope
+
+    def _logistic(self, p, rho, slope, den):
+        params = self.profile.params
+        b = params.snr_slope + params.power_coeff
+        np.add(b * (10.0 * np.log10(p)), self.row, out=den)
+        np.clip(den, -60.0, 60.0, out=den)
+        np.exp(den, out=den)
+        den += 1.0
+        np.divide(params.limit, den, out=rho)
+        sig = np.reciprocal(den, out=den)
+        # d(expo)/dp = 10 b / (p ln10)
+        np.multiply(-params.limit, sig, out=slope)
+        slope *= np.subtract(1.0, sig, out=den)
+        slope *= 10.0 * b / (p * _LN10)
+        return rho, slope
 
 
 def _parametric_rho(params: LogisticRhoParams, group_power, gain, noise):
@@ -377,29 +431,18 @@ def rho(profile: InterferenceProfile, group_power: float, link: Link) -> float:
     return rho_eval(profile, group_power, link.gain, link.noise)
 
 
-def _rho_derivative_kernel(profile: InterferenceProfile, p, gain, noise):
-    """Unvalidated d(rho)/dp at p > 0 on arrays (hot path)."""
-    if profile.kind == "constant":
-        return np.zeros(np.shape(p))
-    if profile.kind == "parametric":
-        offset = 10.0 * np.log10(gain / (2.0 * noise))
-        return _logistic_axis(profile.params, offset, p)[1]
-    # both table coordinates move by 10 / (p ln10) dB per watt
-    x = 10.0 * np.log10(p)
-    return _bilinear(profile, x, _equal_split_snr_db(p, gain, noise), slope=True)[1] / (_LN10 / 10.0 * p)
-
-
 def rho_derivative_eval(profile: InterferenceProfile, group_power, gain, noise):
-    """d(rho)/d(group power), vector-friendly.
+    """d(rho)/d(group power), vector-friendly; scalar inputs give a float.
 
-    Analytic for every kind. The table kind differentiates the bilinear
-    cell along the power axis, from the right at a grid line; a clamped
-    coordinate contributes nothing.
+    The power and the link arrays broadcast together. The slope is the
+    power-axis lookup's, the one the solver reads: analytic for every kind,
+    and for a table the derivative of its quadratic piece, from the right at
+    a cut.
     """
     p = np.asarray(group_power, dtype=float)
     if np.any(p <= 0):
         raise ValueError("group power must be positive for the derivative")
-    out = _rho_derivative_kernel(profile, p, gain, noise)
+    out = _RhoAxis(profile, gain, noise)(p)[1]
     return float(out) if np.ndim(out) == 0 else out
 
 

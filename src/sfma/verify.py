@@ -191,7 +191,8 @@ def random_users(rng, m, *, noise_w=10.0 ** (-10.4), snr_floor_db=-5.0, snr_ceil
 
 
 def random_groups(rng, k, profile=None, *, min_rate_range=(0.3, 1.2), **kwargs):
-    """Random 2-user groups, one shared profile (constant by default)."""
+    """Random 2-user groups sharing ``profile``; without one, each group draws
+    its own constant rho from [0, 0.9)."""
     users = random_users(rng, 2 * k, min_rate=0.0, **kwargs)
     groups = []
     for i in range(k):

@@ -45,9 +45,9 @@ from sfma.semantic_rate import (
     _LN10,
     _bilinear,
     _equal_split_snr_db,
-    _rho_derivative_kernel,
     _rho_kernel,
     pair_sum_rate,
+    rho_derivative_eval,
     rho_eval,
     sinr_conventional,
     sinr_semantic,
@@ -191,6 +191,35 @@ class TestMinRateNewton:
                 rho = rho_eval(profile, p, link.gain, link.noise)
                 assert np.all(0.5 * p * link.gain * (1.0 - t * rho) < link.noise * t)
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rising_profile_decided_early(self, seed):
+        # a rate that no power reaches is MinRateInfeasible within a few
+        # lookups, never ConvergenceError, however the steps near the power
+        # where den reaches zero fall
+        profile = InterferenceProfile.parametric(LogisticRhoParams(snr_slope=0.1, snr_mid_db=10.0, power_coeff=-0.5))
+        rng = np.random.default_rng(seed)
+        lookups = []
+        for _ in range(300):
+            arrs = _GroupArrays(random_groups(rng, 1, profile, min_rate_range=(0.2, 2.5)))
+            calls = []
+            lookup = arrs.rho_and_prime
+            arrs.rho_and_prime = lambda p, work=None: calls.append(p) or lookup(p, work)
+            try:
+                _min_rate_fixed_points(arrs)
+                feasible = True
+            except MinRateInfeasible:
+                feasible = False
+            lookups.append(len(calls))
+            # the decision of a dense grid of the equal-split rate from p0 to 1e12 p0
+            reached = []
+            for user, t in zip(arrs.groups[0].users, arrs.pow2r[0] - 1.0):
+                link = user.link
+                p = np.geomspace(2.0 * link.noise * t / link.gain, 2e12 * link.noise * t / link.gain, 4001)
+                rho = rho_eval(profile, p, link.gain, link.noise)
+                reached.append(t == 0 or np.any(0.5 * p * link.gain * (1.0 - t * rho) >= link.noise * t))
+            assert feasible == all(reached)
+        assert max(lookups) <= 20
 
 
 def stationary_point(group, mu, p_max):
@@ -615,7 +644,7 @@ class TestSolve:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("field", ["p_max_w", "alpha", "delta_max", "inter_tol_w"])
+    @pytest.mark.parametrize("field", ["p_max_w", "alpha", "delta_max"])
     def test_non_finite_rejected(self, field):
         users = random_users(np.random.default_rng(0), 6, min_rate=0.5)
         for bad in (float("nan"), float("inf")):
@@ -625,8 +654,6 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0])
     def test_nonpositive_tolerance_rejected(self, tol):
-        with pytest.raises(ValueError, match="inter_tol_w"):
-            SolverConfig(p_max_w=10.0, inter_tol_w=tol)
         groups = random_groups(np.random.default_rng(0), 3, None, min_rate_range=(0.2, 1.0))
         with pytest.raises(ValueError, match="tol must be positive"):
             inter_group_allocate(groups, 10.0, tol=tol)
@@ -772,19 +799,18 @@ def table_bounds(profile):
 
 def row_cuts(arrs):
     """Each (user, group) row's cuts in x = 10*log10(p), sorted: (2, K, C)."""
-    profile = arrs._fused
-    off = arrs.snr_offset_db.T[..., None]
+    profile = arrs.groups[0].profile
+    off = arrs.rho_axis().offset
     p_ax = np.broadcast_to(profile.power_axis_dbw, off.shape[:2] + profile.power_axis_dbw.shape)
     return np.sort(np.concatenate([p_ax, profile.snr_axis_db - off], axis=2), axis=2)
 
 
-def piece_span(arrs, x):
-    """For x of shape (G,): each row's distance to its nearest cut and the
-    width of its piece holding x, each (2, K, G)."""
+def cut_distance(arrs, x):
+    """For x of shape (G,): each row's distance to its nearest cut, (2, K, G)."""
     cuts = row_cuts(arrs)[..., None]
     below = np.where(cuts <= x, cuts, -np.inf).max(axis=2)
     above = np.where(cuts > x, cuts, np.inf).min(axis=2)
-    return np.minimum(x - below, above - x), above - below
+    return np.minimum(x - below, above - x)
 
 
 def assert_lookup_matches_kernels(arrs, p):
@@ -792,26 +818,18 @@ def assert_lookup_matches_kernels(arrs, p):
 
     - rho is ``_bilinear`` at the lookup's coordinates x and x + offset, to
       1e-15.
-    - Away from the cuts the slope is the single-link kernel's, to
-      rounding. At a cut the two coordinate forms can round to different
-      sides; ``assert_right_slope_at_cuts`` covers the cuts.
     - Where p +- 2h stays inside one piece, the slope is the central
       difference of ``_rho_kernel`` with h = 1e-4 p, up to its truncation
-      error.
+      error. ``assert_right_slope_at_cuts`` covers the cuts.
     """
-    profile = arrs._fused
+    profile = arrs.groups[0].profile
     rho, slope = arrs.rho_and_prime(p[None])
     x = 10.0 * np.log10(p)
-    off = arrs.snr_offset_db.T[..., None]
+    off = arrs.rho_axis().offset
     np.testing.assert_allclose(rho, np.clip(_bilinear(profile, x, x + off), 0.0, 1.0), rtol=0, atol=1e-15)
     gain, noise = arrs.gain.T[..., None], arrs.noise.T[..., None]
     q1, q2 = table_bounds(profile)
-    dist, width = piece_span(arrs, x[0])
-    # in units of x: the pieces' b and c are fitted from three rounded samples,
-    # to a few eps over the piece's width, and u = x - center rounds to eps |x|
-    x_gap = np.abs(slope - _rho_derivative_kernel(profile, p, gain, noise)) * p / _X_PER_LN_P
-    away = dist > 1e-9
-    assert np.all((x_gap <= 16.0 * _EPS * (1.0 / width + q2 * (1.0 + np.abs(x))))[away])
+    dist = cut_distance(arrs, x[0])
     # rho = q(x) has a zero third derivative in x, so with k = 10 / ln10 its
     # third derivative in p is at most (3 q'' k^2 + 2 q' k) / p^3, and the
     # central difference is off by that times h^2 / 6 at most. Each value
@@ -837,7 +855,7 @@ def assert_right_slope_at_cuts(arrs):
     table varies, some cut must tell the right-hand slope from the
     left-hand one, or the check would show nothing.
     """
-    profile = arrs._fused
+    profile = arrs.groups[0].profile
     cuts = row_cuts(arrs)
     p = 10.0 ** (cuts / 10.0)
     while np.any(early := 10.0 * np.log10(p) < cuts):
@@ -889,8 +907,8 @@ class TestPairLookup:
             want = reference_logistic_derivative(profile, full, gain, noise)
             value_atol, slope_atol = logistic_tolerance(profile.params, full, gain, noise, value)
             assert np.all(np.abs(r - value) <= value_atol)
-            # the single-link kernel takes the axis form too
-            for slope in (d, _rho_derivative_kernel(profile, full, gain, noise)):
+            # the single-link derivative reads the same lookup
+            for slope in (d, rho_derivative_eval(profile, full, gain, noise)):
                 assert np.all(np.abs(slope - want) <= 1e-12 * np.abs(want) + slope_atol)
         if name == "logistic":
             # the clipped rows sit at the floor (+300 dB) and on the plateau (-300 dB)
@@ -958,8 +976,8 @@ class TestPairLookup:
     def test_snr_node_on_a_power_node(self, offsets):
         profile = edge_tables()["non-uniform"]
         arrs = arrays_at(profile, [offsets])
-        assert tuple(arrs.snr_offset_db[0]) == offsets
-        pieces, _ = arrs._table_rows()
+        assert tuple(arrs.rho_axis().offset[:, 0, 0]) == offsets
+        pieces = arrs.rho_axis().pieces
         # rows are user 1 then user 2; a repeated cut makes a zero-width piece
         cuts = row_cuts(arrs)[:, 0]
         n_pieces = cuts.shape[1] + 1
@@ -976,7 +994,7 @@ class TestPairLookup:
     def test_powers_on_every_cut(self, default_profile):
         arrs = self.arrays(default_profile)
         assert_right_slope_at_cuts(arrs)
-        edges = arrs._table_rows()[0].edges
+        edges = arrs.rho_axis().pieces.edges
         assert_lookup_matches_kernels(arrs, np.concatenate([10.0 ** (edges / 10.0), [0.1, 1.0, 10.0, 1000.0]])[None, :])
 
     def test_small_powers(self):
@@ -1393,19 +1411,13 @@ class TestWorkspace:
         for name, value in vars(first.allocation).items():
             np.testing.assert_array_equal(getattr(again.allocation, name), value, err_msg=name)
 
-    @pytest.mark.parametrize("kind", ["constant", "table", "parametric", "mixed"])
+    @pytest.mark.parametrize("kind", ["constant", "table", "parametric"])
     def test_slope_with_and_without_workspace(self, kind):
         rng = np.random.default_rng([41, len(kind)])
         k = 5
-        if kind == "mixed":
-            groups = (random_groups(rng, 2, InterferenceProfile.default_table())
-                      + random_groups(rng, 2, InterferenceProfile.parametric())
-                      + random_groups(rng, 1))
-        else:
-            profile = {"constant": None, "table": InterferenceProfile.default_table(),
-                       "parametric": InterferenceProfile.parametric()}[kind]
-            groups = random_groups(rng, k, profile)
-        arrs = _GroupArrays(groups)
+        profile = {"constant": None, "table": InterferenceProfile.default_table(),
+                   "parametric": InterferenceProfile.parametric()}[kind]
+        arrs = _GroupArrays(random_groups(rng, k, profile))
         for p in (rng.uniform(0.01, 50.0, k), rng.uniform(0.01, 50.0, (k, 7)),
                   np.geomspace(1e-5, 100.0, 64)[None, :]):
             want = _pair_rate_slope(arrs, p)
@@ -1414,6 +1426,57 @@ class TestWorkspace:
             work = np.full(arrs.work_size(points), np.nan)
             for _ in range(2):
                 np.testing.assert_array_equal(_pair_rate_slope(arrs, p, work=work), want)
+
+
+class TestOneProfile:
+    """The groups of one allocation share one rho profile; constant profiles may differ."""
+
+    def test_mixed_kinds_rejected(self):
+        rng = np.random.default_rng(41)
+        table, logistic = InterferenceProfile.default_table(), InterferenceProfile.parametric()
+        mixes = [random_groups(rng, 2, table) + random_groups(rng, 2, logistic),
+                 random_groups(rng, 2, logistic) + random_groups(rng, 1),
+                 random_groups(rng, 1, logistic)
+                 + random_groups(rng, 1, InterferenceProfile.parametric(LogisticRhoParams(limit=0.9)))]
+        for groups in mixes:
+            with pytest.raises(ValueError, match="share one rho profile"):
+                inter_group_allocate(groups, 10.0)
+            with pytest.raises(ValueError, match="share one rho profile"):
+                kkt_residuals(groups, PowerAllocation(np.ones(len(groups)), np.full((len(groups), 2), 0.5),
+                                                      0.0, np.zeros((len(groups), 2))), 10.0)
+
+    def test_constants_per_group(self):
+        # each group keeps its own constant: every row is the group's on its own
+        rng = np.random.default_rng(43)
+        groups = random_groups(rng, 6, min_rate_range=(0.2, 1.0))
+        assert len({g.profile.constant_value for g in groups}) == 6
+        arrs = _GroupArrays(groups)
+        alone = [_GroupArrays([g]) for g in groups]
+        p = rng.uniform(0.01, 50.0, (6, 7))
+        np.testing.assert_array_equal(_pair_rate_slope(arrs, p),
+                                      np.vstack([_pair_rate_slope(a, p[i:i + 1]) for i, a in enumerate(alone)]))
+        np.testing.assert_array_equal(_min_rate_fixed_points(arrs),
+                                      np.vstack([_min_rate_fixed_points(a) for a in alone]))
+        rho, slope = arrs.rho_and_prime(np.concatenate([[0.0], p[1:, 0]])[None])
+        np.testing.assert_array_equal(rho, np.broadcast_to([g.profile.constant_value for g in groups], (2, 6)))
+        assert np.all(slope == 0.0)
+
+    @pytest.mark.parametrize("kind", ["table", "parametric"])
+    def test_equal_profiles_are_one(self, kind):
+        # two equal but distinct profile objects solve as one shared object does
+        def make():
+            if kind == "parametric":
+                return InterferenceProfile.parametric(LogisticRhoParams())
+            table = InterferenceProfile.default_table()
+            return InterferenceProfile.from_table(table.power_axis_dbw, table.snr_axis_db, table.values)
+
+        shared = random_groups(np.random.default_rng(47), 6, make(), min_rate_range=(0.2, 1.0))
+        twins = [Group(users=g.users, profile=make()) for g in shared]
+        want, got = inter_group_allocate(shared, 30.0), inter_group_allocate(twins, 30.0)
+        assert want.status == "ok"
+        for name, value in vars(want).items():
+            np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
+        np.testing.assert_array_equal(split_residuals(twins, got), split_residuals(shared, want))
 
 
 # _intra_split_vec before the closed form, kept verbatim as the reference of

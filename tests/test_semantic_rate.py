@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sfma.pairing import UserTerminal
+from sfma.power import Group, _GroupArrays
 from sfma.semantic_rate import (
     InterferenceProfile,
     Link,
@@ -204,6 +206,48 @@ class TestRhoDerivative:
     def test_requires_positive_power(self):
         with pytest.raises(ValueError):
             rho_derivative_eval(small_table(), 0.0, 1.0, 1.0)
+
+    @staticmethod
+    def profiles():
+        return {"constant": InterferenceProfile.constant(0.7), "table": InterferenceProfile.default_table(),
+                "small table": small_table(), "logistic": InterferenceProfile.parametric()}
+
+    @pytest.mark.parametrize("kind", ["constant", "table", "small table", "logistic"])
+    def test_scalars_give_floats(self, kind):
+        prof, link = self.profiles()[kind], make_link(12.0)
+        for p in (0.01, 1.0, 30.0):
+            got = rho_derivative_eval(prof, p, link.gain, link.noise)
+            assert type(got) is float and math.isfinite(got)
+            assert got == rho_derivative_eval(prof, np.array([p]), link.gain, link.noise)[0]
+
+    @pytest.mark.parametrize("kind", ["constant", "table", "small table", "logistic"])
+    def test_grid_against_links(self, kind):
+        # a (1, 1024) power grid against (M, 1) links, row by row as one link at a time
+        prof = self.profiles()[kind]
+        grid = np.geomspace(1e-3, 1e3, 1024)[None, :]
+        links = [make_link(snr) for snr in np.linspace(-5.0, 30.0, 7)]
+        gain = np.array([[lk.gain] for lk in links])
+        noise = np.array([[lk.noise] for lk in links])
+        got = rho_derivative_eval(prof, grid, gain, noise)
+        assert got.shape == (7, 1024)
+        for row, lk in zip(got, links):
+            np.testing.assert_array_equal(row, rho_derivative_eval(prof, grid[0], lk.gain, lk.noise))
+        if kind == "constant":
+            assert np.all(got == 0.0)
+        else:
+            assert np.any(got != 0.0)
+
+    @pytest.mark.parametrize("kind", ["constant", "table", "small table", "logistic"])
+    def test_is_the_solver_slope(self, kind):
+        # the slope the group stage reads for the same receivers
+        prof = self.profiles()[kind]
+        users = [UserTerminal(id=i, link=make_link(snr)) for i, snr in enumerate(np.linspace(-5.0, 30.0, 8))]
+        arrs = _GroupArrays(Group(users=tuple(users[i:i + 2]), profile=prof) for i in range(0, 8, 2))
+        p = np.geomspace(1e-3, 1e3, 257)
+        _, slope = arrs.rho_and_prime(p[None, None, :])
+        # the lookup's (user, group, point) layout
+        gain, noise = arrs.gain.T[..., None], arrs.noise.T[..., None]
+        np.testing.assert_array_equal(rho_derivative_eval(prof, p, gain, noise), slope)
 
 
 class TestSinr:
