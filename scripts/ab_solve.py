@@ -1,0 +1,171 @@
+#!/usr/bin/env python3
+"""Time the working tree's solver against a parent revision's, side by side in one process.
+
+    python scripts/ab_solve.py --parent HEAD~1 [--drops 40] [--rounds 7]
+
+The parent's ``src/sfma`` is written from local git (``git show``) into a
+temporary package, ``sfma_parent``, and imported beside the working tree's
+``sfma``. Two workloads run at 30 dBW: headline-like drops (30 users, the
+bundled rho table) and crowd-like drops (60 users, the default logistic
+profile), drops 0 to ``--drops`` - 1 of root seed 2026. Each round times,
+drop by drop and alternating which side goes first, ``solve()`` on each
+drop and one one-drop ``run_sweep`` + ``emit_csv`` unit per drop (root seed
+1000 + drop). A drop's time is the median of its rounds. Per workload it
+prints each side's drops/s over the units and median ``solve()`` time, the
+median and quartiles over drops of the change/parent time ratio, every
+drop whose feasible flag, failing stage, allocation status or ``steps``
+differ, the largest relative move of the sum rate, and whether the units'
+CSVs are byte-identical.
+
+A parent whose package reads its table as ``sfma.data`` by a fixed name
+would read the working tree's table instead of its own; for such a parent
+the script first checks that both ``data/`` trees are byte-identical.
+"""
+
+import argparse
+import importlib
+import math
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = "src/sfma"
+ROOT_SEED, UNIT_SEED, P_MAX_DBW = 2026, 1000, 30.0
+WORKLOADS = {"headline": (30, "table"), "crowd": (60, "parametric")}
+
+
+def git(*args) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True).stdout
+
+
+def write_parent(rev: str, dest: Path) -> Path:
+    """The parent's package, written under ``dest`` as ``sfma_parent``; returns its directory."""
+    out = dest / "sfma_parent"
+    for name in git("ls-tree", "-r", "--name-only", rev, "--", PACKAGE).decode().splitlines():
+        target = out / Path(name).relative_to(PACKAGE)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(git("show", f"{rev}:{name}"))
+    if not (out / "__init__.py").is_file():
+        raise SystemExit(f"error: {rev} has no {PACKAGE}/__init__.py")
+    return out
+
+
+def check_parent(parent: Path, own: Path) -> None:
+    """Refuse a parent that would read the working tree's files instead of its own."""
+    sources = {p: p.read_text() for p in parent.rglob("*.py")}
+    absolute = [str(p.relative_to(parent)) for p, text in sources.items()
+                if re.search(r"^\s*(from|import)\s+sfma\b", text, re.M)]
+    if absolute:
+        raise SystemExit(f"error: the parent imports sfma by name in {', '.join(absolute)}")
+    if any('"sfma.data"' in text for text in sources.values()):
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes() for p in sorted((root / "data").rglob("*"))
+                    if p.is_file() and "__pycache__" not in p.parts}
+        if tree(parent) != tree(own):
+            raise SystemExit("error: the parent reads its table as sfma.data, and its data/ differs "
+                             "from the working tree's, so it would read the wrong table")
+        print("parent reads sfma.data by name; both data/ trees are byte-identical")
+
+
+def drop_inputs(sfma, m: int, kind: str, drop: int):
+    config = sfma.ScenarioConfig(user_counts=(m,), p_max_dbw=(P_MAX_DBW,), root_seed=ROOT_SEED, rho_kind=kind)
+    users = sfma.bench._build_users(config, m, sfma.bench.drop_seed(ROOT_SEED, m, 0, drop))
+    solver = sfma.SolverConfig(p_max_w=10.0 ** (P_MAX_DBW / 10.0), alpha=config.alpha,
+                               delta_max=config.delta_max, profile=config.build_profile())
+    return users, solver
+
+
+def unit_config(sfma, m: int, kind: str, drop: int, output: Path):
+    return sfma.ScenarioConfig(user_counts=(m,), p_max_dbw=(P_MAX_DBW,), drops=1, root_seed=UNIT_SEED + drop,
+                               rho_kind=kind, workers=1, output=str(output))
+
+
+def timed(fn):
+    t0 = perf_counter()
+    value = fn()
+    return perf_counter() - t0, value
+
+
+def quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return f"median {q2:.3f} [quartiles {q1:.3f}, {q3:.3f}]"
+
+
+def compare(name, sides, drops: int, rounds: int, scratch: Path) -> None:
+    m, kind = WORKLOADS[name]
+    inputs = {side: [drop_inputs(pkg, m, kind, d) for d in range(drops)] for side, pkg in sides.items()}
+    configs = {side: [unit_config(pkg, m, kind, d, scratch / f"{side}-{name}-{d}.csv") for d in range(drops)]
+               for side, pkg in sides.items()}
+    solve_s = {side: [[] for _ in range(drops)] for side in sides}
+    unit_s = {side: [[] for _ in range(drops)] for side in sides}
+    results = {}
+    for r in range(rounds):
+        order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+        for d in range(drops):
+            for side in order:
+                pkg = sides[side]
+                elapsed, results[side, d] = timed(lambda: pkg.solve(*inputs[side][d]))
+                solve_s[side][d].append(elapsed)
+                cfg = configs[side][d]
+                elapsed, _ = timed(lambda: pkg.emit_csv(pkg.run_sweep(cfg), cfg.output))
+                unit_s[side][d].append(elapsed)
+
+    def per_drop(times, side):
+        return [statistics.median(t) for t in times[side]]
+
+    print(f"{name}: {m} users, {kind}, {drops} drops, {rounds} rounds")
+    for label, times in (("solve()", solve_s), ("run_sweep + emit_csv", unit_s)):
+        parent, change = per_drop(times, "parent"), per_drop(times, "change")
+        if times is unit_s:
+            speed = f"parent {drops / math.fsum(parent):.1f} drops/s, change {drops / math.fsum(change):.1f} drops/s"
+        else:
+            speed = (f"parent {statistics.median(parent) * 1e3:.3f} ms, "
+                     f"change {statistics.median(change) * 1e3:.3f} ms (median drop)")
+        print(f"  {label}: {speed}; change/parent per drop {quartiles([c / p for c, p in zip(change, parent)])}")
+    differ, moved, largest = [], 0, 0.0
+    for d in range(drops):
+        got, want = results["change", d], results["parent", d]
+
+        def key(res):
+            alloc = res.allocation
+            return (res.feasible, res.stage) + ((None, None) if alloc is None else (alloc.status, alloc.steps))
+
+        if key(got) != key(want):
+            differ.append(f"    drop {d}: parent {key(want)}, change {key(got)}")
+        if got.sum_rate != want.sum_rate and not (math.isnan(got.sum_rate) and math.isnan(want.sum_rate)):
+            moved += 1
+            largest = max(largest, abs(got.sum_rate - want.sum_rate) / abs(want.sum_rate))
+    print(f"  feasible, stage, status, steps: {len(differ)} drops differ" + "".join("\n" + line for line in differ))
+    print(f"  sum rate: {moved} drops moved, largest relative move {largest:.3g}")
+    same = all(Path(configs["parent"][d].output).read_bytes() == Path(configs["change"][d].output).read_bytes()
+               for d in range(drops))
+    print(f"  unit CSVs byte-identical: {'yes' if same else 'no'}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--drops", type=int, default=40)
+    parser.add_argument("--rounds", type=int, default=7)
+    args = parser.parse_args(argv)
+    if args.drops < 4 or args.rounds < 1:
+        parser.error("--drops must be >= 4 and --rounds >= 1")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        check_parent(write_parent(args.parent, tmp), ROOT / PACKAGE)
+        sys.path[:0] = [str(ROOT / "src"), str(tmp)]
+        sides = {"parent": importlib.import_module("sfma_parent"), "change": importlib.import_module("sfma")}
+        print(f"parent {args.parent} = {git('rev-parse', '--short', args.parent).decode().strip()}, "
+              f"change = working tree")
+        for name in WORKLOADS:
+            compare(name, sides, args.drops, args.rounds, tmp)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

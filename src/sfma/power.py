@@ -15,9 +15,15 @@ Internals are vectorized across groups. The stationarity curve of every
 group is sampled once on a dense log grid. The summed group power with
 roots interpolated on those samples is piecewise linear in mu, and each
 root's cell gives its slope exactly, so the mu search first takes
-bracketed Newton steps on it, in 1/mu where the sum is nearly linear. It
-then polishes with a few exactly-evaluated secant steps, so the
-per-instance cost stays flat in the drop count. The first secant step
+bracketed Newton steps on it, in 1/mu where the sum is nearly linear. They
+start where every group, at an equal share p_max/K, sits on its sampled
+curve (the median over groups), and the bracket's top lies just above every
+sample, where each group sits at its rate floor. The sampled sum jumps only
+at levels where a curve's running minimum is flat, between such a level and
+its next float; once the bracket is narrower than 1e-3 relative, a step
+that leaves it probes such a level on both floats instead of halving down
+to them. The search then polishes with a few exactly-evaluated secant
+steps, so the per-instance cost stays flat in the drop count. The first secant step
 takes its slope from the interpolated curves. An exact evaluation refines
 each root inside its grid cell by two levels of 64 uniform samples, each
 taken in one call, and keeps the sub-cell that a bisection on the samples
@@ -209,6 +215,7 @@ class _GroupArrays:
         self.k = len(self.groups)
         self.gain = np.array([[u.link.gain for u in g.users] for g in self.groups])
         self.noise = np.array([[u.link.noise for u in g.users] for g in self.groups])
+        self.gain_u, self.noise_u = self.gain.T, self.noise.T     # (2, K), users first
         self.min_rate = np.array([[u.min_rate for u in g.users] for g in self.groups])
         self.pow2r = 2.0 ** self.min_rate
         self._profile, self._rho_value = _one_profile(g.profile for g in self.groups)
@@ -222,7 +229,7 @@ class _GroupArrays:
         if self._axis is None:
             rows = (2, self.k, 1)
             value = None if self._rho_value is None else self._rho_value[:, None]
-            self._axis = _RhoAxis(self._profile, self.gain.T.reshape(rows), self.noise.T.reshape(rows), value)
+            self._axis = _RhoAxis(self._profile, self.gain_u.reshape(rows), self.noise_u.reshape(rows), value)
         return self._axis
 
     def rho_pair(self, p):
@@ -255,6 +262,7 @@ class _GroupArrays:
         sub.k = len(rows)
         sub.gain = self.gain[rows]
         sub.noise = self.noise[rows]
+        sub.gain_u, sub.noise_u = sub.gain.T, sub.noise.T
         sub.min_rate = self.min_rate[rows]
         sub.pow2r = self.pow2r[rows]
         sub._axis = self.rho_axis().take(rows, axis=1)
@@ -270,45 +278,43 @@ def _pair_rate_slope(arrs: _GroupArrays, p, eta=None, work=None):
     view of it, and so is the result, which the next call overwrites.
     """
     p = np.asarray(p, dtype=float)
-    col = (slice(None), None) if p.ndim == 2 else slice(None)
+    # both receivers in one pass: every operand is (2, K[, 1]), users first
+    col = (Ellipsis, None) if p.ndim == 2 else Ellipsis
     if eta is None:
-        e1 = e2 = 0.5
+        e_i = e_j = 0.5
     else:
-        eta = np.asarray(eta, dtype=float)
-        e1, e2 = eta[:, 0][col], eta[:, 1][col]
-    g1, g2 = arrs.gain[:, 0][col], arrs.gain[:, 1][col]
-    n1, n2 = arrs.noise[:, 0][col], arrs.noise[:, 1][col]
+        e_u = np.asarray(eta, dtype=float).T
+        e_i, e_j = e_u[col], e_u[::-1][col]
+    g, n = arrs.gain_u[col], arrs.noise_u[col]
     shape = (2, arrs.k) + p.shape[1:]
     if work is None:
-        s1, s2 = np.empty(shape)
+        s = np.empty(shape)
     else:
-        s1, s2 = work[: math.prod(shape)].reshape(shape)
-        work = work[s1.size + s2.size :]
-    (rho1, rho2), (rp1, rp2) = arrs.rho_and_prime(p[None], work)
+        s = work[: math.prod(shape)].reshape(shape)
+        work = work[s.size :]
+    rho, rp = arrs.rho_and_prime(p[None], work)
     # in place, as on the stationarity grid temporaries cost more than the
     # arithmetic, and in the operand order of d_i = rho_i e_j p g_i + n_i,
     # s_i = e_i p g_i / d_i, ds_i = e_i g_i (n_i - rp_i e_j g_i p p) / (d_i d_i)
     # and (ds1 / (1 + s1) + ds2 / (1 + s2)) / ln2, so that results round alike
-    for rho, rp, s, e_i, e_j, g, n in ((rho1, rp1, s1, e1, e2, g1, n1),
-                                        (rho2, rp2, s2, e2, e1, g2, n2)):
-        d = np.multiply(rho, e_j, out=rho)
-        d *= p
-        d *= g
-        d += n
-        np.multiply(e_i * p, g, out=s)
-        s /= d
-        ds = np.multiply(rp, e_j, out=rp)
-        ds *= g
-        ds *= p
-        ds *= p
-        np.subtract(n, ds, out=ds)
-        np.multiply(e_i * g, ds, out=ds)
-        ds /= np.multiply(d, d, out=d)
-        s += 1.0
-        ds /= s
-    rp1 += rp2
-    rp1 /= _LN2
-    return rp1
+    d = np.multiply(rho, e_j, out=rho)
+    d *= p
+    d *= g
+    d += n
+    np.multiply(e_i * p, g, out=s)
+    s /= d
+    ds = np.multiply(rp, e_j, out=rp)
+    ds *= g
+    ds *= p
+    ds *= p
+    np.subtract(n, ds, out=ds)
+    np.multiply(e_i * g, ds, out=ds)
+    ds /= np.multiply(d, d, out=d)
+    s += 1.0
+    ds /= s
+    out = np.add(ds[0], ds[1], out=ds[0])
+    out /= _LN2
+    return out
 
 
 def _min_rate_fixed_points(arrs: _GroupArrays):
@@ -331,7 +337,7 @@ def _min_rate_fixed_points(arrs: _GroupArrays):
     # the lookup's (user, group) layout
     t = arrs.pow2r.T - 1.0
     active = t > 0
-    c = arrs.noise.T * t / arrs.gain.T
+    c = arrs.noise_u * t / arrs.gain_u
     k = -0.5 * t
 
     def at(p):
@@ -345,7 +351,10 @@ def _min_rate_fixed_points(arrs: _GroupArrays):
     def newton(p, den, d_den):
         f_slope = den * den + c * d_den          # den^2 F'
         ok = f_slope > 0
-        step = np.where(ok, c * (den + p * d_den) / np.where(ok, f_slope, 1.0), c / den)
+        if ok.all():
+            step = c * (den + p * d_den) / f_slope
+        else:
+            step = np.where(ok, c * (den + p * d_den) / np.where(ok, f_slope, 1.0), c / den)
         return np.maximum(step, p0, out=step)
 
     def unreachable(bad, den):
@@ -369,6 +378,10 @@ def _min_rate_fixed_points(arrs: _GroupArrays):
             return np.where(active, c / den, 0.0).T
         den_q, d_den_q = at(q)
         back = live & (den_q <= 0)
+        if not back.any():
+            p, den, d_den = np.where(live, q, p), np.where(live, den_q, den), np.where(live, d_den_q, d_den)
+            q = newton(p, den, d_den)
+            continue
         pinned = back & (q <= c / den) & (d_den <= 0)
         if np.any(pinned):
             raise unreachable(pinned, den_q)
@@ -398,6 +411,9 @@ class _WaterFiller:
         deriv = _pair_rate_slope(arrs, self.grid[None, :], work=self.work)
         self.f_grid = deriv / _LN2          # (K, N) stationarity curve samples
         self._rows = np.arange(arrs.k)
+        self._roots = np.full(arrs.k, _ROOT)  # every row's status when all cross
+        self._roots.flags.writeable = False
+        self._jumps = None
         # the interior samples of each row's last refined bracket at each
         # level, and that bracket's tag: its cell, then cell * _SUB_N + sub-cell
         self._sub_tag = np.full((_SUB_LEVELS, arrs.k), -1)
@@ -406,24 +422,32 @@ class _WaterFiller:
     def _locate(self, mu):
         """First high-to-low crossing cell of each group's sampled curve."""
         pos = self.f_grid >= mu
+        # where every row starts at or above mu and falls below it, the end
+        # of each leading run is its first crossing; a row that starts below
+        # mu, or never falls below it, has lead 0
+        lead = pos.argmin(axis=1)
+        if lead.all():
+            return self._roots, lead - 1
         trans = pos[:, :-1] > pos[:, 1:]
         first = np.argmax(trans, axis=1)
         status = np.where(trans[self._rows, first], _ROOT, np.where(pos[:, -1], _CAP, _ZERO))
         return status, first
 
-    def floor_level(self):
-        """Water level at which the first group leaves its rate floor on the sampled curves.
+    def jump_level(self, lo, hi):
+        """The middle level strictly inside (lo, hi) at which the sampled totals may jump, or None.
 
-        The largest of the curves linearly interpolated at each group's p_req
-        (the end samples where p_req lies off the grid). Above it, every group
-        whose sampled curve falls monotonically sits on its floor, so the
-        interpolated totals are flat there.
+        A row that starts above mu first falls below it where its running
+        minimum does. Where that minimum is flat, the curve rose above it, so
+        as mu falls through the flat value L the row's crossing jumps to the
+        run's end, and the totals with it, between L and nextafter(L, inf).
+        The levels of every row are found on first use, sorted, repeats kept
+        (np.unique would import numpy.ma, about 1 MB, on first use).
         """
-        cells = np.clip(np.searchsorted(self.grid, self.p_req) - 1, 0, _GRID_N - 2)
-        g0, g1 = self.grid[cells], self.grid[cells + 1]
-        f0, f1 = self.f_grid[self._rows, cells], self.f_grid[self._rows, cells + 1]
-        t = np.clip((self.p_req - g0) / (g1 - g0), 0.0, 1.0)
-        return float(np.max(f0 + (f1 - f0) * t))
+        if self._jumps is None:
+            env = np.minimum.accumulate(self.f_grid, axis=1)
+            self._jumps = np.sort(env[:, 1:][env[:, 1:] == env[:, :-1]])
+        i, j = np.searchsorted(self._jumps, lo, side="right"), np.searchsorted(self._jumps, hi)
+        return float(self._jumps[(i + j) // 2]) if i < j else None
 
     def interp_total(self, mu):
         """Summed group power with roots interpolated on the sampled curves, and its mu slope.
@@ -571,9 +595,9 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
                 sampled_steps=wf.sampled_steps,
             )
 
-    # upper bracket from the derivative at a vanishing power, doubled to hold
-    d_small = _pair_rate_slope(arrs, np.full(k, p_max / k * 1e-3))
-    mu_hi = max(float(np.max(d_small / _LN2)), 1e-12)
+    # upper bracket just above every sample, where each row's sampled root is
+    # gone and the totals sit at the floors, doubled to hold
+    mu_hi = max(math.nextafter(float(np.nanmax(wf.f_grid)), math.inf), 1e-12)
     for _ in range(200):
         if wf.interp_total(mu_hi)[0] <= p_max:
             break
@@ -586,15 +610,21 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
     # pieces, so a step is taken in w = 1 / mu, where they are nearly
     # linear, or in mu once it is shorter than 1e-3 mu. A step that leaves
     # the bracket, or a flat total, bisects instead: in log mu while the
-    # bracket spans more than a factor of two, in mu after that, so that a
-    # jump of the totals across the budget ends between the same two
-    # neighbouring floats as plain bisection would, and stops there. The
-    # search starts where the first group leaves its rate floor; above that
-    # level the totals are flat.
+    # bracket spans more than a factor of two, in mu after that. Once the
+    # bracket is narrower than 1e-3 relative, such a step probes a level
+    # inside it where the totals may jump (``_WaterFiller.jump_level``), on
+    # both of its neighbouring floats, so that a jump across the budget ends
+    # between the same two floats as bisection would, and stops there. The
+    # search starts where every group, at an equal share of the budget, sits
+    # on its sampled curve.
     mu_lo = 0.0
-    mu = min(mu_hi, wf.floor_level())
-    if not mu > 0:      # curves at or below zero at every floor: keep inside the bracket
+    share = max(0, round((_GRID_N - 1) * (1.0 + math.log(k) / math.log(_GRID_LOW))))   # column of p_max / k
+    # the median by hand: np.median imports numpy.ma, about 1 MB, on first use
+    at_share = np.sort(wf.f_grid[:, share])
+    mu = min(mu_hi, 0.5 * float(at_share[(k - 1) // 2] + at_share[k // 2]))
+    if not mu > 0:      # curves at or below zero there: keep inside the bracket
         mu = 0.5 * mu_hi
+    probe = None        # the lower side of a jump level, once its upper side is probed
     for _ in range(80):
         total, slope = wf.interp_total(mu)
         if abs(total - p_max) < 0.5 * tol:
@@ -607,6 +637,9 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             # neighbouring floats: later steps would only park on the midpoint
             mu = 0.5 * (mu_lo + mu_hi)
             break
+        if probe is not None and mu_lo < probe < mu_hi:
+            mu, probe = probe, None
+            continue
         step = (p_max - total) / slope if slope < 0 else np.inf
         if abs(step) < 1e-3 * mu:
             mu_next = mu + step
@@ -614,6 +647,9 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             mu_next = mu * mu / (mu - step) if step < mu else -1.0   # 1 / (1/mu - step/mu**2)
         if mu_lo < mu_next < mu_hi:
             mu = mu_next
+        elif mu_hi - mu_lo < 1e-3 * mu_hi and (level := wf.jump_level(mu_lo, mu_hi)) is not None:
+            upper = math.nextafter(level, math.inf)
+            mu, probe = (upper, level) if upper < mu_hi else (level, None)
         else:
             mu = math.sqrt(mu_lo * mu_hi) if 0 < 2.0 * mu_lo < mu_hi else 0.5 * (mu_lo + mu_hi)
 

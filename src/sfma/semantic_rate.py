@@ -158,7 +158,8 @@ class InterferenceProfile:
 
 @functools.cache
 def _bundled_table() -> InterferenceProfile:
-    text = resources.files("sfma.data").joinpath(_DEFAULT_TABLE_RESOURCE).read_text()
+    # the package's own data, so that a renamed copy of the package reads its own table
+    text = resources.files(__package__ + ".data").joinpath(_DEFAULT_TABLE_RESOURCE).read_text()
     profile = _parse_rho_table(io.StringIO(text), source=_DEFAULT_TABLE_RESOURCE)
     for arr in (profile.power_axis_dbw, profile.snr_axis_db, profile.values):
         arr.flags.writeable = False

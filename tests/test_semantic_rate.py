@@ -1,4 +1,8 @@
+import importlib
 import math
+import shutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,28 @@ class TestProfiles:
                 link = link_for_node(p_dbw, float(prof.snr_axis_db[j]))
                 got = rho(prof, 10.0 ** (p_dbw / 10.0), link)
                 assert got == pytest.approx(prof.values[i, j], abs=1e-12)
+
+    def test_renamed_package_reads_its_own_table(self, tmp_path, monkeypatch):
+        # a copy of the package under another name, with one table value changed,
+        # reads its own table, and the package reads its own
+        import sfma
+
+        copy = tmp_path / "sfma_copy"
+        shutil.copytree(Path(sfma.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        table = copy / "data" / "rho_default.csv"
+        header, first, *rest = table.read_text().splitlines()
+        cells = first.split(",")
+        cells[1] = "0.5"
+        table.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            copied = importlib.import_module("sfma_copy")
+            assert copied.InterferenceProfile.default_table().values[0, 0] == 0.5
+            own = (Path(sfma.__file__).parent / "data" / "rho_default.csv").read_text().splitlines()[1]
+            assert InterferenceProfile.default_table().values[0, 0] == float(own.split(",")[1]) != 0.5
+        finally:
+            for name in [n for n in sys.modules if n == "sfma_copy" or n.startswith("sfma_copy.")]:
+                del sys.modules[name]
 
     def test_rho_in_unit_interval_for_all_kinds(self, rng):
         profs = [
