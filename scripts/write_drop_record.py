@@ -2,7 +2,10 @@
 """Write the golden per-drop record of the solver, ``tests/data/drop_record.json``.
 
 The record covers drops 0-9 of root seed 2026 at 30 dBW, for 10, 30 and 60
-users, on the bundled rho table and on the default logistic profile. Per
+users, on the bundled rho table and on the default logistic profile, at a
+minimum rate of 1 bit/s/Hz; and drops 0-9 of 30 users on the logistic
+profile at a minimum rate of 1.5, where den = (1 - t rho)/2 <= 0 at the
+rate floors' smallest power p0 and the rates are met at higher powers. Per
 drop it holds the feasible flag, the failing stage, the allocation status,
 its ``steps`` and ``sampled_steps``, and the ``repr`` of the sum rate, the
 water level mu, the group totals, the splits and the min-rate multipliers.
@@ -31,13 +34,16 @@ P_MAX_DBW = 30.0
 USER_COUNTS = (10, 30, 60)
 KINDS = ("table", "parametric")
 DROPS = range(10)
+MIN_RATE = 1.0
+# (kind, users, minimum rate) of the cells beyond the grid above
+EXTRA_CELLS = (("parametric", 30, 1.5),)
 DEFAULT_OUTPUT = ROOT / "tests" / "data" / "drop_record.json"
 
 
-def drop_inputs(kind: str, m: int, drop: int):
+def drop_inputs(kind: str, m: int, drop: int, min_rate: float = MIN_RATE):
     """Users and solver settings of one drop, as a one-cell sweep draws them."""
     config = ScenarioConfig(user_counts=(m,), p_max_dbw=(P_MAX_DBW,), root_seed=ROOT_SEED,
-                            rho_kind=kind)
+                            rho_kind=kind, min_rate=min_rate)
     users = _build_users(config, m, drop_seed(ROOT_SEED, m, 0, drop))
     solver_cfg = SolverConfig(p_max_w=10.0 ** (P_MAX_DBW / 10.0), alpha=config.alpha,
                               delta_max=config.delta_max, profile=config.build_profile())
@@ -48,10 +54,10 @@ def _reprs(values) -> list:
     return [repr(float(v)) for v in values]
 
 
-def drop_entry(kind: str, m: int, drop: int) -> dict:
+def drop_entry(kind: str, m: int, drop: int, min_rate: float = MIN_RATE) -> dict:
     """The record of one drop, solved by the code on the path."""
-    result = solve(*drop_inputs(kind, m, drop))
-    entry = {"kind": kind, "users": m, "drop": drop, "feasible": result.feasible,
+    result = solve(*drop_inputs(kind, m, drop, min_rate))
+    entry = {"kind": kind, "users": m, "min_rate": min_rate, "drop": drop, "feasible": result.feasible,
              "stage": result.stage, "sum_rate": repr(float(result.sum_rate))}
     alloc = result.allocation
     if alloc is not None:
@@ -64,7 +70,8 @@ def drop_entry(kind: str, m: int, drop: int) -> dict:
 
 
 def record() -> list:
-    return [drop_entry(kind, m, drop) for kind in KINDS for m in USER_COUNTS for drop in DROPS]
+    return ([drop_entry(kind, m, drop) for kind in KINDS for m in USER_COUNTS for drop in DROPS]
+            + [drop_entry(kind, m, drop, r) for kind, m, r in EXTRA_CELLS for drop in DROPS])
 
 
 def _largest_change(got, want) -> str:
@@ -83,7 +90,8 @@ def moved_drops(got: list, want: list) -> list:
         if g == w:
             continue
         fields = sorted(k for k in g.keys() | w.keys() if g.get(k) != w.get(k))
-        lines.append(f"{w['kind']} M={w['users']} drop {w['drop']}: {', '.join(fields)}; "
+        lines.append(f"{w['kind']} M={w['users']} min_rate={w['min_rate']} drop {w['drop']}: "
+                     f"{', '.join(fields)}; "
                      f"sum_rate {_largest_change([g['sum_rate']], [w['sum_rate']])}, "
                      f"totals {_largest_change(g.get('totals', []), w.get('totals', []))}")
     return lines

@@ -2,10 +2,10 @@
 
 The group-level stage water-fills the budget multiplier mu. For each mu and
 each group it evaluates three candidate group powers under an equal
-intra-pair split: two fixed points where a user's minimum-rate constraint
-binds, and the root of the rate-derivative stationarity condition; the
-group keeps the largest feasible candidate and mu is driven until the
-totals meet the budget. The pair-level stage then reoptimizes each group's
+intra-pair split: the two users' rate floors, the least powers within the
+budget that meet their minimum rates, and the root of the rate-derivative
+stationarity condition; the group keeps the largest and mu is driven until
+the totals meet the budget. The pair-level stage then reoptimizes each group's
 internal split with the interference factors frozen at the group total,
 where the rate's stationarity condition is a quadratic in the split, so the
 best of its roots and the interval ends is exact. A residual report checks
@@ -94,13 +94,16 @@ _SUB_FRACS = np.arange(1, _SUB_N) / _SUB_N
 # two final sub-cells, relative to the power: how far a refined root may sit
 # from where its curve crosses the water level
 _KKT_DELTA = 2.0 * (_GRID_LOW ** (-1.0 / (_GRID_N - 1)) - 1.0) / _SUB_N ** _SUB_LEVELS
+# the rate floors bracket their roots on this many powers, geometric from p0 to p_max
+_FLOOR_AXIS_N = 64
+_FLOOR_FRACS = np.linspace(0.0, 1.0, _FLOOR_AXIS_N)
 
 # stationary-point resolution markers
 _ROOT, _ZERO, _CAP = 0, 1, 2
 
 
 class MinRateInfeasible(RuntimeError):
-    """A minimum-rate constraint cannot be met at any power under this profile."""
+    """A minimum-rate constraint cannot be met at any power within the budget."""
 
 
 class ConvergenceError(RuntimeError):
@@ -317,22 +320,24 @@ def _pair_rate_slope(arrs: _GroupArrays, p, eta=None, work=None):
     return out
 
 
-def _min_rate_fixed_points(arrs: _GroupArrays):
-    """Both users' rate-binding group powers at the equal split, by Newton steps.
+def _rate_floors(arrs: _GroupArrays, p_max: float):
+    """Both users' rate floors at the equal split, the least group powers up to ``p_max``.
 
-    A user's rate meets its minimum R where p = T(p) = c / den(p), with
-    c = n t / g, t = 2^R - 1 and den = (1 - t rho(p)) / 2. Newton steps on
-    F(p) = p - T(p) start at p0 = T at rho = 0, below which no floor lies;
-    where F' <= 0 they take the plain step T(p), and none goes below p0. A
-    step into den <= 0, where the rate misses R at any split, is retried as
-    the plain step if that is shorter, else halved. Once a step would move
-    less than 1e-14 relative, T(p) polishes. Returns a (K, 2) array.
-    Raises MinRateInfeasible when den <= 0 at p0, before any step, or when
-    the row is pinned below a power where den reaches zero: a step no
-    longer than the plain one lands there from a p at which rho does not
-    fall. While rho keeps rising up to that step, every power x below it
-    has x den(x) <= x den(p) < c, short of the rate. ConvergenceError when
-    100 steps do not converge.
+    A user's rate meets its minimum R where h(p) = p den(p) - c >= 0, with
+    c = n t / g, t = 2^R - 1 and den = (1 - t rho(p)) / 2; no floor lies
+    below p0 = 2 c, where h = -c t rho <= 0. One lookup on a geometric axis
+    from p0 to p_max brackets each row's first crossing (a first sample at
+    p0, where rho = 0, is its own floor even past p_max, for the demand
+    check to report). Newton steps on h, with h' = den + p den', start at
+    the bracket's secant point and bisect where they leave the closed
+    bracket; each evaluated power becomes a bracket end, so a step away from
+    the crossing leaves it. Once no step moves 1e-14 relative, c / den there
+    is the floor. Returns a (K, 2) array. Raises MinRateInfeasible when no
+    sample up to p_max meets a rate, and ConvergenceError after 100 steps.
+
+    Where rho rises with power the rate may be met only below some power;
+    the water-filling still takes [floor, inf), and ``solve``'s final rate
+    check reports a group pushed past it at stage "power".
     """
     # the lookup's (user, group) layout
     t = arrs.pow2r.T - 1.0
@@ -341,56 +346,50 @@ def _min_rate_fixed_points(arrs: _GroupArrays):
     k = -0.5 * t
 
     def at(p):
-        """den and den' at the (2, K) powers p."""
-        den, d_den = arrs.rho_and_prime(p)
-        den *= k
+        """h, h' and den at the powers p, (2, K[, G])."""
+        col = (Ellipsis,) + (None,) * (p.ndim - 2)
+        den, h_slope = arrs.rho_and_prime(p)
+        den *= k[col]
         den += 0.5
-        d_den *= k
-        return den, d_den
-
-    def newton(p, den, d_den):
-        f_slope = den * den + c * d_den          # den^2 F'
-        ok = f_slope > 0
-        if ok.all():
-            step = c * (den + p * d_den) / f_slope
-        else:
-            step = np.where(ok, c * (den + p * d_den) / np.where(ok, f_slope, 1.0), c / den)
-        return np.maximum(step, p0, out=step)
-
-    def unreachable(bad, den):
-        k_bad, col_bad = np.argwhere(bad.T)[0]
-        return MinRateInfeasible(
-            f"group {k_bad}, user {col_bad + 1}: minimum rate unreachable "
-            f"(rate-binding denominator {den[col_bad, k_bad]:.3e} <= 0)"
-        )
+        h_slope *= k[col]
+        h_slope *= p
+        h_slope += den
+        return p * den - c[col], h_slope, den
 
     # a row without a minimum rate has den = 1/2 and its floor at zero; any
     # positive power keeps it off the lookup's zero-power path
     p0 = np.where(active, 2.0 * c, 1.0)
-    den, d_den = at(p0)
-    if np.any(active & (den <= 0)):
-        raise unreachable(active & (den <= 0), den)
-    p, live, back = p0, active.copy(), np.zeros_like(active)
-    q = newton(p, den, d_den)
-    for _ in range(100):
-        live &= back | (np.abs(q - p) >= 1e-14 * q)
-        if not np.any(live):
-            return np.where(active, c / den, 0.0).T
-        den_q, d_den_q = at(q)
-        back = live & (den_q <= 0)
-        if not back.any():
-            p, den, d_den = np.where(live, q, p), np.where(live, den_q, den), np.where(live, d_den_q, d_den)
-            q = newton(p, den, d_den)
-            continue
-        pinned = back & (q <= c / den) & (d_den <= 0)
-        if np.any(pinned):
-            raise unreachable(pinned, den_q)
-        take = live & ~back
-        p, den, d_den = np.where(take, q, p), np.where(take, den_q, den), np.where(take, d_den_q, d_den)
-        plain = c / den
-        q = np.where(back, np.where((p < plain) & (plain < q), plain, 0.5 * (p + q)), newton(p, den, d_den))
-    bad_rows = sorted({int(r) for r in np.flatnonzero(live.any(axis=0))})
-    raise ConvergenceError(f"rate-binding fixed point stalled in groups {bad_rows}")
+    axis = p0[..., None] * np.exp(np.log(p_max / p0)[..., None] * _FLOOR_FRACS)
+    axis[..., -1] = p_max
+    h_axis, _, _ = at(axis)
+    met = h_axis >= 0
+    missed = active & ~met.any(axis=-1)
+    if np.any(missed):
+        user, row = np.argwhere(missed)[0]
+        raise MinRateInfeasible(
+            f"group {row}, user {user + 1}: minimum rate not met by any power "
+            f"within the budget {p_max:.6g} W"
+        )
+    first = met.argmax(axis=-1)
+    at_hi = first + _FLOOR_AXIS_N * np.arange(first.size).reshape(first.shape)
+    at_lo = at_hi - (first > 0)
+    lo, hi, h_lo, h_hi = axis.take(at_lo), axis.take(at_hi), h_axis.take(at_lo), h_axis.take(at_hi)
+    # where the first sample meets the rate, lo = hi and the secant point is hi
+    p = hi - h_hi * (hi - lo) / np.maximum(h_hi - h_lo, np.finfo(float).tiny)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            h, h_slope, den = at(p)
+            met = h >= 0
+            hi, lo = np.where(met, p, hi), np.where(met, lo, p)
+            # a flat or falling h gives a step outside the bracket, or nan
+            q = p - h / h_slope
+            q = np.where((lo <= q) & (q <= hi), q, 0.5 * (lo + hi))
+            moving = np.abs(q - p) >= 1e-14 * q
+            if not moving.any():
+                return np.where(active, c / den, 0.0).T
+            p = q
+    bad_rows = sorted({int(r) for r in np.flatnonzero(moving.any(axis=0))})
+    raise ConvergenceError(f"rate floor stalled in groups {bad_rows}")
 
 
 class _WaterFiller:
@@ -533,17 +532,19 @@ class _WaterFiller:
 def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> PowerAllocation:
     """Split the budget across groups by a search on the water level.
 
-    Every group power is the largest of its two rate-binding fixed points
-    and the stationary point at the current multiplier, all under an equal
-    intra-pair split. Infeasibility (minimum rates unreachable, or their
-    power demand exceeding the budget) is reported on the returned
-    allocation rather than raised. When the totals jump across the budget,
-    the allocation stops at the water level just below the jump, with
-    status "budget not exhausted within tolerance". ``tol`` (default
-    1e-8 p_max) is how far from the budget the totals may stop, and must be
-    positive. ``sampled_steps`` on the result counts the evaluations on the
-    sampled curves, ``steps`` the exactly refined ones. ``groups`` may also
-    be the groups' ``_GroupArrays``, which ``solve`` reuses for the pair stage.
+    Every group power is the largest of its two users' rate floors and the
+    stationary point at the current multiplier, all under an equal
+    intra-pair split. A floor is the least power up to ``p_max`` that meets
+    the user's minimum rate (see ``_rate_floors``). Infeasibility (a minimum
+    rate that no power within the budget meets, or floors that sum above
+    the budget) is reported on the returned allocation rather than raised.
+    When the totals jump across the budget, the allocation stops at the
+    water level just below the jump, with status "budget not exhausted
+    within tolerance". ``tol`` (default 1e-8 p_max) is how far from the
+    budget the totals may stop, and must be positive. ``sampled_steps`` on
+    the result counts the evaluations on the sampled curves, ``steps`` the
+    exactly refined ones. ``groups`` may also be the groups'
+    ``_GroupArrays``, which ``solve`` reuses for the pair stage.
     """
     arrs = groups if isinstance(groups, _GroupArrays) else _GroupArrays(groups)
     if p_max <= 0:
@@ -567,11 +568,11 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
         )
 
     try:
-        binding = _min_rate_fixed_points(arrs)
+        binding = _rate_floors(arrs, p_max)
     except MinRateInfeasible as exc:
         return failure(f"min-rate infeasible: {exc}")
     p_req = binding.max(axis=1)
-    if p_req.sum() > p_max * (1.0 + 1e-12):
+    if p_req.sum() > p_max:
         return failure(
             f"min-rate power demand {p_req.sum():.6g} W exceeds budget {p_max:.6g} W"
         )
@@ -596,14 +597,8 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             )
 
     # upper bracket just above every sample, where each row's sampled root is
-    # gone and the totals sit at the floors, doubled to hold
+    # gone and the totals sit at the floors, within the budget by the check above
     mu_hi = max(math.nextafter(float(np.nanmax(wf.f_grid)), math.inf), 1e-12)
-    for _ in range(200):
-        if wf.interp_total(mu_hi)[0] <= p_max:
-            break
-        mu_hi *= 2.0
-    else:
-        return failure("could not bracket the water level", wf)
 
     # phase 1: bracketed Newton steps on the interpolated curves. The totals
     # are linear in mu on each piece and behave like a / mu - b across
@@ -760,20 +755,17 @@ def _recover_lambdas(arrs: _GroupArrays, p_k, p_req, mu: float, binding) -> np.n
     return lam
 
 
-def intra_group_allocate(group: Group, p_k: float, tol: float, interval=None):
+def intra_group_allocate(group: Group, p_k: float, interval=None):
     """Best intra-pair split of a fixed group power.
 
     Maximizes the pair sum rate over the first user's share with the
     interference factors frozen at the group total. The split is exact: the
     best of the interval's ends and the stationary points inside it, which
-    solve a quadratic (see ``_intra_split_vec``). ``tol`` must be positive
-    but no longer sets a width. The default interval is the full [0, p_k];
-    callers may restrict it.
+    solve a quadratic (see ``_intra_split_vec``). The default interval is
+    the full [0, p_k]; callers may restrict it.
     """
     if p_k <= 0:
         raise ValueError(f"p_k must be positive, got {p_k}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     lo, hi = (0.0, p_k) if interval is None else (float(interval[0]), float(interval[1]))
     if not (0.0 <= lo <= hi <= p_k * (1 + 1e-12)):
         raise ValueError(f"invalid split interval {interval} for p_k={p_k}")

@@ -237,9 +237,11 @@ def _table_pieces(profile: InterferenceProfile, snr_offset_db) -> _TablePieces:
     width = np.where(wide, half, 1.0)
     b = np.where(wide, (f_hi - f_lo) / (2.0 * width), 0.0)
     c = np.where(wide, (f_hi - 2.0 * f_mid + f_lo) / (2.0 * width * width), 0.0)
-    # one search of x in the union of the cuts gives every row's piece: a
-    # row's piece index counts its own cuts at or below x, duplicates together
-    edges = np.unique(cuts)
+    # one search of x in the sorted, unique union of the cuts gives every
+    # row's piece: a row's piece index counts its own cuts at or below x,
+    # duplicates together (np.unique would import numpy.ma, about 1 MB)
+    edges = np.sort(cuts, axis=None)
+    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
     span = edges.size + 1
     slot = np.searchsorted(edges, cuts) + 1 + span * np.arange(rows)[:, None]
     counts = np.bincount(slot.ravel(), minlength=rows * span).reshape(rows, span)

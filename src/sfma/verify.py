@@ -279,8 +279,7 @@ def _check_intra(rng) -> tuple[bool, str]:
     for _ in range(30):
         group = random_groups(rng, 1)[0]
         p_k = float(rng.uniform(0.5, 5.0))
-        tol = 1e-5 * p_k
-        p1, _ = intra_group_allocate(group, p_k, tol)
+        p1, _ = intra_group_allocate(group, p_k)
         _, grid_val, _, _ = intra_grid_argmax(group, p_k, n=20_001)
         u1, u2 = group.users
         rho1 = float(rho_eval(group.profile, p_k, u1.link.gain, u1.link.noise))

@@ -24,21 +24,21 @@ TINY = dict(user_counts=(4,), p_max_dbw=(30.0,), drops=3, root_seed=5)
 
 
 def stall_one_drop(monkeypatch, config, drop):
-    """Make the rate-binding fixed point of one drop of ``config`` raise ConvergenceError.
+    """Make the rate floors of one drop of ``config`` raise ConvergenceError.
 
     The drop is told apart by its users' gains, so a forked worker process
     stalls the same drop.
     """
     m = config.user_counts[0]
     gains = {u.link.gain for u in _build_users(config, m, drop_seed(config.root_seed, m, 0, drop))}
-    fixed_points = sfma.power._min_rate_fixed_points
+    floors = sfma.power._rate_floors
 
     def stalled(arrs, *args, **kwargs):
         if gains.intersection(arrs.gain.ravel().tolist()):
-            raise ConvergenceError("rate-binding fixed point stalled in groups [0]")
-        return fixed_points(arrs, *args, **kwargs)
+            raise ConvergenceError("rate floor stalled in groups [0]")
+        return floors(arrs, *args, **kwargs)
 
-    monkeypatch.setattr(sfma.power, "_min_rate_fixed_points", stalled)
+    monkeypatch.setattr(sfma.power, "_rate_floors", stalled)
 
 
 class TestConfig:
@@ -280,6 +280,15 @@ class TestCli:
             "solve", "--users", "2", "--seed", "1", "--p-max-dbw", "-30",
         ])
         assert code == EXIT_INFEASIBLE
+
+    def test_solve_min_rate_met_past_den_zero_at_p0(self, capsys):
+        # on parametric rho den <= 0 at p0 = 2c for a minimum rate of 1.5,
+        # yet rho falls with power and every rate is met higher up; this
+        # once exited as infeasible
+        code = cli_main(["solve", "--users", "30", "--seed", "2026", "--rho-kind", "parametric",
+                         "--min-rate", "1.5"])
+        assert code == EXIT_OK
+        assert re.search(r"^sum rate 117\.302418 bits/s/Hz$", capsys.readouterr().out, re.M)
 
     def test_sweep_missing_config(self, tmp_path):
         code = cli_main(["sweep", "--config", str(tmp_path / "absent.cfg")])

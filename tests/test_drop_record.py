@@ -19,6 +19,6 @@ def test_drops_match_the_record():
     writer = load_writer()
     want = json.loads(writer.DEFAULT_OUTPUT.read_text())
     got = writer.record()
-    assert len(got) == len(want) == 60
+    assert len(got) == len(want) == 70
     moved = writer.moved_drops(got, want)
     assert not moved, f"{len(moved)} drops moved from the record:\n" + "\n".join(moved)
