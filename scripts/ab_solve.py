@@ -13,9 +13,9 @@ drop and one one-drop ``run_sweep`` + ``emit_csv`` unit per drop (root seed
 1000 + drop). A drop's time is the median of its rounds. Per workload it
 prints each side's drops/s over the units and median ``solve()`` time, the
 median and quartiles over drops of the change/parent time ratio, every
-drop whose feasible flag, failing stage, allocation status or ``steps``
-differ, the largest relative move of the sum rate, and whether the units'
-CSVs are byte-identical.
+drop whose feasible flag, failing stage, allocation status, ``steps`` or
+``sampled_steps`` differ, the largest relative move of the sum rate, and
+whether the units' CSVs are byte-identical.
 
 A parent whose package reads its table as ``sfma.data`` by a fixed name
 would read the working tree's table instead of its own; for such a parent
@@ -133,14 +133,15 @@ def compare(name, sides, drops: int, rounds: int, scratch: Path) -> None:
 
         def key(res):
             alloc = res.allocation
-            return (res.feasible, res.stage) + ((None, None) if alloc is None else (alloc.status, alloc.steps))
+            return (res.feasible, res.stage) + ((None,) * 3 if alloc is None
+                                                else (alloc.status, alloc.steps, alloc.sampled_steps))
 
         if key(got) != key(want):
             differ.append(f"    drop {d}: parent {key(want)}, change {key(got)}")
         if got.sum_rate != want.sum_rate and not (math.isnan(got.sum_rate) and math.isnan(want.sum_rate)):
             moved += 1
             largest = max(largest, abs(got.sum_rate - want.sum_rate) / abs(want.sum_rate))
-    print(f"  feasible, stage, status, steps: {len(differ)} drops differ" + "".join("\n" + line for line in differ))
+    print(f"  feasible, stage, status, steps, sampled_steps: {len(differ)} drops differ" + "".join("\n" + line for line in differ))
     print(f"  sum rate: {moved} drops moved, largest relative move {largest:.3g}")
     same = all(Path(configs["parent"][d].output).read_bytes() == Path(configs["change"][d].output).read_bytes()
                for d in range(drops))

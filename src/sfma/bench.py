@@ -12,6 +12,7 @@ parallel without changing any number.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -279,29 +280,24 @@ def evaluate_drop(config: ScenarioConfig, m: int, p_idx: int, drop_index: int,
 
 
 def _drop_task(args):
-    config, m, p_idx, drop_index = args
-    return (m, p_idx, drop_index), evaluate_drop(config, m, p_idx, drop_index)
+    config, profile, m, p_idx, drop_index = args
+    return evaluate_drop(config, m, p_idx, drop_index, profile=profile)
 
 
 def run_sweep(config: ScenarioConfig) -> RunReport:
-    """Evaluate the full (users x power x drops) grid and aggregate per cell."""
-    outcomes = {}
+    """Evaluate the full (users x power x drops) grid and aggregate per cell.
+
+    The profile is built once per sweep, so a table file is read once, and
+    handed to every drop task, in this process or in a worker.
+    """
+    profile = config.build_profile()
+    keys = list(itertools.product(config.user_counts, range(len(config.p_max_dbw)), range(config.drops)))
+    tasks = [(config, profile) + key for key in keys]
     if config.workers > 1:
-        tasks = [
-            (config, m, p_idx, d)
-            for m in config.user_counts
-            for p_idx in range(len(config.p_max_dbw))
-            for d in range(config.drops)
-        ]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for key, outcome in pool.map(_drop_task, tasks, chunksize=8):
-                outcomes[key] = outcome
+            outcomes = dict(zip(keys, pool.map(_drop_task, tasks, chunksize=8)))
     else:
-        profile = config.build_profile()
-        for m in config.user_counts:
-            for p_idx in range(len(config.p_max_dbw)):
-                for d in range(config.drops):
-                    outcomes[(m, p_idx, d)] = evaluate_drop(config, m, p_idx, d, profile=profile)
+        outcomes = dict(zip(keys, map(_drop_task, tasks)))
 
     rows = []
     records = []

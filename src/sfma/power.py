@@ -12,7 +12,8 @@ best of its roots and the interval ends is exact. A residual report checks
 the first-order optimality system of the allocation.
 
 Internals are vectorized across groups. The stationarity curve of every
-group is sampled once on a dense log grid. The summed group power with
+group is sampled once on a dense log grid, and a group's root at mu lies
+where its running minimum first falls below mu. The summed group power with
 roots interpolated on those samples is piecewise linear in mu, and each
 root's cell gives its slope exactly, so the mu search first takes
 bracketed Newton steps on it, in 1/mu where the sum is nearly linear. They
@@ -23,7 +24,8 @@ at levels where a curve's running minimum is flat, between such a level and
 its next float; once the bracket is narrower than 1e-3 relative, a step
 that leaves it probes such a level on both floats instead of halving down
 to them. The search then polishes with a few exactly-evaluated secant
-steps, so the per-instance cost stays flat in the drop count. The first secant step
+steps, so the per-instance cost stays flat in the drop count; their
+bracket's top again starts just above every sample. The first secant step
 takes its slope from the interpolated curves. An exact evaluation refines
 each root inside its grid cell by two levels of 64 uniform samples, each
 taken in one call, and keeps the sub-cell that a bisection on the samples
@@ -409,9 +411,8 @@ class _WaterFiller:
         self.work = np.empty(arrs.work_size(arrs.k * _GRID_N))
         deriv = _pair_rate_slope(arrs, self.grid[None, :], work=self.work)
         self.f_grid = deriv / _LN2          # (K, N) stationarity curve samples
-        self._rows = np.arange(arrs.k)
-        self._roots = np.full(arrs.k, _ROOT)  # every row's status when all cross
-        self._roots.flags.writeable = False
+        # the water level just above every sample, where each row is ZERO at its floor
+        self.top = max(math.nextafter(float(np.nanmax(self.f_grid)), math.inf), 1e-12)
         self._jumps = None
         # the interior samples of each row's last refined bracket at each
         # level, and that bracket's tag: its cell, then cell * _SUB_N + sub-cell
@@ -419,18 +420,16 @@ class _WaterFiller:
         self._sub_f = np.empty((_SUB_LEVELS, arrs.k, _SUB_N - 1))
 
     def _locate(self, mu):
-        """First high-to-low crossing cell of each group's sampled curve."""
+        """Status and root cell of each group's sampled curve at water level ``mu``.
+
+        A root lies where the running minimum first falls below mu, in the
+        cell ending the leading run of samples at or above mu. A run over
+        every sample is CAP, an empty one ZERO; both get cell -1.
+        """
         pos = self.f_grid >= mu
-        # where every row starts at or above mu and falls below it, the end
-        # of each leading run is its first crossing; a row that starts below
-        # mu, or never falls below it, has lead 0
         lead = pos.argmin(axis=1)
-        if lead.all():
-            return self._roots, lead - 1
-        trans = pos[:, :-1] > pos[:, 1:]
-        first = np.argmax(trans, axis=1)
-        status = np.where(trans[self._rows, first], _ROOT, np.where(pos[:, -1], _CAP, _ZERO))
-        return status, first
+        status = np.where(lead > 0, _ROOT, np.where(pos[:, 0], _CAP, _ZERO))
+        return status, lead - 1
 
     def jump_level(self, lo, hi):
         """The middle level strictly inside (lo, hi) at which the sampled totals may jump, or None.
@@ -529,7 +528,7 @@ class _WaterFiller:
         return self._sub_f[level, rows]
 
 
-def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> PowerAllocation:
+def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
     """Split the budget across groups by a search on the water level.
 
     Every group power is the largest of its two users' rate floors and the
@@ -538,23 +537,23 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
     the user's minimum rate (see ``_rate_floors``). Infeasibility (a minimum
     rate that no power within the budget meets, or floors that sum above
     the budget) is reported on the returned allocation rather than raised.
-    When the totals jump across the budget, the allocation stops at the
-    water level just below the jump, with status "budget not exhausted
-    within tolerance". ``tol`` (default 1e-8 p_max) is how far from the
-    budget the totals may stop, and must be positive. ``sampled_steps`` on
-    the result counts the evaluations on the sampled curves, ``steps`` the
-    exactly refined ones. ``groups`` may also be the groups'
-    ``_GroupArrays``, which ``solve`` reuses for the pair stage.
+    The search keeps a bracket on the water level whose upper end starts at
+    the top, just above every sample, where each group sits at its floor
+    and the totals are within the budget. The totals stop within 1e-8 p_max
+    of the budget; where they jump across it instead, the allocation is the
+    bracket's upper end, the water level just above the jump, with status
+    "budget not exhausted within tolerance". ``sampled_steps`` on the result
+    counts the evaluations on the sampled curves, ``steps`` the exactly
+    refined ones. ``groups`` may also be the groups' ``_GroupArrays``, which
+    ``solve`` reuses for the pair stage.
     """
     arrs = groups if isinstance(groups, _GroupArrays) else _GroupArrays(groups)
     if p_max <= 0:
         raise ValueError(f"p_max must be positive, got {p_max}")
-    tol = 1e-8 * p_max if tol is None else float(tol)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = 1e-8 * p_max
     k = arrs.k
 
-    def failure(status: str, wf: _WaterFiller | None = None) -> PowerAllocation:
+    def failure(status: str) -> PowerAllocation:
         return PowerAllocation(
             group_totals=np.zeros(k),
             splits=np.zeros((k, 2)),
@@ -563,8 +562,6 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
             feasible=False,
             budget_exhausted=False,
             status=status,
-            steps=0 if wf is None else wf.steps,
-            sampled_steps=0 if wf is None else wf.sampled_steps,
         )
 
     try:
@@ -596,10 +593,6 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
                 sampled_steps=wf.sampled_steps,
             )
 
-    # upper bracket just above every sample, where each row's sampled root is
-    # gone and the totals sit at the floors, within the budget by the check above
-    mu_hi = max(math.nextafter(float(np.nanmax(wf.f_grid)), math.inf), 1e-12)
-
     # phase 1: bracketed Newton steps on the interpolated curves. The totals
     # are linear in mu on each piece and behave like a / mu - b across
     # pieces, so a step is taken in w = 1 / mu, where they are nearly
@@ -612,7 +605,7 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
     # between the same two floats as bisection would, and stops there. The
     # search starts where every group, at an equal share of the budget, sits
     # on its sampled curve.
-    mu_lo = 0.0
+    mu_lo, mu_hi = 0.0, wf.top
     share = max(0, round((_GRID_N - 1) * (1.0 + math.log(k) / math.log(_GRID_LOW))))   # column of p_max / k
     # the median by hand: np.median imports numpy.ma, about 1 MB, on first use
     at_share = np.sort(wf.f_grid[:, share])
@@ -648,15 +641,16 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
         else:
             mu = math.sqrt(mu_lo * mu_hi) if 0 < 2.0 * mu_lo < mu_hi else 0.5 * (mu_lo + mu_hi)
 
-    # phase 2: secant polish with exactly-refined roots, bisection-guarded.
-    # The first step takes its slope from the interpolated curves: a virtual
+    # phase 2: secant polish with exactly-refined roots, bisection-guarded,
+    # on the bracket totals(b_lo) > p_max >= totals(hi[0]). Its upper end
+    # starts at the top, whose exact totals are the floors, all ZERO. The
+    # first step takes its slope from the interpolated curves: a virtual
     # previous point on that tangent turns the secant into a Newton step.
-    b_lo, b_hi = 0.0, None  # totals(b_lo) > p_max >= totals(b_hi)
+    b_lo, hi = 0.0, (wf.top, p_req.copy(), np.full(k, _ZERO))
     h = 1e-6 * mu
     slope = (wf.interp_total(mu + h)[0] - wf.interp_total(mu - h)[0]) / (2.0 * h)
     p_k, status = wf.exact_totals(mu)
     prev = (mu + h, p_k.sum() + slope * h) if slope < 0 else None
-    best = None  # the under-budget evaluation with the largest total
     for _ in range(40):
         total = p_k.sum()
         if abs(total - p_max) < tol:
@@ -664,37 +658,23 @@ def inter_group_allocate(groups, p_max: float, tol: float | None = None) -> Powe
         if total > p_max:
             b_lo = mu
         else:
-            b_hi = mu
-            if best is None or total > best[1].sum():
-                best = (mu, p_k, status)
+            hi = (mu, p_k, status)
+        b_hi = hi[0]
         # a continuous crossing comes within tol long before the bracket is
         # this narrow, so the totals jump across the budget inside it
-        if b_hi is not None and b_hi - b_lo <= 1e-9 * b_hi:
+        if b_hi - b_lo <= 1e-9 * b_hi:
             break
+        mu_next = math.nan      # no secant step: bisect
         if prev is not None and abs(total - prev[1]) > 0:
             mu_next = mu - (total - p_max) * (mu - prev[0]) / (total - prev[1])
-        else:
-            mu_next = None
-        in_bracket = (
-            mu_next is not None
-            and mu_next > b_lo
-            and (b_hi is None or mu_next < b_hi)
-        )
         prev = (mu, total)
-        if in_bracket:
-            mu = mu_next
-        elif b_hi is None:
-            mu = max(2.0 * mu, 1e-12)
-        else:
-            mu = 0.5 * (b_lo + b_hi)
+        mu = mu_next if b_lo < mu_next < b_hi else 0.5 * (b_lo + b_hi)
         p_k, status = wf.exact_totals(mu)
-    exhausted = abs(p_k.sum() - p_max) < max(tol, 1e-9 * p_max)
+    exhausted = abs(p_k.sum() - p_max) < tol
     if not exhausted:
-        # a budget jump or the step cap: fall back to the best point that
-        # stays within the budget, never to one above it
-        if best is None:
-            return failure("could not bracket the water level", wf)
-        mu, p_k, status = best
+        # a budget jump or the step cap: fall back to the bracket's end
+        # within the budget, never to a point above it
+        mu, p_k, status = hi
     # the stop test accepts totals up to tol above the budget; take that
     # excess from the power above the rate floors so "ok" never overspends
     above = p_k - p_req
@@ -755,24 +735,20 @@ def _recover_lambdas(arrs: _GroupArrays, p_k, p_req, mu: float, binding) -> np.n
     return lam
 
 
-def intra_group_allocate(group: Group, p_k: float, interval=None):
+def intra_group_allocate(group: Group, p_k: float):
     """Best intra-pair split of a fixed group power.
 
-    Maximizes the pair sum rate over the first user's share with the
-    interference factors frozen at the group total. The split is exact: the
-    best of the interval's ends and the stationary points inside it, which
-    solve a quadratic (see ``_intra_split_vec``). The default interval is
-    the full [0, p_k]; callers may restrict it.
+    Maximizes the pair sum rate over the first user's share in [0, p_k]
+    with the interference factors frozen at the group total. The split is
+    exact: the best of the ends and the stationary points between them,
+    which solve a quadratic (see ``_intra_split_vec``).
     """
     if p_k <= 0:
         raise ValueError(f"p_k must be positive, got {p_k}")
-    lo, hi = (0.0, p_k) if interval is None else (float(interval[0]), float(interval[1]))
-    if not (0.0 <= lo <= hi <= p_k * (1 + 1e-12)):
-        raise ValueError(f"invalid split interval {interval} for p_k={p_k}")
     arrs = _GroupArrays([group])
     p_k = np.array([p_k])
     rho1, rho2 = arrs.rho_pair(p_k)
-    p1 = _intra_split_vec(arrs, p_k, np.array([lo]), np.array([hi]), rho1, rho2)[0]
+    p1 = _intra_split_vec(arrs, p_k, np.zeros(1), p_k, rho1, rho2)[0]
     return float(p1), float(p_k[0] - p1)
 
 

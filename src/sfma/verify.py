@@ -162,10 +162,9 @@ def inter_group_grid_oracle(groups, p_max: float, n: int = 2000):
     return value, grid[alloc[::-1]]
 
 
-def intra_grid_argmax(group: Group, p_k: float, n: int = 100_000, interval=None):
-    """Dense-grid argmax of the split objective with rho frozen at p_k."""
-    lo, hi = (0.0, p_k) if interval is None else interval
-    grid = np.linspace(lo, hi, n)
+def intra_grid_argmax(group: Group, p_k: float, n: int = 100_000):
+    """Dense-grid argmax over [0, p_k] of the split objective with rho frozen at p_k."""
+    grid = np.linspace(0.0, p_k, n)
     u1, u2 = group.users
     rho1 = float(rho_eval(group.profile, p_k, u1.link.gain, u1.link.noise))
     rho2 = float(rho_eval(group.profile, p_k, u2.link.gain, u2.link.noise))

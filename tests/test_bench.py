@@ -19,6 +19,7 @@ from sfma.bench import (
 )
 from sfma.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, cli_main
 from sfma.power import ConvergenceError
+from sfma.semantic_rate import InterferenceProfile, save_rho_table
 
 TINY = dict(user_counts=(4,), p_max_dbw=(30.0,), drops=3, root_seed=5)
 
@@ -172,6 +173,31 @@ class TestRunSweep:
         serial = run_sweep(ScenarioConfig(**TINY, workers=1))
         parallel = run_sweep(ScenarioConfig(**TINY, workers=2))
         assert serial.rows == parallel.rows
+
+    def test_custom_table_read_once_per_sweep(self, tmp_path, monkeypatch):
+        bundled = InterferenceProfile.default_table()
+        path = tmp_path / "rho.csv"
+        save_rho_table(InterferenceProfile.from_table(bundled.power_axis_dbw, bundled.snr_axis_db,
+                                                      0.5 * bundled.values), path)
+        reads = tmp_path / "reads.txt"
+        load = sfma.bench.load_rho_table
+
+        def logged(table_path):
+            # a file, so that reads in forked workers count too
+            with open(reads, "a") as handle:
+                handle.write(f"{table_path}\n")
+            return load(table_path)
+
+        monkeypatch.setattr(sfma.bench, "load_rho_table", logged)
+        reports = {}
+        for workers in (1, 2):
+            reads.write_text("")
+            reports[workers] = run_sweep(ScenarioConfig(**TINY, rho_kind="table", rho_table=str(path),
+                                                        workers=workers))
+            assert reads.read_text() == f"{path}\n"
+        assert reports[1].rows == reports[2].rows
+        # the custom table is the one the drops ran on
+        assert reports[1].row("sfma", 4, 30.0) != run_sweep(ScenarioConfig(**TINY)).row("sfma", 4, 30.0)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_convergence_error_is_one_numerics_drop(self, monkeypatch, workers):
