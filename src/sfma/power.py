@@ -777,15 +777,8 @@ def _split_terms(arrs: _GroupArrays, p_k, rho1, rho2):
     return s1, s2, (1.0 - rho1) * s1, rho1 * s1, (1.0 - rho2) * s2, rho2 * s2
 
 
-def _intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, rho1, rho2):
-    """Exact maximizer of the frozen-rho pair rate over p1 in [lo, hi], per group.
-
-    A_i B_i > 0 on [0, 1], so dJ/dq has the sign of s1 d1 A2 B2 - s2 d2 A1 B1
-    (see ``_split_terms``), a quadratic in q. The best of lo, hi and its real
-    roots inside [lo, hi] is the global maximum, concave objective or not.
-    Ties keep a root, then hi, then lo.
-    """
-    s1, s2, u1, v1, u2, v2 = _split_terms(arrs, p_k, rho1, rho2)
+def _split_roots(s1, s2, u1, v1, u2, v2):
+    """Real roots in q of s1 d1 A2 B2 - s2 d2 A1 B1, shape (K, 2); nan where none."""
     d1 = 1.0 + v1
     w1, w2 = s1 * d1, s2 * (1.0 + v2)
     a = w2 * u1 * v1 - w1 * u2 * v2
@@ -794,14 +787,31 @@ def _intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, rho1, rho2):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the stable pair of roots; a == 0 leaves the linear root in c / t
         t = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-        roots = np.stack([t / a, c / t], axis=1) * p_k[:, None]
+        return np.stack([t / a, c / t], axis=1)
+
+
+def _intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, rho1, rho2):
+    """Exact maximizer of the frozen-rho pair rate over p1 in [lo, hi], per group.
+
+    A_i B_i > 0 on [0, 1], so dJ/dq has the sign of s1 d1 A2 B2 - s2 d2 A1 B1
+    (see ``_split_terms``), a quadratic in q. The best of lo, hi and its real
+    roots inside [lo, hi] is the global maximum, concave objective or not.
+    At very high SNR the quadratic can have two roots within about 1/sqrt(s)
+    of q = 1 (or q = 0), which its coefficients in q lose to cancellation; the
+    same quadratic in r = 1 - q (the users swapped) keeps roots near q = 1,
+    so both sets of roots are candidates. Ties keep a root, then hi, then lo.
+    """
+    s1, s2, u1, v1, u2, v2 = _split_terms(arrs, p_k, rho1, rho2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        roots = np.column_stack([_split_roots(s1, s2, u1, v1, u2, v2),
+                                 1.0 - _split_roots(s2, s1, u2, v2, u1, v1)]) * p_k[:, None]
     # fmax/fmin send the nan of a negative discriminant or of 0/0 to lo
     cand = np.column_stack([np.fmin(np.fmax(roots, lo[:, None]), hi[:, None]), hi, lo])
     j = _intra_objective(arrs, p_k, rho1, rho2, cand)
     if logger.isEnabledFor(logging.DEBUG):
         # the pair objective can lose concavity in interference-limited regimes
         j_mid = _intra_objective(arrs, p_k, rho1, rho2, 0.5 * (lo + hi))
-        non_concave = j_mid < 0.5 * (j[:, 3] + j[:, 2]) - 1e-12 * np.maximum(1.0, np.abs(j_mid))
+        non_concave = j_mid < 0.5 * (j[:, -1] + j[:, -2]) - 1e-12 * np.maximum(1.0, np.abs(j_mid))
         if np.any(non_concave):
             logger.debug("intra-group objective not midpoint-concave for %d group(s)",
                          int(np.sum(non_concave)))

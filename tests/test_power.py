@@ -1945,6 +1945,9 @@ class TestPairSplitProperty:
     @example(g1=1.0, g2=0.3, n1=0.5, n2=1.0, rho1=0.4, rho2=0.7, p_k=2.0, ends=(0.3, 0.3))
     @example(g1=1.0, g2=1.0, n1=1e-12, n2=1e-12, rho1=0.5, rho2=0.5, p_k=1e4, ends=(0.0, 1.0))
     @example(g1=1.0, g2=1e-12, n1=1e-12, n2=1.0, rho1=0.9, rho2=0.1, p_k=1e-12, ends=(0.0, 1.0))
+    # two roots within 1e-8 of q = 1, lost to cancellation in the coefficients in q
+    @example(g1=1.0, g2=1.0, n1=1e-12, n2=1e-12, rho1=0.78125, rho2=0.0, p_k=9709.875, ends=(0.0, 1.0))
+    @example(g1=1.0, g2=1.0, n1=1e-12, n2=1e-12, rho1=0.0, rho2=0.78125, p_k=9709.875, ends=(0.0, 1.0))
     def test_beats_a_dense_grid(self, g1, g2, n1, n2, rho1, rho2, p_k, ends):
         group = simple_group(g1=g1, g2=g2, n1=n1, n2=n2)
         arrs = _GroupArrays([group])
