@@ -26,8 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from sfma.bench import ScenarioConfig, _build_users, drop_seed  # noqa: E402
-from sfma.power import SolverConfig, solve  # noqa: E402
+from sfma.bench import ScenarioConfig, drop_inputs  # noqa: E402
+from sfma.power import solve  # noqa: E402
 
 ROOT_SEED = 2026
 P_MAX_DBW = 30.0
@@ -40,23 +40,15 @@ EXTRA_CELLS = (("parametric", 30, 1.5),)
 DEFAULT_OUTPUT = ROOT / "tests" / "data" / "drop_record.json"
 
 
-def drop_inputs(kind: str, m: int, drop: int, min_rate: float = MIN_RATE):
-    """Users and solver settings of one drop, as a one-cell sweep draws them."""
-    config = ScenarioConfig(user_counts=(m,), p_max_dbw=(P_MAX_DBW,), root_seed=ROOT_SEED,
-                            rho_kind=kind, min_rate=min_rate)
-    users = _build_users(config, m, drop_seed(ROOT_SEED, m, 0, drop))
-    solver_cfg = SolverConfig(p_max_w=10.0 ** (P_MAX_DBW / 10.0), alpha=config.alpha,
-                              delta_max=config.delta_max, profile=config.build_profile())
-    return users, solver_cfg
-
-
 def _reprs(values) -> list:
     return [repr(float(v)) for v in values]
 
 
 def drop_entry(kind: str, m: int, drop: int, min_rate: float = MIN_RATE) -> dict:
     """The record of one drop, solved by the code on the path."""
-    result = solve(*drop_inputs(kind, m, drop, min_rate))
+    config = ScenarioConfig(user_counts=(m,), p_max_dbw=(P_MAX_DBW,), root_seed=ROOT_SEED,
+                            rho_kind=kind, min_rate=min_rate)
+    result = solve(*drop_inputs(config, m, 0, drop))
     entry = {"kind": kind, "users": m, "min_rate": min_rate, "drop": drop, "feasible": result.feasible,
              "stage": result.stage, "sum_rate": repr(float(result.sum_rate))}
     alloc = result.allocation

@@ -37,7 +37,7 @@ def pair_distinctive(users) -> PairingAssignment:
 
 
 def _resolve_pairs(pairs):
-    """Accept either (strong, weak) UserTerminal tuples or a PairingAssignment plus users."""
+    """Order each pair of UserTerminals as (strong, weak); any other pair is a TypeError."""
     out = []
     for pair in pairs:
         u, v = pair

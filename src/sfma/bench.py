@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "RunReport",
     "ReportRow",
     "DropOutcome",
+    "drop_inputs",
     "run_sweep",
     "emit_csv",
     "read_report",
@@ -84,6 +85,8 @@ class ScenarioConfig:
                     raise ConfigError(f"{f.name} must be finite, got {v}")
         if self.drops < 1:
             raise ConfigError(f"drops must be >= 1, got {self.drops}")
+        if self.root_seed < 0:
+            raise ConfigError(f"root_seed must be >= 0, got {self.root_seed}")
         if not self.user_counts or any(m < 2 or m % 2 for m in self.user_counts):
             raise ConfigError(f"user_counts must be even and >= 2, got {self.user_counts}")
         if not self.p_max_dbw:
@@ -102,28 +105,30 @@ class ScenarioConfig:
             raise ConfigError(f"shadow_sigma_db must be nonnegative, got {self.shadow_sigma_db}")
         if not 0.0 < self.fnoma_eta < 1.0:
             raise ConfigError(f"fnoma_eta must lie in (0, 1), got {self.fnoma_eta}")
-        if self.rho_kind != "table":  # table files are read only when the sweep starts
-            try:
-                self.build_profile()
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        # built here, once: a table file is read when the config is made, and a bad
+        # path or table is a config error; an attribute, not a field or a key
+        try:
+            if self.rho_kind == "constant":
+                profile = InterferenceProfile.constant(self.rho_constant)
+            elif self.rho_kind == "parametric":
+                profile = InterferenceProfile.parametric(LogisticRhoParams(
+                    limit=self.rho_limit,
+                    snr_slope=self.rho_snr_slope,
+                    snr_mid_db=self.rho_snr_mid_db,
+                    power_coeff=self.rho_power_coeff,
+                    power_ref_w=self.rho_power_ref_w,
+                ))
+            elif self.rho_table == "default":
+                profile = InterferenceProfile.default_table()
+            else:
+                profile = load_rho_table(self.rho_table)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "_profile", profile)
 
     def build_profile(self) -> InterferenceProfile:
-        if self.rho_kind == "constant":
-            return InterferenceProfile.constant(self.rho_constant)
-        if self.rho_kind == "table":
-            if self.rho_table == "default":
-                return InterferenceProfile.default_table()
-            return load_rho_table(self.rho_table)
-        return InterferenceProfile.parametric(
-            LogisticRhoParams(
-                limit=self.rho_limit,
-                snr_slope=self.rho_snr_slope,
-                snr_mid_db=self.rho_snr_mid_db,
-                power_coeff=self.rho_power_coeff,
-                power_ref_w=self.rho_power_ref_w,
-            )
-        )
+        """The rho profile built with the config: the same object on every call."""
+        return self._profile
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -244,17 +249,21 @@ def _build_users(config: ScenarioConfig, m: int, seed: int):
     ]
 
 
+def drop_inputs(config: ScenarioConfig, m: int, p_idx: int, drop_index: int):
+    """Users and solver settings of one drop: ``drop_index`` of cell (m, ``p_max_dbw[p_idx]``)."""
+    users = _build_users(config, m, drop_seed(config.root_seed, m, p_idx, drop_index))
+    solver_cfg = SolverConfig(p_max_w=10.0 ** (config.p_max_dbw[p_idx] / 10.0), alpha=config.alpha,
+                              delta_max=config.delta_max, profile=config.build_profile())
+    return users, solver_cfg
+
+
 def evaluate_drop(config: ScenarioConfig, m: int, p_idx: int, drop_index: int,
                   profile: InterferenceProfile | None = None) -> DropOutcome:
-    """All four schemes on one shared channel realization."""
-    p_dbw = config.p_max_dbw[p_idx]
-    p_max_w = 10.0 ** (p_dbw / 10.0)
-    seed = drop_seed(config.root_seed, m, p_idx, drop_index)
-    users = _build_users(config, m, seed)
-    profile = profile if profile is not None else config.build_profile()
-    solver_cfg = SolverConfig(
-        p_max_w=p_max_w, alpha=config.alpha, delta_max=config.delta_max, profile=profile
-    )
+    """All four schemes on one shared channel realization; ``profile`` replaces the config's."""
+    users, solver_cfg = drop_inputs(config, m, p_idx, drop_index)
+    if profile is not None:
+        solver_cfg = replace(solver_cfg, profile=profile)
+    p_max_w = solver_cfg.p_max_w
     try:
         result = solve(users, solver_cfg)
         sfma_rate, feasible, stage = result.sum_rate, result.feasible, result.stage
@@ -271,7 +280,7 @@ def evaluate_drop(config: ScenarioConfig, m: int, p_idx: int, drop_index: int,
     }
     return DropOutcome(
         users=m,
-        p_max_dbw=p_dbw,
+        p_max_dbw=config.p_max_dbw[p_idx],
         drop_index=drop_index,
         rates=rates,
         feasible=feasible,
@@ -280,19 +289,17 @@ def evaluate_drop(config: ScenarioConfig, m: int, p_idx: int, drop_index: int,
 
 
 def _drop_task(args):
-    config, profile, m, p_idx, drop_index = args
-    return evaluate_drop(config, m, p_idx, drop_index, profile=profile)
+    return evaluate_drop(*args)
 
 
 def run_sweep(config: ScenarioConfig) -> RunReport:
     """Evaluate the full (users x power x drops) grid and aggregate per cell.
 
-    The profile is built once per sweep, so a table file is read once, and
-    handed to every drop task, in this process or in a worker.
+    Every drop, in this process or in a worker, runs on the profile built
+    with ``config``.
     """
-    profile = config.build_profile()
     keys = list(itertools.product(config.user_counts, range(len(config.p_max_dbw)), range(config.drops)))
-    tasks = [(config, profile) + key for key in keys]
+    tasks = [(config,) + key for key in keys]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = dict(zip(keys, pool.map(_drop_task, tasks, chunksize=8)))

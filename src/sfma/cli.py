@@ -6,8 +6,9 @@ Subcommands:
   calibrate  turn distortion measurements into an interference-factor table
   verify     run the quick oracle suite on small instances
 
-Exit codes: 0 success, 1 failed verification or a sweep with numerically
-failed drops, 2 bad configuration or input, 3 infeasible instance.
+Exit codes: 0 success, 1 failed verification, a sweep with numerically
+failed drops or a solve that failed numerically, 2 bad configuration or
+input, 3 infeasible instance.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import ConfigError, ScenarioConfig, emit_csv, run_sweep
-from .power import Group, SolverConfig, kkt_residuals, solve, split_residuals
+from .bench import ConfigError, ScenarioConfig, drop_inputs, emit_csv, run_sweep
+from .power import ConvergenceError, Group, kkt_residuals, solve, split_residuals
 from .semantic_rate import InterferenceProfile, Link, calibrate_rho, save_rho_table
 from .verify import run_all
 
@@ -64,11 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     try:
         config = ScenarioConfig.from_file(args.config)
-        profile_check = config.build_profile()  # fail fast on a bad table path
-    except (ConfigError, OSError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    del profile_check
     output = args.output or config.output
     # a sweep can take minutes: an output that cannot be written fails first
     target = Path(output)
@@ -98,9 +97,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.users < 2 or args.users % 2:
-        print("error: --users must be even and >= 2", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         config = ScenarioConfig(
             user_counts=(args.users,),
@@ -114,19 +110,15 @@ def _cmd_solve(args) -> int:
             rho_table=args.rho_table,
             rho_constant=args.rho_constant,
         )
-        profile = config.build_profile()
-    except (ConfigError, OSError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    from .bench import _build_users, drop_seed
-
-    seed = drop_seed(config.root_seed, args.users, 0, 0)
-    users = _build_users(config, args.users, seed)
-    p_max_w = 10.0 ** (args.p_max_dbw / 10.0)
-    result = solve(users, SolverConfig(
-        p_max_w=p_max_w, alpha=args.alpha, delta_max=args.delta_max, profile=profile
-    ))
+    users, solver_cfg = drop_inputs(config, args.users, 0, 0)
+    try:
+        result = solve(users, solver_cfg)
+    except ConvergenceError as exc:
+        print(f"error: failed at stage numerics: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     if not result.feasible:
         detail = result.allocation.status if result.allocation is not None else \
             f"unmatchable users {list(result.pairing.unmatched)}"
@@ -147,12 +139,12 @@ def _cmd_solve(args) -> int:
             f"rates=({result.user_rates[a]:.4f}, {result.user_rates[b]:.4f})"
         )
     by_id = {u.id: u for u in users}
-    groups = [Group(users=(by_id[a], by_id[b]), profile=profile) for a, b in result.pairing.pairs]
+    groups = [Group(users=(by_id[a], by_id[b]), profile=solver_cfg.profile) for a, b in result.pairing.pairs]
     # the dual variables certify the group-level (equal-split) stage; the
     # intra-pair resplit afterwards has its own residual, printed below
     stage_alloc = dataclasses.replace(alloc, splits=np.column_stack([alloc.group_totals / 2.0] * 2))
-    report = kkt_residuals(groups, stage_alloc, p_max_w)
-    print(f"total power {float(np.sum(alloc.group_totals)):.6g} of {p_max_w:.6g} W")
+    report = kkt_residuals(groups, stage_alloc, solver_cfg.p_max_w)
+    print(f"total power {float(np.sum(alloc.group_totals)):.6g} of {solver_cfg.p_max_w:.6g} W")
     print(f"max normalized group-stage KKT residual {report.max_normalized:.3e}")
     split_res = float(np.max(split_residuals(groups, alloc), initial=0.0))
     print(f"max normalized pair-split residual {split_res:.3e}")

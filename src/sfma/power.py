@@ -59,7 +59,6 @@ from the right at a cut.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -82,8 +81,6 @@ __all__ = [
     "solve",
     "split_residuals",
 ]
-
-logger = logging.getLogger(__name__)
 
 _LN2 = float(np.log(2.0))
 _GRID_N = 1024                     # stationarity-curve samples per group
@@ -808,13 +805,6 @@ def _intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, rho1, rho2):
     # fmax/fmin send the nan of a negative discriminant or of 0/0 to lo
     cand = np.column_stack([np.fmin(np.fmax(roots, lo[:, None]), hi[:, None]), hi, lo])
     j = _intra_objective(arrs, p_k, rho1, rho2, cand)
-    if logger.isEnabledFor(logging.DEBUG):
-        # the pair objective can lose concavity in interference-limited regimes
-        j_mid = _intra_objective(arrs, p_k, rho1, rho2, 0.5 * (lo + hi))
-        non_concave = j_mid < 0.5 * (j[:, -1] + j[:, -2]) - 1e-12 * np.maximum(1.0, np.abs(j_mid))
-        if np.any(non_concave):
-            logger.debug("intra-group objective not midpoint-concave for %d group(s)",
-                         int(np.sum(non_concave)))
     return cand[np.arange(cand.shape[0]), np.argmax(j, axis=1)]
 
 

@@ -10,15 +10,14 @@ from sfma.bench import (
     ReportRow,
     RunReport,
     ScenarioConfig,
-    _build_users,
-    drop_seed,
+    drop_inputs,
     emit_csv,
     evaluate_drop,
     read_report,
     run_sweep,
 )
 from sfma.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, cli_main
-from sfma.power import ConvergenceError
+from sfma.power import ConvergenceError, solve
 from sfma.semantic_rate import InterferenceProfile, save_rho_table
 
 TINY = dict(user_counts=(4,), p_max_dbw=(30.0,), drops=3, root_seed=5)
@@ -31,7 +30,7 @@ def stall_one_drop(monkeypatch, config, drop):
     stalls the same drop.
     """
     m = config.user_counts[0]
-    gains = {u.link.gain for u in _build_users(config, m, drop_seed(config.root_seed, m, 0, drop))}
+    gains = {u.link.gain for u in drop_inputs(config, m, 0, drop)[0]}
     floors = sfma.power._rate_floors
 
     def stalled(arrs, *args, **kwargs):
@@ -40,6 +39,27 @@ def stall_one_drop(monkeypatch, config, drop):
         return floors(arrs, *args, **kwargs)
 
     monkeypatch.setattr(sfma.power, "_rate_floors", stalled)
+
+
+def logged_custom_table(tmp_path, monkeypatch):
+    """A custom rho table in ``tmp_path``, and a file that logs each read of it.
+
+    The log is a file, so that reads in forked workers count too.
+    """
+    bundled = InterferenceProfile.default_table()
+    path = tmp_path / "rho.csv"
+    save_rho_table(InterferenceProfile.from_table(bundled.power_axis_dbw, bundled.snr_axis_db,
+                                                  0.5 * bundled.values), path)
+    reads = tmp_path / "reads.txt"
+    load = sfma.bench.load_rho_table
+
+    def logged(table_path):
+        with open(reads, "a") as handle:
+            handle.write(f"{table_path}\n")
+        return load(table_path)
+
+    monkeypatch.setattr(sfma.bench, "load_rho_table", logged)
+    return path, reads
 
 
 class TestConfig:
@@ -115,6 +135,7 @@ class TestConfig:
         ("fnoma_eta", 0.0),
         ("fnoma_eta", 1.0),
         ("fnoma_eta", 1.5),
+        ("root_seed", -1),
     ])
     def test_bad_scenario_value_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -124,6 +145,15 @@ class TestConfig:
     def test_bad_parametric_rho_rejected(self, field, value):
         with pytest.raises(ConfigError):
             ScenarioConfig(rho_kind="parametric", **{field: value})
+
+    @pytest.mark.parametrize("text", [None, "power,snr\n0,1\n"])
+    def test_bad_rho_table_rejected(self, tmp_path, text):
+        # a missing file and a table with a non-numeric header alike
+        path = tmp_path / "rho.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match="rho.csv"):
+            ScenarioConfig(rho_table=str(path))
 
     def test_bad_constant_rho_rejected(self):
         with pytest.raises(ConfigError, match="constant rho"):
@@ -175,20 +205,7 @@ class TestRunSweep:
         assert serial.rows == parallel.rows
 
     def test_custom_table_read_once_per_sweep(self, tmp_path, monkeypatch):
-        bundled = InterferenceProfile.default_table()
-        path = tmp_path / "rho.csv"
-        save_rho_table(InterferenceProfile.from_table(bundled.power_axis_dbw, bundled.snr_axis_db,
-                                                      0.5 * bundled.values), path)
-        reads = tmp_path / "reads.txt"
-        load = sfma.bench.load_rho_table
-
-        def logged(table_path):
-            # a file, so that reads in forked workers count too
-            with open(reads, "a") as handle:
-                handle.write(f"{table_path}\n")
-            return load(table_path)
-
-        monkeypatch.setattr(sfma.bench, "load_rho_table", logged)
+        path, reads = logged_custom_table(tmp_path, monkeypatch)
         reports = {}
         for workers in (1, 2):
             reads.write_text("")
@@ -213,6 +230,17 @@ class TestRunSweep:
             values = [o.rates[row.scheme] for o in kept]
             assert row.mean_sum_rate == pytest.approx(np.mean(values), rel=1e-12)
         assert clean.numerics == []
+
+    @pytest.mark.parametrize("kind", ["constant", "table", "parametric"])
+    def test_evaluate_drop_solves_the_drop_inputs(self, kind):
+        # one frame index for all, so pairing cannot fail and the rates are numbers
+        config = ScenarioConfig(user_counts=(10,), p_max_dbw=(25.0, 30.0), root_seed=7, rho_kind=kind,
+                                rho_constant=0.5, frame_window=1)
+        for p_idx in (0, 1):
+            for d in range(3):
+                outcome = evaluate_drop(config, 10, p_idx, d)
+                assert outcome.feasible
+                assert outcome.rates["sfma"] == solve(*drop_inputs(config, 10, p_idx, d)).sum_rate
 
     def test_drop_seed_isolation(self):
         cfg = ScenarioConfig(user_counts=(4,), p_max_dbw=(30.0,), drops=2, root_seed=5)
@@ -297,6 +325,20 @@ class TestCli:
         rows = read_report(out_path).rows
         assert len(rows) == 4 and all((r.drops, r.infeasible) == (2, 1) for r in rows)
 
+    def test_solve_numerics_is_one_error_line(self, capsys, monkeypatch):
+        stall_one_drop(monkeypatch, ScenarioConfig(user_counts=(4,), root_seed=5), 0)
+        assert cli_main(["solve", "--users", "4", "--seed", "5"]) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "numerics" in err
+
+    def test_solve_negative_seed_is_one_error_line(self, capsys):
+        assert cli_main(["solve", "--users", "4", "--seed", "-1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "root_seed" in err
+        assert "Traceback" not in err
+
     def test_solve_rejects_odd_users(self):
         assert cli_main(["solve", "--users", "3", "--seed", "1"]) == EXIT_CONFIG
 
@@ -367,6 +409,29 @@ class TestCli:
         # a directory is no file to write either
         assert cli_main(["sweep", "--config", str(cfg_path), "--output", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_sweep_reads_a_custom_table_once(self, tmp_path, monkeypatch):
+        table, reads = logged_custom_table(tmp_path, monkeypatch)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"user_counts = 4\ndrops = 3\nroot_seed = 5\nworkers = 2\n"
+                            f"rho_table = {table}\noutput = {tmp_path / 'out.csv'}\n")
+        assert cli_main(["sweep", "--config", str(cfg_path)]) == EXIT_OK
+        assert reads.read_text() == f"{table}\n"
+
+    def test_sweep_missing_table_fails_before_any_drop(self, tmp_path, capsys, monkeypatch):
+        def no_drop(*args, **kwargs):
+            raise AssertionError("a drop ran")
+
+        monkeypatch.setattr(sfma.bench, "evaluate_drop", no_drop)
+        cfg_path = tmp_path / "run.cfg"
+        out_path = tmp_path / "out.csv"
+        cfg_path.write_text(f"user_counts = 4\ndrops = 2\nrho_table = {tmp_path / 'absent.csv'}\n"
+                            f"output = {out_path}\n")
+        assert cli_main(["sweep", "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "absent.csv" in err
+        assert not out_path.exists()
 
     def test_sweep_unknown_key_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

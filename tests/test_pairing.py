@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from sfma.bench import ScenarioConfig, _build_users, drop_seed
+from sfma.bench import ScenarioConfig, drop_inputs
 from sfma.pairing import (
     PairingAssignment,
     UserTerminal,
@@ -293,8 +293,9 @@ def instance(rng, source):
     alpha = float(rng.choice([0.0, 0.1, 0.5, 2.0]))
     delta = float(rng.choice([0, 1, 2, 4, 8, 100]))
     if source == "bench":
-        config = ScenarioConfig(user_counts=(m,), frame_window=window, min_rate=0.0)
-        users = _build_users(config, m, drop_seed(int(rng.integers(1 << 30)), m, 0, 0))
+        config = ScenarioConfig(user_counts=(m,), frame_window=window, min_rate=0.0,
+                                root_seed=int(rng.integers(1 << 30)))
+        users, _ = drop_inputs(config, m, 0, 0)
         power = 1000.0 / m
     else:
         users = random_users(rng, m, min_rate=0.0, frame_window=window)

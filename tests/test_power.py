@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sfma.power
-from sfma.bench import ScenarioConfig, _build_users, drop_seed
+from sfma.bench import ScenarioConfig, drop_inputs
 from sfma.pairing import UserTerminal, pair_users
 from sfma.power import (
     _CAP,
@@ -460,20 +460,6 @@ class TestIntraGroupAllocate:
         with pytest.raises(ValueError):
             intra_group_allocate(group, p_k=0.0)
 
-    def test_concavity_probe_logs_violations(self, caplog):
-        import logging
-
-        bimodal = simple_group(rho_c=1.0, r1=0.0, r2=0.0, g1=50.0, g2=50.0)
-        with caplog.at_level(logging.DEBUG, logger="sfma.power"):
-            intra_group_allocate(bimodal, p_k=2.0)
-        assert any("not midpoint-concave" in r.message for r in caplog.records)
-
-        caplog.clear()
-        concave = simple_group(rho_c=0.0, g1=2.0, g2=2.0)
-        with caplog.at_level(logging.DEBUG, logger="sfma.power"):
-            intra_group_allocate(concave, p_k=4.0)
-        assert not any("not midpoint-concave" in r.message for r in caplog.records)
-
 
 class TestSplitResiduals:
     def test_only_slopes_into_the_interval_count(self):
@@ -686,10 +672,7 @@ def bench_drop(root_seed, m, drop, kind="table", p_max_dbw=30.0, min_rate=1.0):
     """Users and solver settings of one drop of a one-cell bench sweep."""
     config = ScenarioConfig(user_counts=(m,), p_max_dbw=(p_max_dbw,), root_seed=root_seed,
                             rho_kind=kind, min_rate=min_rate)
-    users = _build_users(config, m, drop_seed(root_seed, m, 0, drop))
-    solver_cfg = SolverConfig(p_max_w=10.0 ** (p_max_dbw / 10.0), alpha=config.alpha,
-                              delta_max=config.delta_max, profile=config.build_profile())
-    return users, solver_cfg
+    return drop_inputs(config, m, 0, drop)
 
 
 class TestBudgetJump:
@@ -1032,11 +1015,10 @@ class TestPairLookup:
         # np.unique and np.median import numpy.ma, about 1 MB, on first use;
         # a fresh process solves a table drop without them
         code = ("import sys\n"
-                "from sfma.bench import ScenarioConfig, _build_users, drop_seed\n"
-                "from sfma.power import SolverConfig, solve\n"
+                "from sfma.bench import ScenarioConfig, drop_inputs\n"
+                "from sfma.power import solve\n"
                 "config = ScenarioConfig(user_counts=(30,), p_max_dbw=(30.0,), root_seed=2026)\n"
-                "users = _build_users(config, 30, drop_seed(2026, 30, 0, 0))\n"
-                "result = solve(users, SolverConfig(p_max_w=1000.0, profile=config.build_profile()))\n"
+                "result = solve(*drop_inputs(config, 30, 0, 0))\n"
                 "print(config.rho_kind, result.allocation.status, 'numpy.ma' in sys.modules)\n")
         src = Path(sfma.power.__file__).resolve().parents[1]
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
