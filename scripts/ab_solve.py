@@ -1,21 +1,24 @@
 #!/usr/bin/env python3
 """Time the working tree's solver against a parent revision's, side by side in one process.
 
-    python scripts/ab_solve.py --parent HEAD~1 [--drops 40] [--rounds 7]
+    python scripts/ab_solve.py --parent HEAD~1 [--drops 40] [--rounds 7] [--seed 2026] [--max-move REL]
 
 The parent's ``src/sfma`` is written from local git (``git show``) into a
 temporary package, ``sfma_parent``, and imported beside the working tree's
 ``sfma``. Two workloads run at 30 dBW: headline-like drops (30 users, the
 bundled rho table) and crowd-like drops (60 users, the default logistic
-profile), drops 0 to ``--drops`` - 1 of root seed 2026. Each round times,
+profile), drops 0 to ``--drops`` - 1 of root seed ``--seed``. Each round times,
 drop by drop and alternating which side goes first, ``solve()`` on each
 drop and one one-drop ``run_sweep`` + ``emit_csv`` unit per drop (root seed
 1000 + drop). A drop's time is the median of its rounds. Per workload it
 prints each side's drops/s over the units and median ``solve()`` time, the
 median and quartiles over drops of the change/parent time ratio, every
 drop whose feasible flag, failing stage, allocation status, ``steps`` or
-``sampled_steps`` differ, the largest relative move of the sum rate, and
-whether the units' CSVs are byte-identical.
+``sampled_steps`` differ, the largest relative move of the sum rate, of
+the water level mu and of the group totals, and whether the units' CSVs
+are byte-identical. With ``--max-move REL`` it exits 1 if any drop's
+feasible flag, stage or status differs, or if any of those numbers moves
+by more than REL relative; ``steps`` may differ.
 
 A parent whose package reads its table as ``sfma.data`` by a fixed name
 would read the working tree's table instead of its own; for such a parent
@@ -33,9 +36,11 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "src/sfma"
-ROOT_SEED, UNIT_SEED, P_MAX_DBW = 2026, 1000, 30.0
+UNIT_SEED, P_MAX_DBW = 1000, 30.0
 WORKLOADS = {"headline": (30, "table"), "crowd": (60, "parametric")}
 
 
@@ -72,9 +77,9 @@ def check_parent(parent: Path, own: Path) -> None:
         print("parent reads sfma.data by name; both data/ trees are byte-identical")
 
 
-def drop_inputs(sfma, m: int, kind: str, drop: int):
-    config = sfma.ScenarioConfig(user_counts=(m,), p_max_dbw=(P_MAX_DBW,), root_seed=ROOT_SEED, rho_kind=kind)
-    users = sfma.bench._build_users(config, m, sfma.bench.drop_seed(ROOT_SEED, m, 0, drop))
+def drop_inputs(sfma, m: int, kind: str, drop: int, seed: int):
+    config = sfma.ScenarioConfig(user_counts=(m,), p_max_dbw=(P_MAX_DBW,), root_seed=seed, rho_kind=kind)
+    users = sfma.bench._build_users(config, m, sfma.bench.drop_seed(seed, m, 0, drop))
     solver = sfma.SolverConfig(p_max_w=10.0 ** (P_MAX_DBW / 10.0), alpha=config.alpha,
                                delta_max=config.delta_max, profile=config.build_profile())
     return users, solver
@@ -96,9 +101,24 @@ def quartiles(values):
     return f"median {q2:.3f} [quartiles {q1:.3f}, {q3:.3f}]"
 
 
-def compare(name, sides, drops: int, rounds: int, scratch: Path) -> None:
+def largest_move(got, want) -> float:
+    """Largest relative move between two float arrays; nan on both sides is no move."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if got.shape != want.shape:
+        return math.inf
+    moved = ~((got == want) | (np.isnan(got) & np.isnan(want)))
+    if not moved.any():
+        return 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(got[moved] - want[moved]) / np.abs(want[moved])
+    return float(np.max(np.where(np.isnan(rel), math.inf, rel)))
+
+
+def compare(name, sides, drops: int, rounds: int, seed: int, scratch: Path):
+    """Time and compare one workload; returns the count of drops whose feasible
+    flag, stage or status differ, and the largest relative move of any number."""
     m, kind = WORKLOADS[name]
-    inputs = {side: [drop_inputs(pkg, m, kind, d) for d in range(drops)] for side, pkg in sides.items()}
+    inputs = {side: [drop_inputs(pkg, m, kind, d, seed) for d in range(drops)] for side, pkg in sides.items()}
     configs = {side: [unit_config(pkg, m, kind, d, scratch / f"{side}-{name}-{d}.csv") for d in range(drops)]
                for side, pkg in sides.items()}
     solve_s = {side: [[] for _ in range(drops)] for side in sides}
@@ -127,25 +147,36 @@ def compare(name, sides, drops: int, rounds: int, scratch: Path) -> None:
             speed = (f"parent {statistics.median(parent) * 1e3:.3f} ms, "
                      f"change {statistics.median(change) * 1e3:.3f} ms (median drop)")
         print(f"  {label}: {speed}; change/parent per drop {quartiles([c / p for c, p in zip(change, parent)])}")
-    differ, moved, largest = [], 0, 0.0
+    def key(res):
+        alloc = res.allocation
+        return (res.feasible, res.stage) + ((None,) * 3 if alloc is None
+                                            else (alloc.status, alloc.steps, alloc.sampled_steps))
+
+    def numbers(res):
+        alloc = res.allocation
+        return {"sum rate": [res.sum_rate], "mu": [] if alloc is None else [alloc.mu],
+                "group totals": [] if alloc is None else alloc.group_totals}
+
+    differ, flagged = [], 0
+    moves = {name: [0, 0.0] for name in ("sum rate", "mu", "group totals")}
     for d in range(drops):
         got, want = results["change", d], results["parent", d]
-
-        def key(res):
-            alloc = res.allocation
-            return (res.feasible, res.stage) + ((None,) * 3 if alloc is None
-                                                else (alloc.status, alloc.steps, alloc.sampled_steps))
-
         if key(got) != key(want):
             differ.append(f"    drop {d}: parent {key(want)}, change {key(got)}")
-        if got.sum_rate != want.sum_rate and not (math.isnan(got.sum_rate) and math.isnan(want.sum_rate)):
-            moved += 1
-            largest = max(largest, abs(got.sum_rate - want.sum_rate) / abs(want.sum_rate))
+            flagged += key(got)[:3] != key(want)[:3]
+        want_numbers = numbers(want)
+        for label, values in numbers(got).items():
+            move = largest_move(values, want_numbers[label])
+            if move > 0:
+                moves[label][0] += 1
+                moves[label][1] = max(moves[label][1], move)
     print(f"  feasible, stage, status, steps, sampled_steps: {len(differ)} drops differ" + "".join("\n" + line for line in differ))
-    print(f"  sum rate: {moved} drops moved, largest relative move {largest:.3g}")
+    for label, (moved, largest) in moves.items():
+        print(f"  {label}: {moved} drops moved, largest relative move {largest:.3g}")
     same = all(Path(configs["parent"][d].output).read_bytes() == Path(configs["change"][d].output).read_bytes()
                for d in range(drops))
     print(f"  unit CSVs byte-identical: {'yes' if same else 'no'}")
+    return flagged, max(largest for _, largest in moves.values())
 
 
 def main(argv=None) -> int:
@@ -153,9 +184,14 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--drops", type=int, default=40)
     parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--seed", type=int, default=2026, help="root seed of the solve() drops")
+    parser.add_argument("--max-move", type=float, metavar="REL",
+                        help="exit 1 if a feasible flag, stage or status differs, or a number moves more than REL")
     args = parser.parse_args(argv)
-    if args.drops < 4 or args.rounds < 1:
-        parser.error("--drops must be >= 4 and --rounds >= 1")
+    if args.drops < 4 or args.rounds < 1 or args.seed < 0:
+        parser.error("--drops must be >= 4, --rounds >= 1 and --seed >= 0")
+    if args.max_move is not None and not args.max_move >= 0:
+        parser.error("--max-move must be >= 0")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         check_parent(write_parent(args.parent, tmp), ROOT / PACKAGE)
@@ -163,9 +199,14 @@ def main(argv=None) -> int:
         sides = {"parent": importlib.import_module("sfma_parent"), "change": importlib.import_module("sfma")}
         print(f"parent {args.parent} = {git('rev-parse', '--short', args.parent).decode().strip()}, "
               f"change = working tree")
-        for name in WORKLOADS:
-            compare(name, sides, args.drops, args.rounds, tmp)
-    return 0
+        outcomes = [compare(name, sides, args.drops, args.rounds, args.seed, tmp) for name in WORKLOADS]
+    if args.max_move is None:
+        return 0
+    flagged, largest = sum(f for f, _ in outcomes), max(m for _, m in outcomes)
+    ok = flagged == 0 and largest <= args.max_move
+    print(f"max-move {args.max_move:g}: {'pass' if ok else 'FAIL'} ({flagged} drops differ in feasible, "
+          f"stage or status; largest relative move {largest:.3g})")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -76,6 +77,13 @@ class ScenarioConfig:
     keep_records: bool = False
 
     def __post_init__(self):
+        # an integer field takes integers only: a float would be truncated or
+        # fail deep inside a sweep, and a bool is no count
+        for name in ("user_counts", "drops", "root_seed", "frame_window", "workers"):
+            many = name == "user_counts"
+            for v in getattr(self, name) if many else (getattr(self, name),):
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise ConfigError(f"{name} must {'list integers' if many else 'be an integer'}, got {v!r}")
         object.__setattr__(self, "user_counts", tuple(int(m) for m in self.user_counts))
         object.__setattr__(self, "p_max_dbw", tuple(float(p) for p in self.p_max_dbw))
         for f in fields(self):

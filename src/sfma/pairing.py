@@ -83,6 +83,18 @@ def preference_matrix(users, power_per_user: float, profile: InterferenceProfile
     return values
 
 
+def _ranked_pairs(values: np.ndarray, gaps: np.ndarray, delta_max: float):
+    """The pairs (i, j), i < j, with gap at most ``delta_max``, as two lists.
+
+    Highest value first, ties broken by the lower and then the higher index:
+    the pairs come in (i, j) order, which a stable sort on the values keeps
+    among equals.
+    """
+    lower, higher = np.nonzero(np.triu(gaps <= delta_max, 1))
+    ranked = np.argsort(-values[lower, higher], kind="stable")
+    return lower[ranked].tolist(), higher[ranked].tolist()
+
+
 def pair_users(
     users,
     powers: float,
@@ -110,12 +122,8 @@ def pair_users(
     frames = np.array([u.frame_time for u in users])
     gaps = np.abs(frames[:, None] - frames[None, :])
 
-    lower, higher = np.triu_indices(m, k=1)
-    keep = gaps[lower, higher] <= delta_max
-    lower, higher = lower[keep], higher[keep]
-    ranked = np.lexsort((higher, lower, -values[lower, higher]))
     partner = [None] * m
-    for i, j in zip(lower[ranked].tolist(), higher[ranked].tolist()):
+    for i, j in zip(*_ranked_pairs(values, gaps, delta_max)):
         if partner[i] is None and partner[j] is None:
             partner[i], partner[j] = j, i
 

@@ -33,9 +33,11 @@ would pick; a secant step on the last sub-cell ends it. The curve does not
 depend on mu, so each group keeps the samples of its last bracket at each
 level, in a (level, group, sample) array tagged by the bracket's cell and
 sub-cell, and later water levels refine again only the groups whose tag
-changed. Each allocation owns one scratch block sized for the grid: every
-evaluation of the curves, on the grid and inside its cells, keeps its
-temporaries there, so they are neither allocated nor faulted in per call.
+changed; those groups are evaluated by index, and the bisection is
+replayed on flat indices into the samples. Each allocation owns one
+scratch block sized for the grid: every evaluation of the curves, on the
+grid and inside its cells, keeps its temporaries there, so they are
+neither allocated nor faulted in per call.
 Where the summed group power jumps across the budget at one water level,
 the search stops once its bracket is 1e-9 wide (relative) and returns the
 end below the budget; a step cap does the same.
@@ -49,12 +51,15 @@ receiver's rho is a function of x, and one power-axis lookup of the
 profile (``semantic_rate._RhoAxis``), built once per set of groups on
 first use, gives rho and its analytic slope together to every stage: the
 stationarity curves, the rate floors' Newton steps, the multipliers and the
-pair split. On a logistic profile the exponent is affine in x, so one
-log10 per power and one exp per receiver and power give both. On a table
-profile, both table coordinates move with x, so bilinear rho is a
-quadratic in x between the receiver's cuts, where x crosses a power node
-or the equal-split SNR crosses an SNR node; the slope is the piece's own,
-from the right at a cut.
+pair split. The slope is taken in ln p, s = p d(rho)/dp, which both kinds
+give without a division and which the rate slope and the floors' Newton
+steps use as it is; the multipliers divide it by p. On a logistic profile
+the exponent is affine in x, so one log10 per power and one exp per
+receiver and power give both. On a table profile, both table coordinates
+move with x, so bilinear rho is a quadratic in x between the receiver's
+cuts, where x crosses a power node or the equal-split SNR crosses an SNR
+node; the slope is the piece's own, from the right at a cut. The rate
+slope of a group is one formula in rho and s per receiver.
 """
 
 from __future__ import annotations
@@ -236,26 +241,27 @@ class _GroupArrays:
 
     def rho_pair(self, p):
         """rho of both receivers at group powers ``p``, (K,) or (K or 1, G); rows are users."""
-        return self.rho_and_prime(np.asarray(p, dtype=float)[None])[0]
+        return self.rho_and_slope(np.asarray(p, dtype=float)[None])[0]
 
     def work_size(self, points: int) -> int:
         """Floats of scratch that ``_pair_rate_slope`` takes at ``points`` group powers."""
-        # two rate terms, and two receivers, each with its lookup's scratch
+        # the rate terms of both receivers, and each receiver's lookup scratch
         return (2 + 2 * self.rho_axis().work) * points
 
-    def rho_and_prime(self, p, work=None):
-        """rho and d(rho)/dp of every (user, group) row from the rho lookup.
+    def rho_and_slope(self, p, work=None, rows=None):
+        """rho and its slope in ln p, p d(rho)/dp, of every (user, group) row from the rho lookup.
 
         ``p`` broadcasts against (2, K[, G]), users first: ``p[None]`` puts
         both receivers of a group at its power, ``p_cols.T`` each user at
-        its own. Given ``work`` (``_pair_rate_slope`` sizes it by
-        ``work_size``), the lookup evaluates into it. Either way the caller
-        may overwrite both results.
+        its own. ``rows``, group indices, looks up only those groups, and
+        ``p`` then broadcasts against (2, rows.size[, G]). Given ``work``
+        (``_pair_rate_slope`` sizes it by ``work_size``), the lookup
+        evaluates into it. Either way the caller may overwrite both results.
         """
         p = np.asarray(p, dtype=float)
         if p.ndim == 3:
-            return self.rho_axis()(p, work)
-        rho, slope = self.rho_axis()(p[..., None], work)
+            return self.rho_axis()(p, work, rows)
+        rho, slope = self.rho_axis()(p[..., None], work, rows)
         return rho[..., 0], slope[..., 0]
 
     def take(self, rows) -> "_GroupArrays":
@@ -271,50 +277,55 @@ class _GroupArrays:
         return sub
 
 
-def _pair_rate_slope(arrs: _GroupArrays, p, eta=None, work=None):
+def _pair_rate_slope(arrs: _GroupArrays, p, eta=None, work=None, rows=None):
     """Per-group d(r1 + r2)/dp in bits/s/Hz per watt, at fixed fractions.
 
     ``p`` may be (K,), (K, G) or (1, G); eta, the (K, 2) fractions, defaults
-    to the equal split. With ``work``, a flat float array of at least
-    ``arrs.work_size`` floats for the result's size, every temporary is a
-    view of it, and so is the result, which the next call overwrites.
+    to the equal split. ``rows``, group indices, evaluates only those
+    groups, with ``p`` then (R,), (R, G) or (1, G) for R rows; each result
+    row is bit for bit the full evaluation's. With ``work``, a flat float
+    array of at least ``arrs.work_size`` floats for the result's size,
+    every temporary is a view of it, and so is the result, which the next
+    call overwrites.
+
+    Per receiver i, with s_i = p d(rho_i)/dp, d_i = e_j rho_i g_i p + n_i and
+    a_i = e_j g_i p, the rate's slope times ln2 is
+    e_i g_i (n_i - a_i s_i) / (d_i (d_i + e_i g_i p)).
     """
     p = np.asarray(p, dtype=float)
     # both receivers in one pass: every operand is (2, K[, 1]), users first
     col = (Ellipsis, None) if p.ndim == 2 else Ellipsis
+    g, n = arrs.gain_u, arrs.noise_u
+    if rows is not None:
+        g, n = g[:, rows], n[:, rows]
     if eta is None:
-        e_i = e_j = 0.5
+        eg_i = eg_j = 0.5 * g[col]
     else:
         e_u = np.asarray(eta, dtype=float).T
-        e_i, e_j = e_u[col], e_u[::-1][col]
-    g, n = arrs.gain_u[col], arrs.noise_u[col]
-    shape = (2, arrs.k) + p.shape[1:]
+        if rows is not None:
+            e_u = e_u[:, rows]
+        eg_i, eg_j = (e_u * g)[col], (e_u[::-1] * g)[col]
+    n = n[col]
+    shape = (2, g.shape[1]) + p.shape[1:]
     if work is None:
-        s = np.empty(shape)
+        a = np.empty(shape)
     else:
-        s = work[: math.prod(shape)].reshape(shape)
-        work = work[s.size :]
-    rho, rp = arrs.rho_and_prime(p[None], work)
-    # in place, as on the stationarity grid temporaries cost more than the
-    # arithmetic, and in the operand order of d_i = rho_i e_j p g_i + n_i,
-    # s_i = e_i p g_i / d_i, ds_i = e_i g_i (n_i - rp_i e_j g_i p p) / (d_i d_i)
-    # and (ds1 / (1 + s1) + ds2 / (1 + s2)) / ln2, so that results round alike
-    d = np.multiply(rho, e_j, out=rho)
-    d *= p
-    d *= g
+        a = work[: math.prod(shape)].reshape(shape)
+        work = work[a.size :]
+    rho, num = arrs.rho_and_slope(p[None], work, rows)
+    # in place, as on the stationarity grid temporaries cost more than the arithmetic
+    np.multiply(eg_j, p, out=a)
+    d = np.multiply(rho, a, out=rho)
     d += n
-    np.multiply(e_i * p, g, out=s)
-    s /= d
-    ds = np.multiply(rp, e_j, out=rp)
-    ds *= g
-    ds *= p
-    ds *= p
-    np.subtract(n, ds, out=ds)
-    np.multiply(e_i * g, ds, out=ds)
-    ds /= np.multiply(d, d, out=d)
-    s += 1.0
-    ds /= s
-    out = np.add(ds[0], ds[1], out=ds[0])
+    num *= a
+    np.subtract(n, num, out=num)
+    num *= eg_i
+    if eta is not None:
+        np.multiply(eg_i, p, out=a)
+    a += d
+    a *= d
+    num /= a
+    out = np.add(num[0], num[1], out=num[0])
     out /= _LN2
     return out
 
@@ -327,11 +338,11 @@ def _rate_floors(arrs: _GroupArrays, p_max: float):
     below p0 = 2 c, where h = -c t rho <= 0. One lookup on a geometric axis
     from p0 to p_max brackets each row's first crossing (a first sample at
     p0, where rho = 0, is its own floor even past p_max, for the demand
-    check to report). Newton steps on h, with h' = den + p den', start at
-    the bracket's secant point and bisect where they leave the closed
-    bracket; each evaluated power becomes a bracket end, so a step away from
-    the crossing leaves it. Once no step moves 1e-14 relative, c / den there
-    is the floor. Returns a (K, 2) array. Raises MinRateInfeasible when no
+    check to report). Newton steps on h, with h' = den + p den' = den - t s / 2
+    for the lookup's slope s = p rho' in ln p, start at the bracket's secant
+    point and bisect where they leave the closed bracket; each evaluated
+    power becomes a bracket end, so a step away from the crossing leaves it.
+    Once no step moves 1e-14 relative, c / den there is the floor. Returns a (K, 2) array. Raises MinRateInfeasible when no
     sample up to p_max meets a rate, and ConvergenceError after 100 steps.
 
     Where rho rises with power the rate may be met only below some power;
@@ -347,11 +358,10 @@ def _rate_floors(arrs: _GroupArrays, p_max: float):
     def at(p):
         """h, h' and den at the powers p, (2, K[, G])."""
         col = (Ellipsis,) + (None,) * (p.ndim - 2)
-        den, h_slope = arrs.rho_and_prime(p)
+        den, h_slope = arrs.rho_and_slope(p)
         den *= k[col]
         den += 0.5
         h_slope *= k[col]
-        h_slope *= p
         h_slope += den
         return p * den - c[col], h_slope, den
 
@@ -487,26 +497,21 @@ class _WaterFiller:
         rows = np.flatnonzero((status == _ROOT) & (self.grid[first + 1] > self.p_req))
         if rows.size:
             tag = first[rows]
-            at = np.arange(rows.size)
+            # each row's first column in the flat blocks
+            base = (_SUB_N + 1) * np.arange(rows.size)
             # bracket points and curve values, the ends in the first and last column
             pts, f = np.empty((2, rows.size, _SUB_N + 1))
+            pts_flat, f_flat = pts.ravel(), f.ravel()
             pts[:, 0], pts[:, -1] = self.grid[tag], self.grid[tag + 1]
             f[:, 0], f[:, -1] = self.f_grid[rows, tag], self.f_grid[rows, tag + 1]
             for level in range(_SUB_LEVELS):
                 a, b = pts[:, 0], pts[:, -1]
                 pts[:, 1:-1] = a[:, None] + (b - a)[:, None] * _SUB_FRACS
                 f[:, 1:-1] = self._samples(level, rows, tag, pts[:, 1:-1])
-                # replay the bisection: the midpoint of [lo, lo + 2 step] decides,
-                # going right unless f(mid) < mu
-                right = ~(f < mu)
-                lo = np.zeros(rows.size, dtype=int)
-                step = _SUB_N // 2
-                while step:
-                    lo += step * right[at, lo + step]
-                    step //= 2
-                tag = tag * _SUB_N + lo
-                pts[:, 0], pts[:, -1] = pts[at, lo], pts[at, lo + 1]
-                f[:, 0], f[:, -1] = f[at, lo], f[at, lo + 1]
+                at = _bisect_flat(~(f < mu), base)
+                tag = tag * _SUB_N + (at - base)
+                pts[:, 0], pts[:, -1] = pts_flat.take(at), pts_flat.take(at + 1)
+                f[:, 0], f[:, -1] = f_flat.take(at), f_flat.take(at + 1)
             a, b = pts[:, 0], pts[:, -1]
             fa, fb = f[:, 0] - mu, f[:, -1] - mu
             spread = fa - fb
@@ -519,10 +524,27 @@ class _WaterFiller:
         miss = np.flatnonzero(self._sub_tag[level, rows] != tag)
         if miss.size:
             stale = rows[miss]
-            deriv = _pair_rate_slope(self.arrs.take(stale), pts[miss], work=self.work)
+            deriv = _pair_rate_slope(self.arrs, pts[miss], work=self.work, rows=stale)
             self._sub_f[level, stale] = deriv / _LN2
             self._sub_tag[level, stale] = tag[miss]
         return self._sub_f[level, rows]
+
+
+def _bisect_flat(right, base):
+    """Flat index into ``right`` of the sub-cell that a bisection picks in each row.
+
+    ``right`` is (R, _SUB_N + 1): whether each sample of a row's bracket is
+    not below the water level. ``base`` is each row's first flat index.
+    The bisection of [0, _SUB_N] replays on the samples: the midpoint of
+    [lo, lo + 2 step] decides, going right where it is set.
+    """
+    flat = right.ravel()
+    at = base.copy()
+    step = _SUB_N // 2
+    while step:
+        at += step * flat.take(at + step)
+        step //= 2
+    return at
 
 
 def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
@@ -703,8 +725,9 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
 
 def _rate_coeff(arrs: _GroupArrays, p_k, eta, p_other):
     """Per-user multiplier coefficients of the stationarity row, and rho per user column."""
-    rho, slope = arrs.rho_and_prime(p_k[None])
-    rho_cols, rhop_cols = rho.T, slope.T
+    rho, slope = arrs.rho_and_slope(p_k[None])
+    # d(rho)/dp from the slope in ln p, zero at p = 0 as the slope is
+    rho_cols, rhop_cols = rho.T, (slope / np.maximum(p_k, np.finfo(float).tiny)).T
     coeff = arrs.gain * ((1.0 - arrs.pow2r) * (eta[:, ::-1] * rho_cols + rhop_cols * p_other) + eta)
     return coeff, rho_cols
 

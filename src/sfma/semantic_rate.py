@@ -273,25 +273,30 @@ def _one_profile(profiles):
 
 
 class _RhoAxis:
-    """rho and d(rho)/dp of fixed receivers along the group-power axis, for every kind.
+    """rho and its slope in ln p of fixed receivers along the group-power axis, for every kind.
 
     The receivers are the rows: ``gain`` and ``noise`` broadcast to the row
     shape, and the powers of a lookup broadcast against it. A receiver's
     equal-split SNR in dB is x + offset, with x = 10*log10(p), so each kind
-    is a function of x per row, set by ``row``:
+    is a function of x per row, set by ``row``. The slope is
+    s = p d(rho)/dp = d(rho)/dx * 10 / ln10, which every kind has without a
+    division by p:
 
     * constant -- the row's value (``value``, else the profile's), zero slope;
     * table -- the start, row * (E + 1), of the row's lookup in
       ``_table_pieces``. In a piece rho is a + b*u + c*u^2 in u = x - center,
-      so the slope is (b + 2*c*u) * 10 / (p ln10), from the right at a cut;
+      so s = (b + 2*c*u) * 10 / ln10, from the right at a cut;
     * parametric -- the intercept a of the logistic exponent a + b*x, with
-      b = snr_slope + power_coeff: one exp per row and power.
+      b = snr_slope + power_coeff: rho = limit * sig with sig = 1 / (1 + e^(a + b*x)),
+      one exp per row and power, and s = -limit * sig * (1 - sig) * 10 b / ln10.
 
     ``work`` is the scratch floats a lookup takes per output point. Given a
     flat float array of that many per point, it keeps its results and
     temporaries there; either way the caller may overwrite both results.
-    At p <= 0 the value is the single-link kernel's, nan or not as the
-    profile dictates, and the slope is zero.
+    ``rows``, an index array, evaluates only those rows along axis 1 of the
+    row shape (the groups of ``power._GroupArrays``), as ``take`` would but
+    without building a sub-lookup. At p <= 0 the value is the single-link
+    kernel's, nan or not as the profile dictates, and the slope is zero.
     """
 
     def __init__(self, profile: InterferenceProfile, gain, noise, value=None):
@@ -310,9 +315,12 @@ class _RhoAxis:
             value = profile.constant_value if value is None else value
             self.row = np.broadcast_to(value, np.broadcast_shapes(np.shape(value), self.offset.shape))
 
-    def __call__(self, p, work=None):
+    def __call__(self, p, work=None, rows=None):
+        row, gain, noise = self.row, self.gain, self.noise
+        if rows is not None:
+            row, gain, noise = (a.take(rows, axis=1) for a in (row, gain, noise))
         p = np.asarray(p, dtype=float)
-        shape = np.broadcast(self.offset, p).shape
+        shape = np.broadcast(row, p).shape
         size = math.prod(shape)
         if work is None:
             work = np.empty(self.work * size)
@@ -322,16 +330,16 @@ class _RhoAxis:
         safe = np.maximum(p, _TINY)
         kind = self.profile.kind
         if kind == "table":
-            rho, slope = self._table(safe, *blocks)
+            rho, slope = self._table(row, safe, *blocks)
         elif kind == "parametric":
-            rho, slope = self._logistic(safe, *blocks)
+            rho, slope = self._logistic(row, safe, *blocks)
         else:
-            rho, slope = self._constant(*blocks)
+            rho, slope = self._constant(row, *blocks)
         if np.any(p <= 0):
             zero = p <= 0
             if kind != "constant":
                 with np.errstate(invalid="ignore"):
-                    rho = np.where(zero, _rho_kernel(self.profile, p, self.gain, self.noise), rho)
+                    rho = np.where(zero, _rho_kernel(self.profile, p, gain, noise), rho)
             slope = np.where(zero, 0.0, slope)
         return rho, slope
 
@@ -343,21 +351,22 @@ class _RhoAxis:
             setattr(sub, name, getattr(self, name).take(rows, axis=axis))
         return sub
 
-    def _constant(self, rho, slope):
-        rho[...] = self.row
+    @staticmethod
+    def _constant(row, rho, slope):
+        rho[...] = row
         slope[...] = 0.0
         return rho, slope
 
-    def _table(self, p, rho, slope, u, col, at):
+    def _table(self, row, p, rho, slope, u, col, at):
         pieces = self.pieces
         x = 10.0 * np.log10(p)
         slot = np.searchsorted(pieces.edges, x, side="right")
         # the lookup index and the piece index are integers in float-sized blocks
         idx, at = col.view(np.int64), at.view(np.int64)
-        np.add(self.row, slot, out=idx)
+        np.add(row, slot, out=idx)
         pieces.lookup.take(idx, out=at, mode="clip")
         # one coefficient column at a time: u = x - center, then (q3 u + q2) u + q1
-        # and the slope in x, 2 q3 u + q2
+        # and the slope in x, 2 q3 u + q2, times 10 / ln10
         center, q1, q2, q3 = pieces.coef
         center.take(at, out=u, mode="clip")
         np.subtract(x, u, out=u)
@@ -366,25 +375,24 @@ class _RhoAxis:
         q2.take(at, out=col, mode="clip")
         np.multiply(rho, 2.0, out=slope)
         slope += col
-        slope /= _LN10 / 10.0 * p
+        slope *= 10.0 / _LN10
         rho += col
         rho *= u
         rho += q1.take(at, out=col, mode="clip")
         return np.clip(rho, 0.0, 1.0, out=rho), slope
 
-    def _logistic(self, p, rho, slope, den):
+    def _logistic(self, row, p, rho, slope, den):
         params = self.profile.params
         b = params.snr_slope + params.power_coeff
-        np.add(b * (10.0 * np.log10(p)), self.row, out=den)
+        np.add(b * (10.0 * np.log10(p)), row, out=den)
         np.clip(den, -60.0, 60.0, out=den)
         np.exp(den, out=den)
         den += 1.0
         np.divide(params.limit, den, out=rho)
         sig = np.reciprocal(den, out=den)
-        # d(expo)/dp = 10 b / (p ln10)
-        np.multiply(-params.limit, sig, out=slope)
+        # d(expo)/d(ln p) = 10 b / ln10
+        np.multiply(-params.limit * (10.0 * b / _LN10), sig, out=slope)
         slope *= np.subtract(1.0, sig, out=den)
-        slope *= 10.0 * b / (p * _LN10)
         return rho, slope
 
 
@@ -445,7 +453,7 @@ def rho_derivative_eval(profile: InterferenceProfile, group_power, gain, noise):
     p = np.asarray(group_power, dtype=float)
     if np.any(p <= 0):
         raise ValueError("group power must be positive for the derivative")
-    out = _RhoAxis(profile, gain, noise)(p)[1]
+    out = _RhoAxis(profile, gain, noise)(p)[1] / p
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -136,6 +136,14 @@ class TestConfig:
         ("fnoma_eta", 1.0),
         ("fnoma_eta", 1.5),
         ("root_seed", -1),
+        # integer fields take integers, not floats or bools
+        ("drops", 2.5),
+        ("drops", True),
+        ("workers", 1.5),
+        ("root_seed", 1.5),
+        ("frame_window", 2.5),
+        ("user_counts", (10.7,)),
+        ("user_counts", (4, True)),
     ])
     def test_bad_scenario_value_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):

@@ -3,11 +3,14 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sfma.bench import ScenarioConfig, drop_inputs
 from sfma.pairing import (
     PairingAssignment,
     UserTerminal,
+    _ranked_pairs,
     pair_users,
     preference_matrix,
     temporal_gap,
@@ -338,6 +341,26 @@ class TestGreedyAgainstProposals:
             for a, b in itertools.combinations(out.unmatched, 2):
                 assert gaps[a, b] > delta
             assert out.feasible == (not out.unmatched)
+
+
+class TestRanking:
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 40), levels=st.integers(1, 5),
+           delta=st.sampled_from([0, 1, 2, 4, 100]))
+    def test_matches_the_lexsort_ranking_under_ties(self, seed, m, levels, delta):
+        # the three-key lexsort over triu_indices that the one mask and one
+        # stable sort replaced, on values drawn from a few levels (zeros of
+        # either sign among them) so that most pairs tie
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-levels, levels + 1, (m, m)) * 0.5
+        values[rng.random((m, m)) < 0.1] = -0.0
+        np.fill_diagonal(values, -np.inf)
+        frames = rng.integers(0, 6, m)
+        gaps = np.abs(frames[:, None] - frames[None, :])
+        lower, higher = np.triu_indices(m, k=1)
+        keep = gaps[lower, higher] <= delta
+        lower, higher = lower[keep], higher[keep]
+        ranked = np.lexsort((higher, lower, -values[lower, higher]))
+        assert _ranked_pairs(values, gaps, delta) == (lower[ranked].tolist(), higher[ranked].tolist())
 
 
 class TestAssignmentType:

@@ -270,10 +270,10 @@ class TestRhoDerivative:
         users = [UserTerminal(id=i, link=make_link(snr)) for i, snr in enumerate(np.linspace(-5.0, 30.0, 8))]
         arrs = _GroupArrays(Group(users=tuple(users[i:i + 2]), profile=prof) for i in range(0, 8, 2))
         p = np.geomspace(1e-3, 1e3, 257)
-        _, slope = arrs.rho_and_prime(p[None, None, :])
-        # the lookup's (user, group, point) layout
+        _, slope = arrs.rho_and_slope(p[None, None, :])
+        # the lookup's (user, group, point) layout; its slope is in ln p
         gain, noise = arrs.gain.T[..., None], arrs.noise.T[..., None]
-        np.testing.assert_array_equal(rho_derivative_eval(prof, p, gain, noise), slope)
+        np.testing.assert_array_equal(rho_derivative_eval(prof, p, gain, noise), slope / p)
 
 
 class TestSinr:
