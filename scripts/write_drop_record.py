@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the golden per-drop record of the solver, ``tests/data/drop_record.json``.
+"""Write the golden per-drop record of the solver, ``tests/data/drop_record.json``, and the headline CSV.
 
 The record covers drops 0-9 of root seed 2026 at 30 dBW, for 10, 30 and 60
 users, on the bundled rho table and on the default logistic profile, at a
@@ -15,6 +15,11 @@ and say which drops moved. Writing the record prints, for each drop that
 moved from the file it replaces, the fields that moved and the largest
 relative change of the sum rate and of the group totals.
 
+Beside the record it writes ``headline.csv``, the ``emit_csv`` bytes of the
+headline cell (30 users, 30 dBW, 500 drops of root seed 2026, bundled
+table), which acceptance criterion 11 asserts byte for byte, and prints the
+cells that moved from the file it replaces.
+
     python scripts/write_drop_record.py [--output PATH]
 """
 
@@ -26,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from sfma.bench import ScenarioConfig, drop_inputs  # noqa: E402
+from sfma.bench import ScenarioConfig, drop_inputs, emit_csv, run_sweep  # noqa: E402
 from sfma.power import solve  # noqa: E402
 
 ROOT_SEED = 2026
@@ -38,6 +43,8 @@ MIN_RATE = 1.0
 # (kind, users, minimum rate) of the cells beyond the grid above
 EXTRA_CELLS = (("parametric", 30, 1.5),)
 DEFAULT_OUTPUT = ROOT / "tests" / "data" / "drop_record.json"
+HEADLINE = ScenarioConfig(user_counts=(30,), p_max_dbw=(P_MAX_DBW,), drops=500, root_seed=ROOT_SEED,
+                          rho_kind="table", rho_table="default")
 
 
 def _reprs(values) -> list:
@@ -89,6 +96,23 @@ def moved_drops(got: list, want: list) -> list:
     return lines
 
 
+def moved_cells(got: str, want: str) -> list:
+    """One line per CSV row of ``want`` that ``got`` does not hold, beside its row in ``got``."""
+    def cell(line):
+        return line.rsplit(",", 4)[0]      # scheme, users, power
+
+    now = {cell(line): line for line in got.splitlines()}
+    return [f"{line} -> {now.get(cell(line), 'missing')}" for line in want.splitlines() if now.get(cell(line)) != line]
+
+
+def write_headline(path: Path) -> None:
+    """Write the headline CSV to ``path``, printing the cells that moved from the file it replaces."""
+    old = path.read_text() if path.exists() else None
+    emit_csv(run_sweep(HEADLINE), path)
+    if old is not None:
+        print("\n".join(moved_cells(path.read_text(), old)) or "no headline cell moved")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
@@ -99,6 +123,7 @@ def main(argv=None) -> int:
         print("\n".join(moved_drops(entries, json.loads(args.output.read_text()))) or "no drop moved")
     # one drop a line, so that a diff of the record names the drops that moved
     args.output.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+    write_headline(args.output.with_name("headline.csv"))
     return 0
 
 

@@ -1,6 +1,6 @@
 """Resource allocation and benchmarking for semantic feature multiple access downlinks."""
 
-from .channel import ChannelRealization, Topology, draw_channel, path_loss_db, place_users, snr_db
+from .channel import ChannelRealization, Topology, draw_channel, path_loss_db, place_users
 from .semantic_rate import (
     CalibratedRho,
     InterferenceProfile,
@@ -9,7 +9,6 @@ from .semantic_rate import (
     calibrate_rho,
     load_rho_table,
     pair_sum_rate,
-    rho,
     save_rho_table,
     sinr_conventional,
     sinr_semantic,

@@ -18,7 +18,6 @@ __all__ = [
     "place_users",
     "path_loss_db",
     "draw_channel",
-    "snr_db",
     "D_MIN_M",
 ]
 
@@ -133,14 +132,3 @@ def draw_channel(
         gains = gains * _stream(seed, "fading").exponential(1.0, size=topology.n_users)
     noise = np.full(topology.n_users, 10.0 ** (noise_dbw / 10.0))
     return ChannelRealization(gains=gains, noise_powers=noise)
-
-
-def snr_db(p: float, noise: float) -> float:
-    """Received SNR 10*log10(p/noise) in dB; -inf for zero power."""
-    if noise <= 0:
-        raise ValueError(f"noise power must be positive, got {noise}")
-    if p < 0:
-        raise ValueError(f"power must be nonnegative, got {p}")
-    if p == 0:
-        return float("-inf")
-    return float(10.0 * np.log10(p / noise))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -142,8 +141,7 @@ def _cmd_solve(args) -> int:
     groups = [Group(users=(by_id[a], by_id[b]), profile=solver_cfg.profile) for a, b in result.pairing.pairs]
     # the dual variables certify the group-level (equal-split) stage; the
     # intra-pair resplit afterwards has its own residual, printed below
-    stage_alloc = dataclasses.replace(alloc, splits=np.column_stack([alloc.group_totals / 2.0] * 2))
-    report = kkt_residuals(groups, stage_alloc, solver_cfg.p_max_w)
+    report = kkt_residuals(groups, alloc, solver_cfg.p_max_w)
     print(f"total power {float(np.sum(alloc.group_totals)):.6g} of {solver_cfg.p_max_w:.6g} W")
     print(f"max normalized group-stage KKT residual {report.max_normalized:.3e}")
     split_res = float(np.max(split_residuals(groups, alloc), initial=0.0))

@@ -127,18 +127,12 @@ def pair_users(
         if partner[i] is None and partner[j] is None:
             partner[i], partner[j] = j, i
 
-    pairs, gaps_out, seen = [], [], set()
-    for i in range(m):
-        if partner[i] is not None and i not in seen:
-            j = partner[i]
-            seen.update((i, j))
-            a, b = sorted((users[i].id, users[j].id))
-            pairs.append((a, b))
-            gaps_out.append(int(gaps[i, j]))
-    order = np.argsort([p[0] for p in pairs]) if pairs else []
-    pairs = tuple(pairs[k] for k in order)
-    gaps_out = tuple(gaps_out[k] for k in order)
-    unmatched = tuple(sorted(users[i].id for i in range(m) if partner[i] is None))
+    # users are in id order, so i < j lists each pair once, lower id first, in order
+    matched = [(i, j) for i, j in enumerate(partner) if j is not None and i < j]
+    unmatched = tuple(users[i].id for i in range(m) if partner[i] is None)
     return PairingAssignment(
-        pairs=pairs, gaps=gaps_out, unmatched=unmatched, feasible=not unmatched
+        pairs=tuple((users[i].id, users[j].id) for i, j in matched),
+        gaps=tuple(int(gaps[i, j]) for i, j in matched),
+        unmatched=unmatched,
+        feasible=not unmatched,
     )

@@ -8,8 +8,9 @@ stationarity condition; the group keeps the largest and mu is driven until
 the totals meet the budget. The pair-level stage then reoptimizes each group's
 internal split with the interference factors frozen at the group total,
 where the rate's stationarity condition is a quadratic in the split, so the
-best of its roots and the interval ends is exact. A residual report checks
-the first-order optimality system of the allocation.
+best of its roots and the interval ends is exact. One residual report
+checks the group stage's first-order optimality system at the equal split,
+another each group's split.
 
 Internals are vectorized across groups. The stationarity curve of every
 group is sampled once on a dense log grid, and a group's root at mu lies
@@ -149,18 +150,13 @@ class PowerAllocation:
 
 @dataclass
 class KKTReport:
-    """Raw and normalized residuals of the first-order optimality system."""
+    """Residuals of the group stage's first-order optimality system, normalized but for the excess."""
 
-    stationarity: np.ndarray          # (K,) raw
     stationarity_norm: np.ndarray     # (K,)
-    rate_comp: np.ndarray             # (K, 2) raw |lambda * slack|
     rate_comp_norm: np.ndarray        # (K, 2)
-    budget_comp: float                # raw mu * (p_max - total)
     budget_comp_norm: float
-    power_excess: float               # raw watts above the budget
-    rate_violation: np.ndarray        # (K, 2) raw rate shortfalls
-    rate_violation_norm: np.ndarray
-    negative_power: float             # raw watts below zero
+    power_excess: float               # watts above the budget
+    rate_violation_norm: np.ndarray   # (K, 2)
     dual_negative: float              # most negative multiplier, as a positive number
 
     @property
@@ -239,10 +235,6 @@ class _GroupArrays:
             self._axis = _RhoAxis(self._profile, self.gain_u.reshape(rows), self.noise_u.reshape(rows), value)
         return self._axis
 
-    def rho_pair(self, p):
-        """rho of both receivers at group powers ``p``, (K,) or (K or 1, G); rows are users."""
-        return self.rho_and_slope(np.asarray(p, dtype=float)[None])[0]
-
     def work_size(self, points: int) -> int:
         """Floats of scratch that ``_pair_rate_slope`` takes at ``points`` group powers."""
         # the rate terms of both receivers, and each receiver's lookup scratch
@@ -264,33 +256,20 @@ class _GroupArrays:
         rho, slope = self.rho_axis()(p[..., None], work, rows)
         return rho[..., 0], slope[..., 0]
 
-    def take(self, rows) -> "_GroupArrays":
-        sub = object.__new__(_GroupArrays)
-        sub.groups = [self.groups[i] for i in rows]
-        sub.k = len(rows)
-        sub.gain = self.gain[rows]
-        sub.noise = self.noise[rows]
-        sub.gain_u, sub.noise_u = sub.gain.T, sub.noise.T
-        sub.min_rate = self.min_rate[rows]
-        sub.pow2r = self.pow2r[rows]
-        sub._axis = self.rho_axis().take(rows, axis=1)
-        return sub
 
+def _pair_rate_slope(arrs: _GroupArrays, p, work=None, rows=None):
+    """Per-group d(r1 + r2)/dp in bits/s/Hz per watt, at the equal split.
 
-def _pair_rate_slope(arrs: _GroupArrays, p, eta=None, work=None, rows=None):
-    """Per-group d(r1 + r2)/dp in bits/s/Hz per watt, at fixed fractions.
+    ``p`` may be (K,), (K, G) or (1, G). ``rows``, group indices, evaluates
+    only those groups, with ``p`` then (R,), (R, G) or (1, G) for R rows;
+    each result row is bit for bit the full evaluation's. With ``work``, a
+    flat float array of at least ``arrs.work_size`` floats for the result's
+    size, every temporary is a view of it, and so is the result, which the
+    next call overwrites.
 
-    ``p`` may be (K,), (K, G) or (1, G); eta, the (K, 2) fractions, defaults
-    to the equal split. ``rows``, group indices, evaluates only those
-    groups, with ``p`` then (R,), (R, G) or (1, G) for R rows; each result
-    row is bit for bit the full evaluation's. With ``work``, a flat float
-    array of at least ``arrs.work_size`` floats for the result's size,
-    every temporary is a view of it, and so is the result, which the next
-    call overwrites.
-
-    Per receiver i, with s_i = p d(rho_i)/dp, d_i = e_j rho_i g_i p + n_i and
-    a_i = e_j g_i p, the rate's slope times ln2 is
-    e_i g_i (n_i - a_i s_i) / (d_i (d_i + e_i g_i p)).
+    Per receiver i, with s_i = p d(rho_i)/dp, a_i = g_i p / 2 and
+    d_i = rho_i a_i + n_i, the rate's slope times ln2 is
+    g_i (n_i - a_i s_i) / (2 d_i (d_i + a_i)).
     """
     p = np.asarray(p, dtype=float)
     # both receivers in one pass: every operand is (2, K[, 1]), users first
@@ -298,14 +277,7 @@ def _pair_rate_slope(arrs: _GroupArrays, p, eta=None, work=None, rows=None):
     g, n = arrs.gain_u, arrs.noise_u
     if rows is not None:
         g, n = g[:, rows], n[:, rows]
-    if eta is None:
-        eg_i = eg_j = 0.5 * g[col]
-    else:
-        e_u = np.asarray(eta, dtype=float).T
-        if rows is not None:
-            e_u = e_u[:, rows]
-        eg_i, eg_j = (e_u * g)[col], (e_u[::-1] * g)[col]
-    n = n[col]
+    half_g, n = 0.5 * g[col], n[col]
     shape = (2, g.shape[1]) + p.shape[1:]
     if work is None:
         a = np.empty(shape)
@@ -314,14 +286,12 @@ def _pair_rate_slope(arrs: _GroupArrays, p, eta=None, work=None, rows=None):
         work = work[a.size :]
     rho, num = arrs.rho_and_slope(p[None], work, rows)
     # in place, as on the stationarity grid temporaries cost more than the arithmetic
-    np.multiply(eg_j, p, out=a)
+    np.multiply(half_g, p, out=a)
     d = np.multiply(rho, a, out=rho)
     d += n
     num *= a
     np.subtract(n, num, out=num)
-    num *= eg_i
-    if eta is not None:
-        np.multiply(eg_i, p, out=a)
+    num *= half_g
     a += d
     a *= d
     num /= a
@@ -723,12 +693,12 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
     )
 
 
-def _rate_coeff(arrs: _GroupArrays, p_k, eta, p_other):
-    """Per-user multiplier coefficients of the stationarity row, and rho per user column."""
+def _rate_coeff(arrs: _GroupArrays, p_k):
+    """Per-user multiplier coefficients of the equal-split stationarity row, and rho per user column."""
     rho, slope = arrs.rho_and_slope(p_k[None])
     # d(rho)/dp from the slope in ln p, zero at p = 0 as the slope is
     rho_cols, rhop_cols = rho.T, (slope / np.maximum(p_k, np.finfo(float).tiny)).T
-    coeff = arrs.gain * ((1.0 - arrs.pow2r) * (eta[:, ::-1] * rho_cols + rhop_cols * p_other) + eta)
+    coeff = arrs.gain * ((1.0 - arrs.pow2r) * (0.5 * rho_cols + rhop_cols * (0.5 * p_k)[:, None]) + 0.5)
     return coeff, rho_cols
 
 
@@ -745,8 +715,7 @@ def _recover_lambdas(arrs: _GroupArrays, p_k, p_req, mu: float, binding) -> np.n
         return lam
     which = np.argmax(binding, axis=1)
     eq21 = _pair_rate_slope(arrs, p_k) / _LN2
-    half = np.full((arrs.k, 2), 0.5)
-    coeff, _ = _rate_coeff(arrs, p_k, half, half * p_k[:, None])
+    coeff, _ = _rate_coeff(arrs, p_k)
     for row in np.flatnonzero(at_floor):
         col = which[row]
         a = coeff[row, col]
@@ -767,7 +736,7 @@ def intra_group_allocate(group: Group, p_k: float):
         raise ValueError(f"p_k must be positive, got {p_k}")
     arrs = _GroupArrays([group])
     p_k = np.array([p_k])
-    rho1, rho2 = arrs.rho_pair(p_k)
+    rho1, rho2 = arrs.rho_and_slope(p_k[None])[0]
     p1 = _intra_split_vec(arrs, p_k, np.zeros(1), p_k, rho1, rho2)[0]
     return float(p1), float(p_k[0] - p1)
 
@@ -837,30 +806,30 @@ def split_residuals(groups, alloc: PowerAllocation) -> np.ndarray:
     The residual is |dJ/dp1| * p_k / max(J, 1), with rho frozen at the group
     total and J the pair sum rate; at the lower end of the min-rate split
     interval only a positive slope counts, at its upper end only a negative
-    one. Groups at zero power have residual zero.
+    one. A group at zero power has lo = hi = p1 = 0, so its residual is zero.
     """
     arrs = _GroupArrays(groups)
     p_k, p1 = np.asarray(alloc.group_totals, dtype=float), np.asarray(alloc.splits, dtype=float)[:, 0]
-    out = np.zeros(arrs.k)
-    rows = np.flatnonzero(p_k > 0)
-    if rows.size:
-        sub, p_k, p1 = arrs.take(rows), p_k[rows], p1[rows]
-        rho1, rho2 = sub.rho_pair(p_k)
-        lo, hi = _min_rate_split_interval(sub, p_k, rho1, rho2)
-        s1, s2, u1, v1, u2, v2 = _split_terms(sub, p_k, rho1, rho2)
+    rho1, rho2 = arrs.rho_and_slope(p_k[None])[0]
+    lo, hi = _min_rate_split_interval(arrs, p_k, rho1, rho2)
+    s1, s2, u1, v1, u2, v2 = _split_terms(arrs, p_k, rho1, rho2)
+    with np.errstate(invalid="ignore"):
+        # the share of a zero-power group is 0/0; neither end test keeps its slope
         d1, d2, q = 1.0 + v1, 1.0 + v2, p1 / p_k
-        slope = (s1 * d1 / ((d1 + u1 * q) * (d1 - v1 * q))
-                 - s2 * d2 / ((1.0 + s2 - u2 * q) * (1.0 + v2 * q))) / _LN2
-        res = np.where(p1 < hi, np.maximum(slope, 0.0), 0.0) + np.where(p1 > lo, np.maximum(-slope, 0.0), 0.0)
-        out[rows] = res / np.maximum(_intra_objective(sub, p_k, rho1, rho2, p1), 1.0)
-    return out
+    slope = (s1 * d1 / ((d1 + u1 * q) * (d1 - v1 * q))
+             - s2 * d2 / ((1.0 + s2 - u2 * q) * (1.0 + v2 * q))) / _LN2
+    res = np.where(p1 < hi, np.maximum(slope, 0.0), 0.0) + np.where(p1 > lo, np.maximum(-slope, 0.0), 0.0)
+    return res / np.maximum(_intra_objective(arrs, p_k, rho1, rho2, p1), 1.0)
 
 
 def kkt_residuals(groups, alloc: PowerAllocation, p_max: float) -> KKTReport:
-    """First-order optimality residuals of an allocation with its duals.
+    """First-order optimality residuals of the group stage at the equal split.
 
-    Raw residuals keep physical units (watts, rate); normalized ones are
-    scaled by the natural magnitude of each condition. A table's rho slope
+    The report certifies the group-level stage: it reads the allocation's
+    group totals, mu and lambdas, and puts each user at half its group's
+    power, whatever the splits; ``split_residuals`` checks the pair split.
+    Residuals are scaled by the natural magnitude of each condition, but
+    for the budget excess, in watts. A table's rho slope
     jumps at its cuts, so stationarity is the distance of mu - sum(lambda *
     coeff) from the values the curve takes within two final refinement
     sub-cells of the group power. Groups at exactly zero power bind the
@@ -869,16 +838,14 @@ def kkt_residuals(groups, alloc: PowerAllocation, p_max: float) -> KKTReport:
     """
     arrs = _GroupArrays(groups)
     p_k = np.asarray(alloc.group_totals, dtype=float)
-    splits = np.asarray(alloc.splits, dtype=float)
+    half = 0.5 * p_k[:, None]           # each user's power, and its partner's
     lam = np.asarray(alloc.lambdas, dtype=float)
     mu = float(alloc.mu)
-    eta = np.where(p_k[:, None] > 0, splits / np.maximum(p_k, np.finfo(float).tiny)[:, None], 0.5)
 
     # the stationarity curve at p (1 - delta), p and p (1 + delta)
-    curve = _pair_rate_slope(arrs, p_k[:, None] * [1.0 - _KKT_DELTA, 1.0, 1.0 + _KKT_DELTA], eta=eta) / _LN2
+    curve = _pair_rate_slope(arrs, p_k[:, None] * [1.0 - _KKT_DELTA, 1.0, 1.0 + _KKT_DELTA]) / _LN2
     eq21 = curve[:, 1]
-    p_other = splits[:, ::-1]
-    coeff, rho_cols = _rate_coeff(arrs, p_k, eta, p_other)
+    coeff, rho_cols = _rate_coeff(arrs, p_k)
     target = mu - (lam * coeff).sum(axis=1)
     stationarity = np.maximum(curve.min(axis=1) - target, 0.0) + np.maximum(target - curve.max(axis=1), 0.0)
     stat_norm = stationarity / np.maximum(
@@ -886,36 +853,25 @@ def kkt_residuals(groups, alloc: PowerAllocation, p_max: float) -> KKTReport:
     )
 
     # rate-constraint slack in the linearized form used by the multiplier system
-    interference = rho_cols * p_other * arrs.gain
-    slack = (splits * arrs.gain + interference + arrs.noise) - arrs.pow2r * (interference + arrs.noise)
-    rate_comp = np.abs(lam * slack)
+    interference = rho_cols * half * arrs.gain
+    slack = (half * arrs.gain + interference + arrs.noise) - arrs.pow2r * (interference + arrs.noise)
     scale = arrs.pow2r * (interference + arrs.noise)
     rate_comp_norm = np.where(lam > 0, np.abs(slack) / scale, 0.0)
 
     total = float(p_k.sum())
-    budget_comp = abs(mu * (p_max - total))
     budget_comp_norm = abs(p_max - total) / p_max if mu > 0 else 0.0
     power_excess = max(0.0, total - p_max)
 
-    sinr = splits * arrs.gain / (interference + arrs.noise)
-    rates = np.log2(1.0 + sinr)
-    rate_violation = np.maximum(0.0, arrs.min_rate - rates)
-    rate_violation_norm = rate_violation / np.maximum(arrs.min_rate, 1.0)
-
-    negative_power = max(0.0, float(-np.min(splits, initial=0.0)))
+    rates = np.log2(1.0 + half * arrs.gain / (interference + arrs.noise))
+    rate_violation_norm = np.maximum(0.0, arrs.min_rate - rates) / np.maximum(arrs.min_rate, 1.0)
     dual_negative = max(0.0, -mu, float(-np.min(lam, initial=0.0)))
 
     return KKTReport(
-        stationarity=stationarity,
         stationarity_norm=stat_norm,
-        rate_comp=rate_comp,
         rate_comp_norm=rate_comp_norm,
-        budget_comp=budget_comp,
         budget_comp_norm=budget_comp_norm,
         power_excess=power_excess,
-        rate_violation=rate_violation,
         rate_violation_norm=rate_violation_norm,
-        negative_power=negative_power,
         dual_negative=dual_negative,
     )
 
@@ -966,14 +922,11 @@ def solve(users, config: SolverConfig) -> SolveResult:
         return result("power", alloc)
 
     p_k = alloc.group_totals
-    # one lookup serves the split interval, the split and the rates
-    rho1, rho2 = arrs.rho_pair(p_k)
-    p1 = np.zeros_like(p_k)
-    rows = np.flatnonzero(p_k > 0)
-    if rows.size:
-        sub, r1, r2 = arrs.take(rows), rho1[rows], rho2[rows]
-        lo, hi = _min_rate_split_interval(sub, p_k[rows], r1, r2)
-        p1[rows] = _intra_split_vec(sub, p_k[rows], lo, hi, r1, r2)
+    # one lookup serves the split interval, the split and the rates; a
+    # group at zero power has lo = hi = 0, so its split is (0, 0)
+    rho1, rho2 = arrs.rho_and_slope(p_k[None])[0]
+    lo, hi = _min_rate_split_interval(arrs, p_k, rho1, rho2)
+    p1 = _intra_split_vec(arrs, p_k, lo, hi, rho1, rho2)
     splits = np.column_stack([p1, p_k - p1])
     alloc.splits = splits
 

@@ -36,7 +36,6 @@ __all__ = [
     "LogisticRhoParams",
     "InterferenceProfile",
     "CalibratedRho",
-    "rho",
     "sinr_conventional",
     "sinr_semantic",
     "calibrate_rho",
@@ -294,9 +293,9 @@ class _RhoAxis:
     flat float array of that many per point, it keeps its results and
     temporaries there; either way the caller may overwrite both results.
     ``rows``, an index array, evaluates only those rows along axis 1 of the
-    row shape (the groups of ``power._GroupArrays``), as ``take`` would but
-    without building a sub-lookup. At p <= 0 the value is the single-link
-    kernel's, nan or not as the profile dictates, and the slope is zero.
+    row shape (the groups of ``power._GroupArrays``). At p <= 0 the value is
+    the single-link kernel's, nan or not as the profile dictates, and the
+    slope is zero.
     """
 
     def __init__(self, profile: InterferenceProfile, gain, noise, value=None):
@@ -342,14 +341,6 @@ class _RhoAxis:
                     rho = np.where(zero, _rho_kernel(self.profile, p, gain, noise), rho)
             slope = np.where(zero, 0.0, slope)
         return rho, slope
-
-    def take(self, rows, axis) -> "_RhoAxis":
-        """The lookup of the rows ``rows`` along ``axis`` of the row shape."""
-        sub = object.__new__(_RhoAxis)
-        sub.__dict__.update(self.__dict__)
-        for name in ("gain", "noise", "offset", "row"):
-            setattr(sub, name, getattr(self, name).take(rows, axis=axis))
-        return sub
 
     @staticmethod
     def _constant(row, rho, slope):
@@ -435,11 +426,6 @@ def rho_eval(profile: InterferenceProfile, group_power, gain, noise):
         raise ValueError("group power must be nonnegative")
     out = _rho_kernel(profile, p, gain, noise)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def rho(profile: InterferenceProfile, group_power: float, link: Link) -> float:
-    """Interference factor for a group transmitting at ``group_power`` toward ``link``."""
-    return rho_eval(profile, group_power, link.gain, link.noise)
 
 
 def rho_derivative_eval(profile: InterferenceProfile, group_power, gain, noise):

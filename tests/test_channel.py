@@ -11,7 +11,6 @@ from sfma.channel import (
     draw_channel,
     path_loss_db,
     place_users,
-    snr_db,
 )
 
 
@@ -113,27 +112,6 @@ class TestDrawChannel:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             draw_channel(_two_user_topology(), -1.0, -104.0, seed=1)
-
-
-class TestSnrDb:
-    def test_unit_ratio(self):
-        assert snr_db(1.0, 1.0) == 0.0
-
-    def test_decade(self):
-        assert snr_db(10.0, 1.0) == pytest.approx(10.0, abs=1e-12)
-
-    def test_consistency_with_noise_conversion(self):
-        noise = 10.0 ** (-10.4)
-        assert snr_db(10.0 * noise, noise) == pytest.approx(10.0, abs=1e-9)
-
-    def test_zero_power_sentinel(self):
-        assert snr_db(0.0, 1.0) == float("-inf")
-
-    def test_bad_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            snr_db(1.0, 0.0)
-        with pytest.raises(ValueError):
-            snr_db(-1.0, 1.0)
 
 
 class TestTypes:

@@ -517,7 +517,6 @@ class TestKKTResiduals:
             lambdas=np.zeros((1, 2)),
         )
         report = kkt_residuals([group], alloc, p_max=10.0)
-        assert np.all(report.rate_comp == 0.0)
         assert np.all(report.rate_comp_norm == 0.0)
 
     def test_table_group_at_a_cut(self, default_profile):
@@ -657,6 +656,26 @@ class TestSolve:
     def test_odd_user_count_rejected(self, default_profile):
         with pytest.raises(ValueError):
             solve([UserTerminal(id=0, link=make_link(10.0))], solver_config(default_profile))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["constant", "table", "parametric"])
+    def test_zero_power_group(self, kind):
+        # without minimum rates the water level stays above the weak pair's
+        # whole curve, so its group gets no power and goes through the pair
+        # stage at p = 0
+        profile = {"constant": InterferenceProfile.constant(0.3), "table": InterferenceProfile.default_table(),
+                   "parametric": InterferenceProfile.parametric()}[kind]
+        links = [Link(gain=1.0, noise=1e-3), Link(gain=0.8, noise=1e-3),
+                 Link(gain=1e-6, noise=1.0), Link(gain=2e-6, noise=1.0)]
+        users = [UserTerminal(id=i, link=link, min_rate=0.0) for i, link in enumerate(links)]
+        res = solve(users, solver_config(profile, p_max=1.0))
+        assert res.feasible
+        assert res.pairing.pairs == ((0, 1), (2, 3))
+        alloc = res.allocation
+        assert alloc.group_totals[1] == 0.0 and alloc.group_totals[0] > 0.0
+        assert alloc.splits[1].tolist() == [0.0, 0.0]
+        groups = [Group(users=(users[a], users[b]), profile=profile) for a, b in res.pairing.pairs]
+        assert split_residuals(groups, alloc)[1] == 0.0
 
 
 class TestSolverConfig:
@@ -973,7 +992,8 @@ class TestPairLookup:
             arrs = self.arrays(profile, k=5)
             rows = np.array([3, 0])
             p = np.array([0.7, 40.0])
-            got = pair_lookup(arrs.take(rows), p)
+            rho, slope = arrs.rho_and_slope(p[None], rows=rows)
+            got = (*rho, *slope)
             whole = pair_lookup(arrs, np.array([40.0, 1.0, 1.0, 0.7] + [1.0] * (arrs.k - 4)))
             for g, w in zip(got, whole):
                 np.testing.assert_array_equal(g, w[rows])
@@ -1057,9 +1077,9 @@ class TestPairLookup:
 # _WaterFiller.exact_totals before the sampled refinement, kept verbatim as
 # the reference of TestSampledRefinement: twelve lockstep bisections per call.
 
-def _stationarity_lhs(arrs: _GroupArrays, p, mu: float):
+def _stationarity_lhs(arrs: _GroupArrays, p, mu: float, rows=None):
     """The stationarity expression it bisects, zero at a candidate (once a power.py helper)."""
-    return _pair_rate_slope(arrs, p) / _LN2 - mu
+    return _pair_rate_slope(arrs, p, rows=rows) / _LN2 - mu
 
 
 def reference_exact_totals(self, mu, n_bisect=12):
@@ -1078,10 +1098,9 @@ def reference_exact_totals(self, mu, n_bisect=12):
         b = self.grid[first[rows] + 1].copy()
         fa = self.f_grid[rows, first[rows]] - mu
         fb = self.f_grid[rows, first[rows] + 1] - mu
-        sub = self.arrs.take(rows)
         for _ in range(n_bisect):
             mid = 0.5 * (a + b)
-            fm = _stationarity_lhs(sub, mid, mu)
+            fm = _stationarity_lhs(self.arrs, mid, mu, rows)
             go_left = fm < 0
             b = np.where(go_left, mid, b)
             fb = np.where(go_left, fm, fb)
@@ -1488,24 +1507,22 @@ class TestWorkspace:
     @pytest.mark.parametrize("kind", ["constant", "table", "parametric"])
     def test_rows_match_the_full_evaluation(self, kind):
         # evaluating some groups by index gives the full evaluation's rows bit
-        # for bit, for group powers per row or shared, equal split or not
+        # for bit, for group powers per row or shared
         rng = np.random.default_rng([71, len(kind)])
         k = 7
         profile = {"constant": None, "table": InterferenceProfile.default_table(),
                    "parametric": InterferenceProfile.parametric()}[kind]
         arrs = _GroupArrays(random_groups(rng, k, profile))
-        unequal = rng.uniform(0.05, 0.95, k)
         for rows in (np.array([4]), np.array([6, 0, 3]), np.arange(k)[::-1]):
-            for eta in (None, np.column_stack([unequal, 1.0 - unequal])):
-                for p in (rng.uniform(0.01, 50.0, k), rng.uniform(0.01, 50.0, (k, 63))):
-                    want = _pair_rate_slope(arrs, p, eta)[rows]
-                    points = rows.size * (p.shape[1] if p.ndim == 2 else 1)
-                    work = np.full(arrs.work_size(points), np.nan)
-                    np.testing.assert_array_equal(_pair_rate_slope(arrs, p[rows], eta, rows=rows), want)
-                    np.testing.assert_array_equal(_pair_rate_slope(arrs, p[rows], eta, work=work, rows=rows), want)
-                shared = np.geomspace(1e-5, 100.0, 64)[None, :]
-                np.testing.assert_array_equal(_pair_rate_slope(arrs, shared, eta, rows=rows),
-                                              _pair_rate_slope(arrs, shared, eta)[rows])
+            for p in (rng.uniform(0.01, 50.0, k), rng.uniform(0.01, 50.0, (k, 63))):
+                want = _pair_rate_slope(arrs, p)[rows]
+                points = rows.size * (p.shape[1] if p.ndim == 2 else 1)
+                work = np.full(arrs.work_size(points), np.nan)
+                np.testing.assert_array_equal(_pair_rate_slope(arrs, p[rows], rows=rows), want)
+                np.testing.assert_array_equal(_pair_rate_slope(arrs, p[rows], work=work, rows=rows), want)
+            shared = np.geomspace(1e-5, 100.0, 64)[None, :]
+            np.testing.assert_array_equal(_pair_rate_slope(arrs, shared, rows=rows),
+                                          _pair_rate_slope(arrs, shared)[rows])
 
 
 # _pair_rate_slope before it was cut to fewer numpy calls, and
@@ -1517,21 +1534,17 @@ class TestWorkspace:
 # special exits where den <= 0, are kept as the differential reference of
 # the floors, and as the floors of the reference allocators above.
 
-def reference_pair_rate_slope(arrs: _GroupArrays, p, eta=None, work=None):
-    """Per-group d(r1 + r2)/dp in bits/s/Hz per watt, at fixed fractions.
+def reference_pair_rate_slope(arrs: _GroupArrays, p, work=None):
+    """Per-group d(r1 + r2)/dp in bits/s/Hz per watt, at the equal split.
 
-    ``p`` may be (K,), (K, G) or (1, G); eta, the (K, 2) fractions, defaults
-    to the equal split. With ``work``, a flat float array of at least
-    ``arrs.work_size`` floats for the result's size, every temporary is a
-    view of it, and so is the result, which the next call overwrites.
+    ``p`` may be (K,), (K, G) or (1, G). With ``work``, a flat float array
+    of at least ``arrs.work_size`` floats for the result's size, every
+    temporary is a view of it, and so is the result, which the next call
+    overwrites.
     """
     p = np.asarray(p, dtype=float)
     col = (slice(None), None) if p.ndim == 2 else slice(None)
-    if eta is None:
-        e1 = e2 = 0.5
-    else:
-        eta = np.asarray(eta, dtype=float)
-        e1, e2 = eta[:, 0][col], eta[:, 1][col]
+    e1 = e2 = 0.5
     g1, g2 = arrs.gain[:, 0][col], arrs.gain[:, 1][col]
     n1, n2 = arrs.noise[:, 0][col], arrs.noise[:, 1][col]
     shape = (2, arrs.k) + p.shape[1:]
@@ -1684,16 +1697,14 @@ class TestKernelsAgainstParent:
         profile = {"constant": None, "table": InterferenceProfile.default_table(),
                    "parametric": InterferenceProfile.parametric()}[kind]
         arrs = _GroupArrays(random_groups(rng, k, profile))
-        unequal = rng.uniform(0.05, 0.95, k)
-        for eta in (None, np.column_stack([unequal, 1.0 - unequal])):
-            for p in (rng.uniform(0.01, 50.0, k), rng.uniform(0.01, 50.0, (k, 7)),
-                      np.geomspace(1e-5, 100.0, 64)[None, :]):
-                want = reference_pair_rate_slope(arrs, p, eta)
-                scale = np.max(np.abs(want), axis=-1, keepdims=True) if want.ndim == 2 else np.abs(want)
-                points = k * p.shape[-1] if p.ndim == 2 else k
-                work = np.full(arrs.work_size(points), np.nan)
-                for got in (_pair_rate_slope(arrs, p, eta), _pair_rate_slope(arrs, p, eta, work=work)):
-                    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        for p in (rng.uniform(0.01, 50.0, k), rng.uniform(0.01, 50.0, (k, 7)),
+                  np.geomspace(1e-5, 100.0, 64)[None, :]):
+            want = reference_pair_rate_slope(arrs, p)
+            scale = np.max(np.abs(want), axis=-1, keepdims=True) if want.ndim == 2 else np.abs(want)
+            points = k * p.shape[-1] if p.ndim == 2 else k
+            work = np.full(arrs.work_size(points), np.nan)
+            for got in (_pair_rate_slope(arrs, p), _pair_rate_slope(arrs, p, work=work)):
+                assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     def test_locate(self):
         # rows that start at or above mu keep the reference's status and
@@ -1827,7 +1838,7 @@ logger = logging.getLogger(__name__)
 
 
 def reference_intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, tol, n_scan: int = 33):
-    rho1, rho2 = arrs.rho_pair(p_k)
+    rho1, rho2 = arrs.rho_and_slope(p_k[None])[0]
 
     def j(p1):
         return _intra_objective(arrs, p_k, rho1, rho2, p1)
@@ -1917,7 +1928,7 @@ def split_cases(kind):
         k = int(rng.integers(1, 9))
         arrs = _GroupArrays(random_groups(rng, k, profile, min_rate_range=(0.0, 1.0)))
         p_k = 10.0 ** rng.uniform(-3.0, 3.0, k)
-        rho1, rho2 = arrs.rho_pair(p_k)
+        rho1, rho2 = arrs.rho_and_slope(p_k[None])[0]
         yield arrs, p_k, np.zeros(k), p_k.copy()
         yield (arrs, p_k) + _min_rate_split_interval(arrs, p_k, rho1, rho2)
         ends = np.sort(rng.uniform(0.0, 1.0, (k, 2)), axis=1) * p_k[:, None]
@@ -1954,7 +1965,7 @@ class TestPairSplitAgainstReference:
     def test_random_groups(self, kind):
         check = SplitCheck()
         for arrs, p_k, lo, hi in split_cases(kind):
-            rho1, rho2 = arrs.rho_pair(p_k)
+            rho1, rho2 = arrs.rho_and_slope(p_k[None])[0]
             check(arrs, p_k, lo, hi, rho1, rho2)
         assert check.non_concave > 0
 
@@ -1964,7 +1975,7 @@ class TestPairSplitAgainstReference:
         check = SplitCheck()
         arrs = _GroupArrays([simple_group(rho_c=1.0, r1=0.0, r2=0.0, g1=50.0, g2=50.0)] * 3)
         p_k = np.array([2.0, 0.5, 7.0])
-        rho1, rho2 = arrs.rho_pair(p_k)
+        rho1, rho2 = arrs.rho_and_slope(p_k[None])[0]
         check(arrs, p_k, np.zeros(3), p_k.copy(), rho1, rho2)
         check(arrs, p_k, 0.1 * p_k, 0.7 * p_k, rho1, rho2)
         assert check.non_concave >= 3

@@ -18,8 +18,8 @@ from sfma.semantic_rate import (
     calibrate_rho,
     load_rho_table,
     pair_sum_rate,
-    rho,
     rho_derivative_eval,
+    rho_eval,
     save_rho_table,
     sinr_conventional,
     sinr_semantic,
@@ -50,8 +50,8 @@ def link_for_node(p_dbw: float, snr_node_db: float) -> Link:
 class TestProfiles:
     def test_constant_limits(self):
         link = make_link(10.0)
-        assert rho(InterferenceProfile.constant(1.0), 5.0, link) == 1.0
-        assert rho(InterferenceProfile.constant(0.0), 5.0, link) == 0.0
+        assert rho_eval(InterferenceProfile.constant(1.0), 5.0, link.gain, link.noise) == 1.0
+        assert rho_eval(InterferenceProfile.constant(0.0), 5.0, link.gain, link.noise) == 0.0
 
     def test_constant_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -62,16 +62,16 @@ class TestProfiles:
         for i, p_dbw in enumerate(prof.power_axis_dbw):
             for j, snr in enumerate(prof.snr_axis_db):
                 link = link_for_node(p_dbw, snr)
-                got = rho(prof, 10.0 ** (p_dbw / 10.0), link)
+                got = rho_eval(prof, 10.0 ** (p_dbw / 10.0), link.gain, link.noise)
                 assert got == pytest.approx(prof.values[i, j], abs=1e-12)
 
     def test_table_clamps_at_edges(self):
         prof = small_table()
         # far below the power grid and at zero power: lowest row, clamped SNR
         link = link_for_node(-10.0, -20.0)
-        assert rho(prof, 0.0, link) == pytest.approx(0.9, abs=1e-12)
+        assert rho_eval(prof, 0.0, link.gain, link.noise) == pytest.approx(0.9, abs=1e-12)
         strong = link_for_node(10.0, 50.0)
-        assert rho(prof, 10.0 ** (1.0), strong) == pytest.approx(0.05, abs=1e-12)
+        assert rho_eval(prof, 10.0 ** (1.0), strong.gain, strong.noise) == pytest.approx(0.05, abs=1e-12)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ class TestProfiles:
             for j in (0, 5, len(prof.snr_axis_db) - 1):
                 p_dbw = float(prof.power_axis_dbw[i])
                 link = link_for_node(p_dbw, float(prof.snr_axis_db[j]))
-                got = rho(prof, 10.0 ** (p_dbw / 10.0), link)
+                got = rho_eval(prof, 10.0 ** (p_dbw / 10.0), link.gain, link.noise)
                 assert got == pytest.approx(prof.values[i, j], abs=1e-12)
 
     def test_renamed_package_reads_its_own_table(self, tmp_path, monkeypatch):
@@ -137,7 +137,7 @@ class TestProfiles:
         for prof in profs:
             for _ in range(50):
                 link = make_link(rng.uniform(-20, 40))
-                val = rho(prof, float(rng.uniform(0, 1e4)), link)
+                val = rho_eval(prof, float(rng.uniform(0, 1e4)), link.gain, link.noise)
                 assert 0.0 <= val <= 1.0
 
     def test_csv_round_trip(self, tmp_path):
@@ -192,16 +192,17 @@ class TestLogisticAtZeroPower:
         (0.42, 0.015, -60.0),
     ])
     def test_limit_by_the_sign_of_b(self, snr_slope, power_coeff, expo):
-        got = rho(self.profile(snr_slope, power_coeff), 0.0, Link(gain=1.0, noise=1e-3))
+        got = rho_eval(self.profile(snr_slope, power_coeff), 0.0, 1.0, 1e-3)
         assert got == 0.95 / (1.0 + math.exp(expo))
 
     def test_flat_axis_gives_the_constant_exponent(self):
         # b = 0: the exponent is a at every power, so rho at 0 is rho anywhere
-        prof, link = self.profile(0.42, -0.42), Link(gain=1.0, noise=1e-3)
-        assert rho(prof, 0.0, link) == pytest.approx(rho(prof, 3.0, link), rel=1e-12)
+        prof = self.profile(0.42, -0.42)
+        assert rho_eval(prof, 0.0, 1.0, 1e-3) == pytest.approx(rho_eval(prof, 3.0, 1.0, 1e-3), rel=1e-12)
 
     def test_default_profile_unchanged(self):
-        assert rho(InterferenceProfile.parametric(), 0.0, make_link(10.0)) == 0.95
+        link = make_link(10.0)
+        assert rho_eval(InterferenceProfile.parametric(), 0.0, link.gain, link.noise) == 0.95
 
 
 class TestRhoDerivative:
@@ -216,7 +217,8 @@ class TestRhoDerivative:
             p = float(rng.uniform(0.05, 50.0))
             analytic = rho_derivative_eval(prof, p, link.gain, link.noise)
             h = 1e-6 * p
-            fd = (rho(prof, p + h, link) - rho(prof, p - h, link)) / (2 * h)
+            fd = (rho_eval(prof, p + h, link.gain, link.noise)
+                  - rho_eval(prof, p - h, link.gain, link.noise)) / (2 * h)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-15)
 
     def test_table_matches_secant_slope(self, rng):
@@ -226,7 +228,8 @@ class TestRhoDerivative:
             p = float(rng.uniform(0.05, 8.0))
             got = rho_derivative_eval(prof, p, link.gain, link.noise)
             h = max(1e-9, 1e-4 * p)
-            secant = (rho(prof, p + h, link) - rho(prof, p - h, link)) / (2 * h)
+            secant = (rho_eval(prof, p + h, link.gain, link.noise)
+                      - rho_eval(prof, p - h, link.gain, link.noise)) / (2 * h)
             assert got == pytest.approx(secant, abs=1e-4)
 
     def test_requires_positive_power(self):
