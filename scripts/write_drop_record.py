@@ -20,12 +20,23 @@ headline cell (30 users, 30 dBW, 500 drops of root seed 2026, bundled
 table), which acceptance criterion 11 asserts byte for byte, and prints the
 cells that moved from the file it replaces.
 
+With ``--sweeps`` it writes neither: it runs ``configs/sweep_users.cfg`` and
+``configs/sweep_power.cfg`` into a temporary directory (about 13 s serial on
+two cores) and compares each CSV with the digests in
+``tests/data/sweep_digests.json``, the sha256 of the file and of each
+cell's row. It prints, per CSV, "identical" or the cells that moved with
+their new rows, and exits 1 if any moved. ``--rewrite`` stores this run's
+digests instead.
+
     python scripts/write_drop_record.py [--output PATH]
+    python scripts/write_drop_record.py --sweeps [--rewrite]
 """
 
 import argparse
+import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +54,8 @@ MIN_RATE = 1.0
 # (kind, users, minimum rate) of the cells beyond the grid above
 EXTRA_CELLS = (("parametric", 30, 1.5),)
 DEFAULT_OUTPUT = ROOT / "tests" / "data" / "drop_record.json"
+SWEEPS = (ROOT / "configs" / "sweep_users.cfg", ROOT / "configs" / "sweep_power.cfg")
+SWEEP_DIGESTS = ROOT / "tests" / "data" / "sweep_digests.json"
 HEADLINE = ScenarioConfig(user_counts=(30,), p_max_dbw=(P_MAX_DBW,), drops=500, root_seed=ROOT_SEED,
                           rho_kind="table", rho_table="default")
 
@@ -96,13 +109,65 @@ def moved_drops(got: list, want: list) -> list:
     return lines
 
 
+def _cell(line: str) -> str:
+    return line.rsplit(",", 4)[0]      # scheme, users, power
+
+
 def moved_cells(got: str, want: str) -> list:
     """One line per CSV row of ``want`` that ``got`` does not hold, beside its row in ``got``."""
-    def cell(line):
-        return line.rsplit(",", 4)[0]      # scheme, users, power
+    now = {_cell(line): line for line in got.splitlines()}
+    return [f"{line} -> {now.get(_cell(line), 'missing')}" for line in want.splitlines() if now.get(_cell(line)) != line]
 
-    now = {cell(line): line for line in got.splitlines()}
-    return [f"{line} -> {now.get(cell(line), 'missing')}" for line in want.splitlines() if now.get(cell(line)) != line]
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def csv_digest(text: str) -> dict:
+    """The sha256 of a report CSV and of each cell's row, keyed by the cell."""
+    return {"sha256": _sha256(text), "cells": {_cell(line): _sha256(line) for line in text.splitlines()[1:]}}
+
+
+def moved_digest_cells(text: str, want: dict) -> list:
+    """One line per cell of ``text`` or of the digest ``want`` whose row differs: the cell and its row now."""
+    now = {_cell(line): line for line in text.splitlines()[1:]}
+    cells = csv_digest(text)["cells"]
+    return [f"{cell} -> {now.get(cell, 'missing')}" for cell in sorted(cells.keys() | want["cells"].keys())
+            if cells.get(cell) != want["cells"].get(cell)]
+
+
+def sweep_csvs() -> dict:
+    """The CSV text of each ``configs/`` sweep, run into a temporary directory, keyed by its file name."""
+    texts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for cfg in SWEEPS:
+            config = ScenarioConfig.from_file(cfg)
+            path = Path(tmp) / Path(config.output).name
+            emit_csv(run_sweep(config), path)
+            texts[path.name] = path.read_text()
+    return texts
+
+
+def check_sweeps(rewrite: bool) -> int:
+    """Compare the sweeps' CSVs with their stored digests, or store this run's with ``rewrite``."""
+    texts = sweep_csvs()
+    stored = json.loads(SWEEP_DIGESTS.read_text()) if SWEEP_DIGESTS.exists() else {}
+    moved = False
+    for name, text in texts.items():
+        want = stored.get(name)
+        if want is None:
+            print(f"{name}: no stored digest")
+            moved = True
+        elif want["sha256"] == _sha256(text):
+            print(f"{name}: identical (sha256 {want['sha256'][:16]})")
+        else:
+            print(f"{name}: moved\n  " + "\n  ".join(moved_digest_cells(text, want)))
+            moved = True
+    if rewrite:
+        SWEEP_DIGESTS.write_text(json.dumps({name: csv_digest(text) for name, text in texts.items()}, indent=1) + "\n")
+        print(f"wrote {SWEEP_DIGESTS.relative_to(ROOT)}")
+        return 0
+    return 1 if moved else 0
 
 
 def write_headline(path: Path) -> None:
@@ -116,7 +181,14 @@ def write_headline(path: Path) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
+    parser.add_argument("--sweeps", action="store_true",
+                        help="check the configs/ sweep CSVs against their stored digests instead")
+    parser.add_argument("--rewrite", action="store_true", help="with --sweeps, store this run's digests")
     args = parser.parse_args(argv)
+    if args.rewrite and not args.sweeps:
+        parser.error("--rewrite needs --sweeps")
+    if args.sweeps:
+        return check_sweeps(args.rewrite)
     args.output.parent.mkdir(parents=True, exist_ok=True)
     entries = record()
     if args.output.exists():

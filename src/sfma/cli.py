@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -151,7 +152,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    required = {"group_power_dbw", "snr_db", "p_self_w", "p_other_w", "gain", "noise_w", "mse"}
+    columns = ("group_power_dbw", "snr_db", "p_self_w", "p_other_w", "gain", "noise_w", "mse")
+    required = set(columns)
     try:
         with open(args.mse_csv, newline="") as handle:
             reader = csv.DictReader(handle)
@@ -168,11 +170,16 @@ def _cmd_calibrate(args) -> int:
                     print(f"error: {args.mse_csv} line {reader.line_num} has {n_cells} cells, "
                           f"the header {len(reader.fieldnames)}", file=sys.stderr)
                     return EXIT_CONFIG
-                link = Link(gain=float(row["gain"]), noise=float(row["noise_w"]))
-                value = calibrate_rho(
-                    float(row["p_self_w"]), float(row["p_other_w"]), link, float(row["mse"])
-                ).value
-                key = (float(row["group_power_dbw"]), float(row["snr_db"]))
+                cell = {name: float(row[name]) for name in columns}
+                # nan passes every range check below, and inf makes a grid node
+                bad = [name for name in columns if not math.isfinite(cell[name])]
+                if bad:
+                    print(f"error: {args.mse_csv} line {reader.line_num}: {', '.join(bad)} "
+                          f"must be finite", file=sys.stderr)
+                    return EXIT_CONFIG
+                link = Link(gain=cell["gain"], noise=cell["noise_w"])
+                value = calibrate_rho(cell["p_self_w"], cell["p_other_w"], link, cell["mse"]).value
+                key = (cell["group_power_dbw"], cell["snr_db"])
                 if key in cells:
                     print(f"error: duplicate measurement cell {key}", file=sys.stderr)
                     return EXIT_CONFIG
@@ -191,8 +198,11 @@ def _cmd_calibrate(args) -> int:
                       file=sys.stderr)
                 return EXIT_CONFIG
             values[i, j] = cells[(p, s)]
-    profile = InterferenceProfile.from_table(power_axis, snr_axis, values)
-    save_rho_table(profile, args.output)
+    try:
+        save_rho_table(InterferenceProfile.from_table(power_axis, snr_axis, values), args.output)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {args.output} ({len(power_axis)}x{len(snr_axis)} grid)")
     return EXIT_OK
 

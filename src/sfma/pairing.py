@@ -90,8 +90,10 @@ def _ranked_pairs(values: np.ndarray, gaps: np.ndarray, delta_max: float):
     the pairs come in (i, j) order, which a stable sort on the values keeps
     among equals.
     """
-    lower, higher = np.nonzero(np.triu(gaps <= delta_max, 1))
-    ranked = np.argsort(-values[lower, higher], kind="stable")
+    # the upper triangle in row-major order, as np.nonzero(np.triu(...)) gives it
+    idx = np.arange(gaps.shape[0])
+    lower, higher = ((gaps <= delta_max) & (idx[:, None] < idx)).nonzero()
+    ranked = (-values[lower, higher]).argsort(kind="stable")
     return lower[ranked].tolist(), higher[ranked].tolist()
 
 

@@ -28,17 +28,24 @@ to them. The search then polishes with a few exactly-evaluated secant
 steps, so the per-instance cost stays flat in the drop count; their
 bracket's top again starts just above every sample. The first secant step
 takes its slope from the interpolated curves. An exact evaluation refines
-each root inside its grid cell by two levels of 64 uniform samples, each
-taken in one call, and keeps the sub-cell that a bisection on the samples
-would pick; a secant step on the last sub-cell ends it. The curve does not
-depend on mu, so each group keeps the samples of its last bracket at each
-level, in a (level, group, sample) array tagged by the bracket's cell and
-sub-cell, and later water levels refine again only the groups whose tag
-changed; those groups are evaluated by index, and the bisection is
-replayed on flat indices into the samples. Each allocation owns one
-scratch block sized for the grid: every evaluation of the curves, on the
-grid and inside its cells, keeps its temporaries there, so they are
-neither allocated nor faulted in per call.
+each root inside its grid cell by two levels of 64 uniform sub-cells,
+whose 63 interior points are sampled in one call, and keeps the sub-cell
+that a bisection on the samples would pick; a secant step on the last
+sub-cell ends it. A bracket is four vectors over the refined groups: its
+two ends and their curve values. The curve does not depend on mu, so each
+group keeps the interior samples of its last bracket at each level, in a
+(level, group, sample) array tagged by the bracket's cell and sub-cell,
+and later water levels refine again only the groups whose tag changed;
+only those groups' points are computed, and they are evaluated by index.
+The bisection replays on flat indices into the interior samples, as no
+midpoint it reads is an end of the bracket. The grid depends on the budget
+alone, so it is built once per budget and shared read-only. Each
+allocation owns one scratch block sized for the grid: every evaluation of
+the curves, on the grid and inside its cells, keeps its temporaries there,
+so they are neither allocated nor faulted in per call. A drop's arrays
+hold 15 to 60 rows, so the per-call cost of numpy sets the time: the
+solve path calls ufuncs and ndarray methods, not numpy's Python-level
+wrappers of them (np.any, np.sum, np.clip, np.searchsorted, np.stack).
 Where the summed group power jumps across the budget at one water level,
 the search stops once its bracket is 1e-9 wide (relative) and returns the
 end below the budget; a step cap does the same.
@@ -65,13 +72,14 @@ slope of a group is one formula in rho and s per receiver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .pairing import PairingAssignment, pair_users
-from .semantic_rate import InterferenceProfile, _one_profile, _RhoAxis
+from .semantic_rate import _TINY, InterferenceProfile, _one_profile, _RhoAxis
 
 __all__ = [
     "Group",
@@ -95,13 +103,25 @@ _GRID_LOW = 1e-6                   # the grid runs geometrically from _GRID_LOW 
 # 64**2 = 2**12, the width twelve bisections of a grid cell reach
 _SUB_N = 64
 _SUB_LEVELS = 2
-_SUB_FRACS = np.arange(1, _SUB_N) / _SUB_N
+_SUB_FRACS = np.arange(_SUB_N) / _SUB_N        # the sub-cells' lower ends in a bracket
 # two final sub-cells, relative to the power: how far a refined root may sit
 # from where its curve crosses the water level
 _KKT_DELTA = 2.0 * (_GRID_LOW ** (-1.0 / (_GRID_N - 1)) - 1.0) / _SUB_N ** _SUB_LEVELS
 # the rate floors bracket their roots on this many powers, geometric from p0 to p_max
 _FLOOR_AXIS_N = 64
 _FLOOR_FRACS = np.linspace(0.0, 1.0, _FLOOR_AXIS_N)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(p_max: float) -> np.ndarray:
+    """The stationarity grid of a budget, geometric from _GRID_LOW * p_max to p_max; read-only.
+
+    Every drop of a sweep cell has the same budget, so it is built once.
+    """
+    grid = np.geomspace(_GRID_LOW * p_max, p_max, _GRID_N)
+    grid.flags.writeable = False
+    return grid
+
 
 # stationary-point resolution markers
 _ROOT, _ZERO, _CAP = 0, 1, 2
@@ -343,7 +363,7 @@ def _rate_floors(arrs: _GroupArrays, p_max: float):
     h_axis, _, _ = at(axis)
     met = h_axis >= 0
     missed = active & ~met.any(axis=-1)
-    if np.any(missed):
+    if missed.any():
         user, row = np.argwhere(missed)[0]
         raise MinRateInfeasible(
             f"group {row}, user {user + 1}: minimum rate not met by any power "
@@ -354,7 +374,7 @@ def _rate_floors(arrs: _GroupArrays, p_max: float):
     at_lo = at_hi - (first > 0)
     lo, hi, h_lo, h_hi = axis.take(at_lo), axis.take(at_hi), h_axis.take(at_lo), h_axis.take(at_hi)
     # where the first sample meets the rate, lo = hi and the secant point is hi
-    p = hi - h_hi * (hi - lo) / np.maximum(h_hi - h_lo, np.finfo(float).tiny)
+    p = hi - h_hi * (hi - lo) / np.maximum(h_hi - h_lo, _TINY)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(100):
             h, h_slope, den = at(p)
@@ -384,12 +404,12 @@ class _WaterFiller:
         self.p_req = p_req
         self.steps = 0                      # exact_totals calls
         self.sampled_steps = 0              # interp_total calls
-        self.grid = np.geomspace(_GRID_LOW * p_max, p_max, _GRID_N)
+        self.grid = _grid(p_max)
         self.work = np.empty(arrs.work_size(arrs.k * _GRID_N))
         deriv = _pair_rate_slope(arrs, self.grid[None, :], work=self.work)
         self.f_grid = deriv / _LN2          # (K, N) stationarity curve samples
         # the water level just above every sample, where each row is ZERO at its floor
-        self.top = max(math.nextafter(float(np.nanmax(self.f_grid)), math.inf), 1e-12)
+        self.top = max(math.nextafter(float(np.fmax.reduce(self.f_grid, axis=None)), math.inf), 1e-12)
         self._jumps = None
         # the interior samples of each row's last refined bracket at each
         # level, and that bracket's tag: its cell, then cell * _SUB_N + sub-cell
@@ -420,8 +440,9 @@ class _WaterFiller:
         """
         if self._jumps is None:
             env = np.minimum.accumulate(self.f_grid, axis=1)
-            self._jumps = np.sort(env[:, 1:][env[:, 1:] == env[:, :-1]])
-        i, j = np.searchsorted(self._jumps, lo, side="right"), np.searchsorted(self._jumps, hi)
+            self._jumps = env[:, 1:][env[:, 1:] == env[:, :-1]]
+            self._jumps.sort()
+        i, j = self._jumps.searchsorted(lo, side="right"), self._jumps.searchsorted(hi)
         return float(self._jumps[(i + j) // 2]) if i < j else None
 
     def interp_total(self, mu):
@@ -435,86 +456,100 @@ class _WaterFiller:
         self.sampled_steps += 1
         status, first = self._locate(mu)
         p3 = np.where(status == _CAP, self.grid[-1], 0.0)
-        rows = np.flatnonzero(status == _ROOT)
+        rows = (status == _ROOT).nonzero()[0]
         slope = 0.0
         if rows.size:
             cells = first[rows]
             g0, g1 = self.grid[cells], self.grid[cells + 1]
             f0, f1 = self.f_grid[rows, cells], self.f_grid[rows, cells + 1]
-            t = (f0 - mu) / np.maximum(f0 - f1, np.finfo(float).tiny)
+            t = (f0 - mu) / np.maximum(f0 - f1, _TINY)
             p3[rows] = g0 * (1.0 - t) + g1 * t
             moving = p3[rows] > self.p_req[rows]
-            slope = float(np.sum(((g1 - g0) / (f1 - f0))[moving]))
+            slope = float(((g1 - g0) / (f1 - f0))[moving].sum())
         return float(np.maximum(self.p_req, p3).sum()), slope
 
     def exact_totals(self, mu):
         """Group powers with roots refined inside their sampled cells.
 
-        Each of _SUB_LEVELS levels samples the current bracket at _SUB_N
-        uniform sub-cells in one call and keeps the sub-cell that a bisection
-        on those samples would pick, going left where f(mid) < mu; together
-        they reach the width of twelve bisections of the grid cell. One
-        secant step on the final sub-cell's end values then pins the root far
-        below that width (the curve is smooth inside a cell). The curve does
-        not depend on mu, so each row keeps the samples of its last bracket
-        at each level, and later water levels evaluate only rows whose
-        bracket changed. A root in a cell wholly at or below the group's rate
-        floor is clamped to that floor anyway, so such rows are not refined.
+        Each of _SUB_LEVELS levels samples the current bracket at the
+        _SUB_N - 1 interior points of _SUB_N uniform sub-cells in one call
+        and keeps the sub-cell that a bisection on those samples would pick,
+        going left where f(mid) < mu; together they reach the width of twelve
+        bisections of the grid cell. A row's bracket is four (R,) vectors,
+        its two ends and their curve values, so no (R, _SUB_N + 1) block is
+        assembled. One secant step on the final sub-cell's end values then
+        pins the root far below that width (the curve is smooth inside a
+        cell). The curve does not depend on mu, so each row keeps the
+        interior samples of its last bracket at each level, and later water
+        levels evaluate only rows whose bracket changed. A root in a cell
+        wholly at or below the group's rate floor is clamped to that floor
+        anyway, so such rows are not refined.
         """
         self.steps += 1
         status, first = self._locate(mu)
         p3 = np.where(status == _CAP, self.grid[-1], 0.0)
-        rows = np.flatnonzero((status == _ROOT) & (self.grid[first + 1] > self.p_req))
+        rows = ((status == _ROOT) & (self.grid[first + 1] > self.p_req)).nonzero()[0]
         if rows.size:
             tag = first[rows]
-            # each row's first column in the flat blocks
-            base = (_SUB_N + 1) * np.arange(rows.size)
-            # bracket points and curve values, the ends in the first and last column
-            pts, f = np.empty((2, rows.size, _SUB_N + 1))
-            pts_flat, f_flat = pts.ravel(), f.ravel()
-            pts[:, 0], pts[:, -1] = self.grid[tag], self.grid[tag + 1]
-            f[:, 0], f[:, -1] = self.f_grid[rows, tag], self.f_grid[rows, tag + 1]
+            a, b = self.grid[tag], self.grid[tag + 1]
+            fa, fb = self.f_grid[rows, tag], self.f_grid[rows, tag + 1]
             for level in range(_SUB_LEVELS):
-                a, b = pts[:, 0], pts[:, -1]
-                pts[:, 1:-1] = a[:, None] + (b - a)[:, None] * _SUB_FRACS
-                f[:, 1:-1] = self._samples(level, rows, tag, pts[:, 1:-1])
-                at = _bisect_flat(~(f < mu), base)
-                tag = tag * _SUB_N + (at - base)
-                pts[:, 0], pts[:, -1] = pts_flat.take(at), pts_flat.take(at + 1)
-                f[:, 0], f[:, -1] = f_flat.take(at), f_flat.take(at + 1)
-            a, b = pts[:, 0], pts[:, -1]
-            fa, fb = f[:, 0] - mu, f[:, -1] - mu
+                f = self._samples(level, rows, tag, a, b)
+                k, a, b, fa, fb = _sub_bracket(f, mu, a, b, fa, fb)
+                tag = tag * _SUB_N + k
+            fa, fb = fa - mu, fb - mu
             spread = fa - fb
-            t = np.where(spread > 0, fa / np.maximum(spread, np.finfo(float).tiny), 0.5)
+            t = np.where(spread > 0, fa / np.maximum(spread, _TINY), 0.5)
             p3[rows] = a + (b - a) * np.minimum(np.maximum(t, 0.0), 1.0)
         return np.maximum(self.p_req, p3), status
 
-    def _samples(self, level, rows, tag, pts):
-        """Stationarity curve at the interior points ``pts`` of each row's tagged bracket."""
-        miss = np.flatnonzero(self._sub_tag[level, rows] != tag)
+    def _samples(self, level, rows, tag, a, b):
+        """Stationarity curve at the interior points of each row's tagged bracket [a, b], (R, _SUB_N - 1).
+
+        Only rows whose cached tag at ``level`` differs are evaluated; the
+        points a + (b - a) * _SUB_FRACS[1:] are computed for those rows alone.
+        """
+        miss = (self._sub_tag[level, rows] != tag).nonzero()[0]
         if miss.size:
             stale = rows[miss]
-            deriv = _pair_rate_slope(self.arrs, pts[miss], work=self.work, rows=stale)
+            a = a[miss]
+            pts = a[:, None] + (b[miss] - a)[:, None] * _SUB_FRACS[1:]
+            deriv = _pair_rate_slope(self.arrs, pts, work=self.work, rows=stale)
             self._sub_f[level, stale] = deriv / _LN2
             self._sub_tag[level, stale] = tag[miss]
         return self._sub_f[level, rows]
 
 
-def _bisect_flat(right, base):
-    """Flat index into ``right`` of the sub-cell that a bisection picks in each row.
+def _sub_bracket(f, mu, a, b, fa, fb):
+    """The sub-cell of each row's bracket that a bisection on its samples picks: (k, a, b, fa, fb).
 
-    ``right`` is (R, _SUB_N + 1): whether each sample of a row's bracket is
-    not below the water level. ``base`` is each row's first flat index.
-    The bisection of [0, _SUB_N] replays on the samples: the midpoint of
-    [lo, lo + 2 step] decides, going right where it is set.
+    ``f`` is (R, _SUB_N - 1), the curve at the interior points
+    a + (b - a) * _SUB_FRACS[j], j = 1 .. _SUB_N - 1, of each row's bracket
+    [a, b], whose end values are ``fa`` and ``fb``. The bisection of
+    [0, _SUB_N] replays on the interior samples: the midpoint of
+    [k, k + 2 step] decides, going right where it is not below ``mu``, and
+    no midpoint is an end. Sub-cell k spans points k and k + 1; the new
+    ends are computed as the interior points were, and an end of the old
+    bracket is kept as it is.
     """
+    right = ~(f < mu)
     flat = right.ravel()
+    base = (_SUB_N - 1) * np.arange(f.shape[0])
     at = base.copy()
     step = _SUB_N // 2
     while step:
-        at += step * flat.take(at + step)
+        # the midpoint k + step is interior sample k + step - 1
+        np.add(at, step, out=at, where=flat[step - 1 :].take(at))
         step //= 2
-    return at
+    k = at - base
+    inner = k < _SUB_N - 1
+    span = b - a
+    f = f.ravel()
+    # at k = 0, a + span * 0.0 is a itself
+    a_new = a + span * _SUB_FRACS.take(k)
+    b_new = np.where(inner, a + span * _SUB_FRACS.take(k + 1, mode="clip"), b)
+    fa_new = np.where(k > 0, f.take(at - 1, mode="clip"), fa)
+    return k, a_new, b_new, fa_new, np.where(inner, f.take(at, mode="clip"), fb)
 
 
 def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
@@ -572,7 +607,7 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
             lam = _recover_lambdas(arrs, p_k0, p_req, 0.0, binding)
             return PowerAllocation(
                 group_totals=p_k0,
-                splits=np.column_stack([p_k0 / 2.0, p_k0 / 2.0]),
+                splits=(p_k0 / 2.0)[:, None].repeat(2, axis=1),
                 mu=0.0,
                 lambdas=lam,
                 feasible=True,
@@ -597,7 +632,8 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
     mu_lo, mu_hi = 0.0, wf.top
     share = max(0, round((_GRID_N - 1) * (1.0 + math.log(k) / math.log(_GRID_LOW))))   # column of p_max / k
     # the median by hand: np.median imports numpy.ma, about 1 MB, on first use
-    at_share = np.sort(wf.f_grid[:, share])
+    at_share = wf.f_grid[:, share].copy()
+    at_share.sort()
     mu = min(mu_hi, 0.5 * float(at_share[(k - 1) // 2] + at_share[k // 2]))
     if not mu > 0:      # curves at or below zero there: keep inside the bracket
         mu = 0.5 * mu_hi
@@ -675,14 +711,14 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
     # derivative (single-group full-budget case)
     stationary_active = p_k > p_req * (1.0 + 1e-12)
     capped = stationary_active & (status == _CAP)
-    if np.any(capped) and not np.any(stationary_active & (status == _ROOT)):
+    if capped.any() and not (stationary_active & (status == _ROOT)).any():
         d_cap = _pair_rate_slope(arrs, p_k)
-        mu = float(np.min((d_cap / _LN2)[capped]))
+        mu = float((d_cap / _LN2)[capped].min())
 
     lam = _recover_lambdas(arrs, p_k, p_req, mu, binding)
     return PowerAllocation(
         group_totals=p_k,
-        splits=np.column_stack([p_k / 2.0, p_k / 2.0]),
+        splits=(p_k / 2.0)[:, None].repeat(2, axis=1),
         mu=float(mu),
         lambdas=lam,
         feasible=True,
@@ -697,7 +733,7 @@ def _rate_coeff(arrs: _GroupArrays, p_k):
     """Per-user multiplier coefficients of the equal-split stationarity row, and rho per user column."""
     rho, slope = arrs.rho_and_slope(p_k[None])
     # d(rho)/dp from the slope in ln p, zero at p = 0 as the slope is
-    rho_cols, rhop_cols = rho.T, (slope / np.maximum(p_k, np.finfo(float).tiny)).T
+    rho_cols, rhop_cols = rho.T, (slope / np.maximum(p_k, _TINY)).T
     coeff = arrs.gain * ((1.0 - arrs.pow2r) * (0.5 * rho_cols + rhop_cols * (0.5 * p_k)[:, None]) + 0.5)
     return coeff, rho_cols
 
@@ -711,12 +747,12 @@ def _recover_lambdas(arrs: _GroupArrays, p_k, p_req, mu: float, binding) -> np.n
     """
     lam = np.zeros((arrs.k, 2))
     at_floor = (p_k <= p_req * (1.0 + 1e-9)) & (p_req > 0)
-    if not np.any(at_floor):
+    if not at_floor.any():
         return lam
-    which = np.argmax(binding, axis=1)
+    which = binding.argmax(axis=1)
     eq21 = _pair_rate_slope(arrs, p_k) / _LN2
     coeff, _ = _rate_coeff(arrs, p_k)
-    for row in np.flatnonzero(at_floor):
+    for row in at_floor.nonzero()[0]:
         col = which[row]
         a = coeff[row, col]
         if a > 0:
@@ -743,7 +779,7 @@ def intra_group_allocate(group: Group, p_k: float):
 
 def _intra_objective(arrs: _GroupArrays, p_k, rho1, rho2, p1):
     """Pair sum rate at first-user powers ``p1`` of shape (K,) or (K, S)."""
-    col = (slice(None),) + (None,) * (np.ndim(p1) - 1)
+    col = (slice(None),) + (None,) * (p1.ndim - 1)
     p_k, rho1, rho2 = p_k[col], rho1[col], rho2[col]
     p2 = p_k - p1
     g1, g2 = arrs.gain[:, 0][col], arrs.gain[:, 1][col]
@@ -766,8 +802,8 @@ def _split_terms(arrs: _GroupArrays, p_k, rho1, rho2):
     return s1, s2, (1.0 - rho1) * s1, rho1 * s1, (1.0 - rho2) * s2, rho2 * s2
 
 
-def _split_roots(s1, s2, u1, v1, u2, v2):
-    """Real roots in q of s1 d1 A2 B2 - s2 d2 A1 B1, shape (K, 2); nan where none."""
+def _split_roots(s1, s2, u1, v1, u2, v2, out):
+    """Real roots in q of s1 d1 A2 B2 - s2 d2 A1 B1, into ``out``, (K, 2); nan where none."""
     d1 = 1.0 + v1
     w1, w2 = s1 * d1, s2 * (1.0 + v2)
     a = w2 * u1 * v1 - w1 * u2 * v2
@@ -776,7 +812,9 @@ def _split_roots(s1, s2, u1, v1, u2, v2):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the stable pair of roots; a == 0 leaves the linear root in c / t
         t = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-        return np.stack([t / a, c / t], axis=1)
+        np.divide(t, a, out=out[:, 0])
+        np.divide(c, t, out=out[:, 1])
+    return out
 
 
 def _intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, rho1, rho2):
@@ -791,13 +829,20 @@ def _intra_split_vec(arrs: _GroupArrays, p_k, lo, hi, rho1, rho2):
     so both sets of roots are candidates. Ties keep a root, then hi, then lo.
     """
     s1, s2, u1, v1, u2, v2 = _split_terms(arrs, p_k, rho1, rho2)
+    # candidates: the roots in q, then in r = 1 - q, as powers, then hi and lo
+    cand = np.empty((p_k.size, 6))
+    roots = cand[:, :4]
     with np.errstate(invalid="ignore", over="ignore"):
-        roots = np.column_stack([_split_roots(s1, s2, u1, v1, u2, v2),
-                                 1.0 - _split_roots(s2, s1, u2, v2, u1, v1)]) * p_k[:, None]
+        _split_roots(s1, s2, u1, v1, u2, v2, roots[:, :2])
+        _split_roots(s2, s1, u2, v2, u1, v1, roots[:, 2:])
+        np.subtract(1.0, roots[:, 2:], out=roots[:, 2:])
+        roots *= p_k[:, None]
     # fmax/fmin send the nan of a negative discriminant or of 0/0 to lo
-    cand = np.column_stack([np.fmin(np.fmax(roots, lo[:, None]), hi[:, None]), hi, lo])
+    np.fmax(roots, lo[:, None], out=roots)
+    np.fmin(roots, hi[:, None], out=roots)
+    cand[:, 4], cand[:, 5] = hi, lo
     j = _intra_objective(arrs, p_k, rho1, rho2, cand)
-    return cand[np.arange(cand.shape[0]), np.argmax(j, axis=1)]
+    return cand[np.arange(cand.shape[0]), j.argmax(axis=1)]
 
 
 def split_residuals(groups, alloc: PowerAllocation) -> np.ndarray:
@@ -887,7 +932,7 @@ def _min_rate_split_interval(arrs: _GroupArrays, p_k, rho1, rho2):
     lo = np.minimum(np.maximum(lo, 0.0), p_k)
     hi = np.minimum(np.maximum(hi, 0.0), p_k)
     bad = lo > hi
-    if np.any(bad):
+    if bad.any():
         # numerically empty interval: fall back to the equal split
         lo = np.where(bad, p_k / 2.0, lo)
         hi = np.where(bad, p_k / 2.0, hi)
@@ -926,19 +971,19 @@ def solve(users, config: SolverConfig) -> SolveResult:
     # group at zero power has lo = hi = 0, so its split is (0, 0)
     rho1, rho2 = arrs.rho_and_slope(p_k[None])[0]
     lo, hi = _min_rate_split_interval(arrs, p_k, rho1, rho2)
-    p1 = _intra_split_vec(arrs, p_k, lo, hi, rho1, rho2)
-    splits = np.column_stack([p1, p_k - p1])
+    splits = np.empty((p_k.size, 2))
+    splits[:, 0] = p1 = _intra_split_vec(arrs, p_k, lo, hi, rho1, rho2)
+    np.subtract(p_k, p1, out=splits[:, 1])
     alloc.splits = splits
 
     g, n = arrs.gain, arrs.noise
-    rates = np.column_stack([
-        np.log2(1.0 + splits[:, 0] * g[:, 0] / (rho1 * splits[:, 1] * g[:, 0] + n[:, 0])),
-        np.log2(1.0 + splits[:, 1] * g[:, 1] / (rho2 * splits[:, 0] * g[:, 1] + n[:, 1])),
-    ])
+    rates = np.empty_like(splits)
+    rates[:, 0] = np.log2(1.0 + splits[:, 0] * g[:, 0] / (rho1 * splits[:, 1] * g[:, 0] + n[:, 0]))
+    rates[:, 1] = np.log2(1.0 + splits[:, 1] * g[:, 1] / (rho2 * splits[:, 0] * g[:, 1] + n[:, 1]))
     user_rates = {}
     for (a, b), r in zip(assignment.pairs, rates):
         user_rates[a] = float(r[0])
         user_rates[b] = float(r[1])
-    if np.any(arrs.min_rate - rates > 1e-6):
+    if (arrs.min_rate - rates > 1e-6).any():
         return result("power", alloc, user_rates)
     return result(None, alloc, user_rates, float(rates.sum()))

@@ -114,6 +114,10 @@ class InterferenceProfile:
             object.__setattr__(self, "values", vals)
             if p_ax.ndim != 1 or s_ax.ndim != 1 or p_ax.size == 0 or s_ax.size == 0:
                 raise ValueError("table axes must be non-empty 1-D arrays")
+            # nan fails every comparison below, so it is caught first
+            for name, arr in (("power axis", p_ax), ("SNR axis", s_ax), ("rho values", vals)):
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"table {name} must be finite")
             if np.any(np.diff(p_ax) <= 0) or np.any(np.diff(s_ax) <= 0):
                 raise ValueError("table axes must be strictly increasing")
             if vals.shape != (p_ax.size, s_ax.size):
@@ -178,7 +182,7 @@ def _axis_locate(axis: np.ndarray, x):
         idx = np.zeros(np.shape(x), dtype=np.intp)
         return idx, np.zeros(np.shape(x))
     x = np.minimum(np.maximum(x, axis[0]), axis[-1])
-    idx = np.searchsorted(axis, x, side="right") - 1
+    idx = axis.searchsorted(x, side="right") - 1
     idx = np.minimum(np.maximum(idx, 0), axis.size - 2)
     t = (x - axis[idx]) / (axis[idx + 1] - axis[idx])
     return idx, t
@@ -221,31 +225,37 @@ def _table_pieces(profile: InterferenceProfile, snr_offset_db) -> _TablePieces:
     """Quadratic pieces of ``_bilinear`` for each row of ``snr_offset_db``."""
     off = np.asarray(snr_offset_db, dtype=float).reshape(-1, 1)
     rows = off.shape[0]
-    p_ax = np.broadcast_to(profile.power_axis_dbw, (rows, profile.power_axis_dbw.size))
-    cuts = np.sort(np.concatenate([p_ax, profile.snr_axis_db - off], axis=1), axis=1)
+    n_p = profile.power_axis_dbw.size
+    cuts = np.empty((rows, n_p + profile.snr_axis_db.size))
+    cuts[:, :n_p] = profile.power_axis_dbw
+    np.subtract(profile.snr_axis_db, off, out=cuts[:, n_p:])
+    cuts.sort(axis=1)
     lo = np.concatenate([cuts[:, :1], cuts], axis=1)
     hi = np.concatenate([cuts, cuts[:, -1:]], axis=1)
-    center = 0.5 * (lo + hi)
+    coef = np.empty((4,) + lo.shape)     # center, a, b, c of each piece
+    center = np.multiply(0.5, lo + hi, out=coef[0])
     half = 0.5 * (hi - lo)
     # the outer pieces are sampled at -inf and +inf, where both coordinates clamp
-    mid = center.copy()
-    mid[:, 0], mid[:, -1] = -np.inf, np.inf
-    f_lo, f_mid, f_hi = _bilinear(profile, np.stack([lo, mid, hi]), np.stack([lo, mid, hi]) + off)
+    x = np.empty((3,) + lo.shape)
+    x[0], x[1], x[2] = lo, center, hi
+    x[1, :, 0], x[1, :, -1] = -np.inf, np.inf
+    f_lo, coef[1], f_hi = _bilinear(profile, x, x + off)
     # a zero-width piece (a cut on both axes) is never selected; keep it finite
     wide = half > 0
     width = np.where(wide, half, 1.0)
-    b = np.where(wide, (f_hi - f_lo) / (2.0 * width), 0.0)
-    c = np.where(wide, (f_hi - 2.0 * f_mid + f_lo) / (2.0 * width * width), 0.0)
+    coef[2] = np.where(wide, (f_hi - f_lo) / (2.0 * width), 0.0)
+    coef[3] = np.where(wide, (f_hi - 2.0 * coef[1] + f_lo) / (2.0 * width * width), 0.0)
     # one search of x in the sorted, unique union of the cuts gives every
     # row's piece: a row's piece index counts its own cuts at or below x,
     # duplicates together (np.unique would import numpy.ma, about 1 MB)
-    edges = np.sort(cuts, axis=None)
+    edges = cuts.flatten()
+    edges.sort()
     edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
     span = edges.size + 1
-    slot = np.searchsorted(edges, cuts) + 1 + span * np.arange(rows)[:, None]
+    slot = edges.searchsorted(cuts) + 1 + span * np.arange(rows)[:, None]
     counts = np.bincount(slot.ravel(), minlength=rows * span).reshape(rows, span)
-    lookup = np.cumsum(counts, axis=1) + (cuts.shape[1] + 1) * np.arange(rows)[:, None]
-    return _TablePieces(edges, lookup.ravel(), np.stack([center, f_mid, b, c]).reshape(4, -1))
+    lookup = counts.cumsum(axis=1) + (cuts.shape[1] + 1) * np.arange(rows)[:, None]
+    return _TablePieces(edges, lookup.ravel(), coef.reshape(4, -1))
 
 
 def _same_profile(a: InterferenceProfile, b: InterferenceProfile) -> bool:
@@ -315,9 +325,7 @@ class _RhoAxis:
             self.row = np.broadcast_to(value, np.broadcast_shapes(np.shape(value), self.offset.shape))
 
     def __call__(self, p, work=None, rows=None):
-        row, gain, noise = self.row, self.gain, self.noise
-        if rows is not None:
-            row, gain, noise = (a.take(rows, axis=1) for a in (row, gain, noise))
+        row = self.row if rows is None else self.row.take(rows, axis=1)
         p = np.asarray(p, dtype=float)
         shape = np.broadcast(row, p).shape
         size = math.prod(shape)
@@ -334,9 +342,12 @@ class _RhoAxis:
             rho, slope = self._logistic(row, safe, *blocks)
         else:
             rho, slope = self._constant(row, *blocks)
-        if np.any(p <= 0):
-            zero = p <= 0
+        zero = p <= 0
+        if zero.any():
             if kind != "constant":
+                gain, noise = self.gain, self.noise
+                if rows is not None:
+                    gain, noise = gain.take(rows, axis=1), noise.take(rows, axis=1)
                 with np.errstate(invalid="ignore"):
                     rho = np.where(zero, _rho_kernel(self.profile, p, gain, noise), rho)
             slope = np.where(zero, 0.0, slope)
@@ -351,7 +362,7 @@ class _RhoAxis:
     def _table(self, row, p, rho, slope, u, col, at):
         pieces = self.pieces
         x = 10.0 * np.log10(p)
-        slot = np.searchsorted(pieces.edges, x, side="right")
+        slot = pieces.edges.searchsorted(x, side="right")
         # the lookup index and the piece index are integers in float-sized blocks
         idx, at = col.view(np.int64), at.view(np.int64)
         np.add(row, slot, out=idx)
@@ -370,13 +381,13 @@ class _RhoAxis:
         rho += col
         rho *= u
         rho += q1.take(at, out=col, mode="clip")
-        return np.clip(rho, 0.0, 1.0, out=rho), slope
+        return rho.clip(0.0, 1.0, out=rho), slope
 
     def _logistic(self, row, p, rho, slope, den):
         params = self.profile.params
         b = params.snr_slope + params.power_coeff
         np.add(b * (10.0 * np.log10(p)), row, out=den)
-        np.clip(den, -60.0, 60.0, out=den)
+        den.clip(-60.0, 60.0, out=den)
         np.exp(den, out=den)
         den += 1.0
         np.divide(params.limit, den, out=rho)
@@ -397,12 +408,12 @@ def _parametric_rho(params: LogisticRhoParams, group_power, gain, noise):
     p = np.asarray(group_power, dtype=float)
     expo = exponent(p)
     zero = p == 0
-    if np.any(zero):
+    if zero.any():
         # both dB terms are -inf at p = 0, so the sum can be inf - inf; take the
         # limit of the exponent, affine in x = 10*log10(p) with slope b, as x -> -inf
         b = params.snr_slope + params.power_coeff
         expo = np.where(zero, exponent(1.0) if b == 0 else -b * np.inf, expo)
-    expo = np.clip(expo, -60.0, 60.0)
+    expo = expo.clip(-60.0, 60.0)
     return params.limit / (1.0 + np.exp(expo))
 
 
@@ -422,10 +433,10 @@ def _rho_kernel(profile: InterferenceProfile, p, gain, noise):
 def rho_eval(profile: InterferenceProfile, group_power, gain, noise):
     """Vector-friendly rho evaluation; scalar inputs give a float."""
     p = np.asarray(group_power, dtype=float)
-    if np.any(p < 0):
+    if (p < 0).any():
         raise ValueError("group power must be nonnegative")
     out = _rho_kernel(profile, p, gain, noise)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def rho_derivative_eval(profile: InterferenceProfile, group_power, gain, noise):
@@ -501,7 +512,10 @@ def _parse_rho_table(handle, source: str) -> InterferenceProfile:
             values.append([float(cell) for cell in row[1:]])
         except ValueError as exc:
             raise ValueError(f"{source}: row {idx} contains a non-numeric cell") from exc
-    return InterferenceProfile.from_table(power_axis, snr_axis, values)
+    try:
+        return InterferenceProfile.from_table(power_axis, snr_axis, values)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 def load_rho_table(path) -> InterferenceProfile:

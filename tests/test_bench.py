@@ -163,6 +163,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rho.csv"):
             ScenarioConfig(rho_table=str(path))
 
+    def test_nan_rho_table_rejected(self, tmp_path, capsys):
+        path = tmp_path / "rho.csv"
+        path.write_text(",0,10\n0,nan,0.4\n")
+        with pytest.raises(ConfigError, match="rho.csv: table rho values must be finite"):
+            ScenarioConfig(rho_table=str(path))
+        # a config error, not an infeasible instance
+        assert cli_main(["solve", "--users", "10", "--seed", "1", "--rho-table", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_bad_constant_rho_rejected(self):
         with pytest.raises(ConfigError, match="constant rho"):
             ScenarioConfig(rho_kind="constant", rho_constant=1.5)
@@ -488,6 +498,20 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and "line 3" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column, value", [("mse", "nan"), ("group_power_dbw", "nan"), ("gain", "inf")])
+    def test_calibrate_rejects_non_finite_cell(self, tmp_path, capsys, column, value):
+        header = "group_power_dbw,snr_db,p_self_w,p_other_w,gain,noise_w,mse"
+        row = dict(zip(header.split(","), "0,0,1.0,2.0,1e-10,3.981e-11,1e-10".split(",")))
+        bad = {**row, "snr_db": "10", column: value}
+        src = tmp_path / "mse.csv"
+        src.write_text("\n".join([header, ",".join(row.values()), ",".join(bad.values())]) + "\n")
+        out = tmp_path / "o.csv"
+        assert cli_main(["calibrate", "--mse-csv", str(src), "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "line 3" in err and column in err
         assert not out.exists()
 
     def test_verify_passes(self, capsys):

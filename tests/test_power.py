@@ -1,7 +1,9 @@
+import cProfile
 import itertools
 import logging
 import math
 import os
+import pstats
 import subprocess
 import sys
 from pathlib import Path
@@ -29,13 +31,13 @@ from sfma.power import (
     SolverConfig,
     _GroupArrays,
     _WaterFiller,
-    _bisect_flat,
     _intra_objective,
     _intra_split_vec,
     _min_rate_split_interval,
     _pair_rate_slope,
     _rate_floors,
     _recover_lambdas,
+    _sub_bracket,
     inter_group_allocate,
     intra_group_allocate,
     kkt_residuals,
@@ -1444,6 +1446,21 @@ class TestSampledRefinement:
         for g, w in zip(again, first):
             np.testing.assert_array_equal(g, w)
         assert wf.steps == 2
+        # a row whose tag matches is served from the cache, whatever its bracket's
+        # ends; a row whose tag changed is evaluated at its own bracket's points alone
+        rows = refined.nonzero()[0]
+        tag = wf._sub_tag[0, rows].copy()
+        cached = wf._sub_f[0, rows].copy()
+        ends = np.full(rows.size, np.nan)
+        np.testing.assert_array_equal(wf._samples(0, rows, tag, ends, ends), cached)
+        assert calls == []
+        a, b = wf.grid[tag[:1]], wf.grid[tag[:1] + 1]
+        tag[0] = -2
+        got = wf._samples(0, rows, tag, np.concatenate([a, ends[1:]]), np.concatenate([b, ends[1:]]))
+        assert len(calls) == 1 and calls[0][1].shape == (1, _SUB_N - 1)
+        pts = a[:, None] + (b - a)[:, None] * (np.arange(1, _SUB_N) / _SUB_N)
+        np.testing.assert_array_equal(got[0], _pair_rate_slope(arrs, pts, rows=rows[:1])[0] / _LN2)
+        np.testing.assert_array_equal(got[1:], cached[1:])
 
     def test_budget_jump_probe_keeps_its_steps(self):
         # 12 with the central-difference table slope, 13 with the analytic
@@ -1457,9 +1474,12 @@ class TestSampledRefinement:
         assert alloc.steps == 12
 
     def test_flat_bisection_replay(self):
-        # the 2-D fancy indexing that the flat replay replaced, on random
-        # blocks and on blocks that switch once, either way, or never
+        # the 2-D fancy indexing that the interior replay replaced, on random
+        # blocks and on blocks that switch once, either way, or never; the
+        # new bracket is read, bit for bit, off the (R, _SUB_N + 1) block of
+        # points and values that the replay no longer assembles
         rng = np.random.default_rng(67)
+        picks = set()
         for rows in (1, 2, 7, 40):
             blocks = [rng.random((rows, _SUB_N + 1)) < 0.5,
                       np.arange(_SUB_N + 1) < rng.integers(0, _SUB_N + 2, (rows, 1)),
@@ -1471,8 +1491,42 @@ class TestSampledRefinement:
                 while step:
                     lo += step * right[at, lo + step]
                     step //= 2
-                base = (_SUB_N + 1) * at
-                np.testing.assert_array_equal(_bisect_flat(right, base), base + lo)
+                a = rng.uniform(1e-3, 1e3, rows)
+                b = a * (1.0 + rng.uniform(1e-6, 1e-2, rows))
+                pts = np.empty((rows, _SUB_N + 1))
+                pts[:, 0], pts[:, -1] = a, b
+                pts[:, 1:-1] = a[:, None] + (b - a)[:, None] * (np.arange(1, _SUB_N) / _SUB_N)
+                # not below mu = 0 exactly where right is set, zero included
+                f = np.where(right, rng.choice([0.0, 0.5, 2.0], right.shape), -rng.uniform(0.5, 2.0, right.shape))
+                k, a_new, b_new, fa_new, fb_new = _sub_bracket(f[:, 1:-1].copy(), 0.0, a, b, f[:, 0], f[:, -1])
+                np.testing.assert_array_equal(k, lo)
+                for got, want in ((a_new, pts[at, lo]), (b_new, pts[at, lo + 1]),
+                                  (fa_new, f[at, lo]), (fb_new, f[at, lo + 1])):
+                    assert got.tobytes() == want.tobytes()
+                picks.update(lo.tolist())
+        # both outer sub-cells, whose outer ends are the old bracket's
+        assert {0, _SUB_N - 1} <= picks
+
+
+class TestCallBudget:
+    """The solve path's Python-level calls, read off cProfile: a count, so no timing noise.
+
+    A drop's arrays hold 15 to 60 rows, so numpy's per-call overhead sets
+    solve's time, and a Python-level numpy wrapper brought back onto the
+    path shows here as extra calls.
+    """
+
+    # pstats total_calls of one warm solve when this bound was set
+    CALLS = {("table", 30): 1002, ("parametric", 60): 1033}
+
+    @pytest.mark.parametrize("kind, m", sorted(CALLS))
+    def test_solve_calls(self, kind, m):
+        users, cfg = bench_drop(2026, m, 0, kind)
+        solve(users, cfg)       # warm: the budget's grid and the bundled table are built once
+        profile = cProfile.Profile()
+        profile.runcall(solve, users, cfg)
+        calls = pstats.Stats(profile).total_calls
+        assert calls <= int(1.1 * self.CALLS[kind, m]), calls
 
 
 class TestWorkspace:

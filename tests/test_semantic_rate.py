@@ -81,6 +81,16 @@ class TestProfiles:
         with pytest.raises(ValueError):
             InterferenceProfile.from_table([0.0, 1.0], [0.0, 1.0], [[0.1, 1.2], [0.3, 0.4]])
 
+    @pytest.mark.parametrize("axes, values, which", [
+        (([0.0], [0.0, 10.0]), [[np.nan, 0.4]], "rho values"),
+        (([0.0, np.nan], [0.0]), [[0.1], [0.2]], "power axis"),
+        (([0.0], [0.0, np.inf]), [[0.1, 0.2]], "SNR axis"),
+    ])
+    def test_table_rejects_non_finite(self, axes, values, which):
+        # nan fails the range and ordering checks alike, so it once passed both
+        with pytest.raises(ValueError, match=f"table {which} must be finite"):
+            InterferenceProfile.from_table(*axes, values)
+
     def test_default_table_loads(self):
         prof = InterferenceProfile.default_table()
         assert prof.kind == "table"
