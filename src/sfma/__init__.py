@@ -33,6 +33,6 @@ from .power import (
     solve,
 )
 from .baselines import fnoma_sum_rate, ofdma_sum_rate, ojscc_sum_rate, pair_distinctive
-from .bench import ConfigError, RunReport, ScenarioConfig, emit_csv, read_report, run_sweep
+from .bench import ConfigError, RunReport, ScenarioConfig, emit_csv, run_sweep
 
 __version__ = "0.1.0"

@@ -35,7 +35,6 @@ __all__ = [
     "drop_inputs",
     "run_sweep",
     "emit_csv",
-    "read_report",
     "CSV_HEADER",
 ]
 
@@ -356,25 +355,3 @@ def emit_csv(report: RunReport, path) -> None:
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
-
-def read_report(path) -> RunReport:
-    """Parse a CSV produced by emit_csv back into a report."""
-    with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: missing or unexpected header")
-    rows = []
-    for line in lines[1:]:
-        scheme, users, p_dbw, mean, std, drops, infeasible = line.split(",")
-        rows.append(
-            ReportRow(
-                scheme=scheme,
-                users=int(users),
-                p_max_dbw=float(p_dbw),
-                mean_sum_rate=float(mean),
-                std_sum_rate=float(std),
-                drops=int(drops),
-                infeasible=int(infeasible),
-            )
-        )
-    return RunReport(rows=rows)

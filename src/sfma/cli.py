@@ -4,7 +4,7 @@ Subcommands:
   sweep      run a configured Monte Carlo sweep and write the CSV report
   solve      solve one seeded instance and print pairing, powers, and residuals
   calibrate  turn distortion measurements into an interference-factor table
-  verify     run the quick oracle suite on small instances
+  verify     run acceptance criteria 1-6 on seed-derived instances
 
 Exit codes: 0 success, 1 failed verification, a sweep with numerically
 failed drops or a solve that failed numerically, 2 bad configuration or
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--mse-csv", required=True, help="measurement CSV (see README for columns)")
     p_cal.add_argument("--output", default="rho_table.csv")
 
-    p_verify = sub.add_parser("verify", help="run the quick oracle suite")
+    p_verify = sub.add_parser("verify", help="run acceptance criteria 1-6 on seed-derived instances")
     p_verify.add_argument("--seed", type=int, default=0)
 
     return parser

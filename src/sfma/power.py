@@ -601,7 +601,7 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
     wf = _WaterFiller(arrs, p_max, p_req)
 
     if wf.interp_total(0.0)[0] <= p_max - tol:
-        p_k0, status0 = wf.exact_totals(0.0)
+        p_k0, _ = wf.exact_totals(0.0)
         if p_k0.sum() <= p_max - tol:
             # even a zero water level cannot spend the budget: rates saturate
             lam = _recover_lambdas(arrs, p_k0, p_req, 0.0, binding)

@@ -525,10 +525,12 @@ def load_rho_table(path) -> InterferenceProfile:
 
 
 def save_rho_table(profile: InterferenceProfile, path) -> None:
+    """Write a table profile as ``load_rho_table`` reads it, every number at ``repr``
+    precision so that it reloads bit for bit."""
     if profile.kind != "table":
         raise ValueError("only table profiles can be saved")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([""] + [f"{v:g}" for v in profile.snr_axis_db])
+        writer.writerow([""] + [repr(float(v)) for v in profile.snr_axis_db])
         for p_dbw, row in zip(profile.power_axis_dbw, profile.values):
-            writer.writerow([f"{p_dbw:g}"] + [f"{v:g}" for v in row])
+            writer.writerow([repr(float(p_dbw))] + [repr(float(v)) for v in row])

@@ -1,7 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``. Tolerances are fixed
-here and match the project's stated acceptance thresholds.
+Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 1-6 are the
+checks in ``sfma.verify``, which hold their instance sets and bounds;
+criteria 7-11's tolerances are fixed here. All match the project's stated
+acceptance thresholds.
 """
 
 import itertools
@@ -13,26 +15,17 @@ import pytest
 
 from sfma.baselines import fnoma_sum_rate, ofdma_sum_rate, ojscc_sum_rate, pair_distinctive
 from sfma.bench import ScenarioConfig, drop_inputs, emit_csv, run_sweep
-from sfma.pairing import preference_matrix, pair_users
-from sfma.power import inter_group_allocate, intra_group_allocate, kkt_residuals, solve
-from sfma.semantic_rate import (
-    InterferenceProfile,
-    Link,
-    calibrate_rho,
-    sinr_conventional,
-    sinr_semantic,
-)
+from sfma.power import solve
 from sfma.verify import (
-    equal_split_rate_curve,
-    find_blocking_pair,
-    inter_group_grid_oracle,
-    intra_grid_argmax,
-    min_rate_floor_constant_rho,
-    random_groups,
-    random_users,
+    CHECKS,
+    check_calibration,
+    check_inter_group,
+    check_intra_group,
+    check_kkt,
+    check_pairing,
+    check_sinr_reduction,
 )
 
-DEFAULT_PROFILE = InterferenceProfile.default_table()
 HEADLINE_CSV = Path(__file__).parent / "data" / "headline.csv"
 
 
@@ -40,164 +33,52 @@ def report(num, detail):
     print(f"PASS criterion {num}: {detail}")
 
 
-# ---------------------------------------------------------------- criterion 1
+# ------------------------------------------------------------- criteria 1-6
+# each check's instance set and bounds live in sfma.verify; here it runs on a fixed rng
+CRITERIA = {
+    1: (check_sinr_reduction, 101),
+    2: (check_calibration, 102),
+    3: (check_pairing, 103),
+    4: (check_inter_group, 104),
+    5: (check_intra_group, 105),
+    6: (check_kkt, 104),                # criterion 4's instance set
+}
+
+
+def run_criterion(num):
+    check, seed = CRITERIA[num]
+    ok, detail = check(np.random.default_rng(seed))
+    assert ok, detail
+    report(num, detail)
+
+
 def test_criterion_1_reduction_identity():
-    rng = np.random.default_rng(101)
-    n = 10_000
-    p1 = rng.uniform(0.0, 100.0, n)
-    p2 = rng.uniform(0.0, 100.0, n)
-    link = Link(gain=rng.uniform(1e-13, 1e-7, n), noise=rng.uniform(1e-12, 1e-9, n))
-    with_rho = sinr_semantic(p1, p2, 1.0, link)
-    conventional = sinr_conventional(p1, p2, link)
-    rel = np.abs(with_rho - conventional) / np.maximum(np.abs(conventional), 1e-300)
-    assert np.max(rel) < 1e-12
-    interference_free = sinr_semantic(p1, p2, 0.0, link)
-    assert np.array_equal(interference_free, p1 * link.gain / link.noise)
-    report(1, f"max relative deviation {np.max(rel):.2e} over {n} inputs; rho=0 exact")
+    run_criterion(1)
 
 
-# ---------------------------------------------------------------- criterion 2
 def test_criterion_2_calibration_round_trip():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(1000):
-        noise = 10.0 ** (-10.4)
-        # interference level within a physically sensible band of the noise floor
-        p_other = float(rng.uniform(0.5, 50.0))
-        gain = noise * 10.0 ** (rng.uniform(-5.0, 35.0) / 10.0)
-        link = Link(gain=gain, noise=noise)
-        for target in np.round(np.linspace(0.0, 1.0, 11), 1):
-            mse = target * p_other * gain + noise
-            got = calibrate_rho(1.0, p_other, link, mse).value
-            worst = max(worst, abs(got - target))
-    assert worst < 1e-12
-    report(2, f"max recovery error {worst:.2e} across 11 rho levels x 1000 links")
-
-
-# ---------------------------------------------------------------- criterion 3
-def _feasible_perfect_matching_exists(ids, gaps, delta, index_of):
-    if not ids:
-        return True
-    first, rest = ids[0], ids[1:]
-    for j, partner in enumerate(rest):
-        if gaps[index_of[first], index_of[partner]] <= delta:
-            if _feasible_perfect_matching_exists(rest[:j] + rest[j + 1 :], gaps, delta, index_of):
-                return True
-    return False
+    run_criterion(2)
 
 
 def test_criterion_3_pairing_stability_oracle():
-    rng = np.random.default_rng(103)
-    profile = DEFAULT_PROFILE
-    delta = 4
-    checked = infeasible = 0
-    for m in (4, 6, 8, 10, 12):
-        for _ in range(40):
-            users = random_users(rng, m, min_rate=1.0, frame_window=8)
-            power = float(rng.uniform(0.5, 10.0))
-            out = pair_users(users, power, profile, alpha=0.1, delta_max=delta)
-            values = preference_matrix(users, power, profile, 0.1)
-            frames = np.array([u.frame_time for u in users])
-            gaps = np.abs(frames[:, None] - frames[None, :])
-            ids = [u.id for u in users]
-            index_of = {u: i for i, u in enumerate(ids)}
-            assert find_blocking_pair(out.pairs, values, gaps, delta, ids) is None
-            assert all(g <= delta for g in out.gaps)
-            if out.feasible:
-                assert sorted(u for p in out.pairs for u in p) == ids
-            else:
-                infeasible += 1
-                # enumeration confirms the unmatched leftovers cannot pair up
-                assert not _feasible_perfect_matching_exists(
-                    list(out.unmatched), gaps, delta, index_of
-                )
-            checked += 1
-    assert checked == 200
-    report(3, f"200 instances stable under exhaustive scan ({infeasible} reported infeasible)")
+    run_criterion(3)
 
 
-# ------------------------------------------------------- criteria 4 and 6 rig
-@pytest.fixture(scope="module")
-def inter_group_instances():
-    rng = np.random.default_rng(104)
-    instances = []
-    for i in range(100):
-        k = int(rng.choice([1, 2, 3]))
-        groups = random_groups(rng, k, min_rate_range=(0.3, 1.2))
-        floors = sum(min_rate_floor_constant_rho(g) for g in groups)
-        if i < 85 and np.isfinite(floors):
-            p_max = floors * float(rng.uniform(1.3, 3.0)) + float(rng.uniform(0.5, 4.0))
-        else:
-            p_max = float(rng.uniform(1.0, 8.0))
-        alloc = inter_group_allocate(groups, p_max)
-        instances.append((groups, p_max, alloc))
-    return instances
+def test_criterion_4_inter_group_oracle():
+    run_criterion(4)
 
 
-def test_criterion_4_inter_group_oracle(inter_group_instances):
-    shortfalls, budget_gaps, feasible_count = [], [], 0
-    for groups, p_max, alloc in inter_group_instances:
-        oracle_val, _ = inter_group_grid_oracle(groups, p_max, n=2000)
-        if oracle_val == float("-inf"):
-            assert not alloc.feasible
-            continue
-        assert alloc.feasible
-        feasible_count += 1
-        achieved = sum(
-            float(equal_split_rate_curve(g, np.array([p]))[0])
-            for g, p in zip(groups, alloc.group_totals)
-        )
-        shortfalls.append(oracle_val - achieved)
-        if alloc.mu > 0:
-            budget_gaps.append(abs(alloc.group_totals.sum() - p_max) / p_max)
-    assert max(shortfalls) <= 1e-3
-    assert feasible_count >= 80
-    assert max(budget_gaps) <= 1e-4
-    report(
-        4,
-        f"{feasible_count} feasible instances; worst oracle shortfall {max(shortfalls):.2e}, "
-        f"worst budget gap {max(budget_gaps):.2e} of P_max",
-    )
-
-
-# ---------------------------------------------------------------- criterion 5
 def test_criterion_5_intra_group_oracle():
-    rng = np.random.default_rng(105)
-    profiles = [None, DEFAULT_PROFILE, InterferenceProfile.parametric()]
-    worst_split, worst_obj = 0.0, 0.0
-    for i in range(500):
-        profile = profiles[i % 3]
-        group = random_groups(rng, 1, profile=profile)[0]
-        p_k = float(rng.uniform(0.2, 8.0))
-        tol = 1e-5 * p_k                # the split bound's slack, as wide as before
-        p1, _ = intra_group_allocate(group, p_k)
-        grid_p1, grid_val, grid, vals = intra_grid_argmax(group, p_k, n=100_000)
-        u1, u2 = group.users
-        from sfma.semantic_rate import rho_eval
-
-        rho1 = float(rho_eval(group.profile, p_k, u1.link.gain, u1.link.noise))
-        rho2 = float(rho_eval(group.profile, p_k, u2.link.gain, u2.link.noise))
-        s1 = p1 * u1.link.gain / (rho1 * (p_k - p1) * u1.link.gain + u1.link.noise)
-        s2 = (p_k - p1) * u2.link.gain / (rho2 * p1 * u2.link.gain + u2.link.noise)
-        mine = float(np.log2(1 + s1) + np.log2(1 + s2))
-        near_optimal = grid[vals >= grid_val - 1e-9]
-        worst_split = max(worst_split, float(np.min(np.abs(near_optimal - p1))) / (2 * tol + grid[1] - grid[0]))
-        worst_obj = max(worst_obj, abs(grid_val - mine))
-    assert worst_split <= 1.0
-    assert worst_obj <= 1e-6
-    report(5, f"500 groups; worst split gap {worst_split:.3f} of bound, worst objective gap {worst_obj:.2e}")
+    run_criterion(5)
 
 
-# ---------------------------------------------------------------- criterion 6
-def test_criterion_6_kkt_residuals(inter_group_instances):
-    worst = 0.0
-    for groups, p_max, alloc in inter_group_instances:
-        if not alloc.feasible:
-            continue
-        residuals = kkt_residuals(groups, alloc, p_max)
-        worst = max(worst, residuals.max_normalized)
-    assert worst < 1e-4
-    report(6, f"max normalized first-order residual {worst:.2e}")
+def test_criterion_6_kkt_residuals():
+    run_criterion(6)
+
+
+def test_verify_runs_criteria_1_to_6():
+    # `sfma verify` runs these six checks, in criterion order, on seed-derived rngs
+    assert list(CHECKS.values()) == [check for check, _ in CRITERIA.values()]
 
 
 # ------------------------------------------------------ criteria 7 + ordering

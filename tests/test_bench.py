@@ -1,9 +1,12 @@
+import csv
 import re
 
 import numpy as np
 import pytest
 
+import sfma.cli
 import sfma.power
+import sfma.verify
 from sfma.bench import (
     CSV_HEADER,
     ConfigError,
@@ -13,7 +16,6 @@ from sfma.bench import (
     drop_inputs,
     emit_csv,
     evaluate_drop,
-    read_report,
     run_sweep,
 )
 from sfma.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, cli_main
@@ -295,21 +297,6 @@ class TestEmitCsv:
             ["fnoma", "2"], ["fnoma", "4"], ["sfma", "4"],
         ]
 
-    def test_round_trip_idempotent(self, tmp_path):
-        cfg = ScenarioConfig(**TINY)
-        report = run_sweep(cfg)
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        emit_csv(report, first)
-        emit_csv(read_report(first), second)
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_read_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("nope\n")
-        with pytest.raises(ValueError):
-            read_report(path)
-
 
 class TestCli:
     def test_solve_small_instance(self, capsys):
@@ -340,8 +327,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: 1 drop(s) failed numerically") and "drop 2" in err
-        rows = read_report(out_path).rows
-        assert len(rows) == 4 and all((r.drops, r.infeasible) == (2, 1) for r in rows)
+        with open(out_path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 4 and all((r["drops"], r["infeasible"]) == ("2", "1") for r in rows)
 
     def test_solve_numerics_is_one_error_line(self, capsys, monkeypatch):
         stall_one_drop(monkeypatch, ScenarioConfig(user_counts=(4,), root_seed=5), 0)
@@ -456,12 +444,19 @@ class TestCli:
         cfg_path.write_text("users = 4\n")
         assert cli_main(["sweep", "--config", str(cfg_path)]) == EXIT_CONFIG
 
-    def test_calibrate_round_trip(self, tmp_path):
+    def test_calibrate_round_trip(self, tmp_path, monkeypatch):
+        written, save = [], sfma.cli.save_rho_table
+
+        def recording_save(prof, path):
+            written.append(prof)
+            save(prof, path)
+
+        monkeypatch.setattr(sfma.cli, "save_rho_table", recording_save)
         gain, noise = 1e-10, 10.0 ** (-10.4)
         lines = ["group_power_dbw,snr_db,p_self_w,p_other_w,gain,noise_w,mse"]
         for p_dbw in (0.0, 10.0):
             for snr in (0.0, 10.0):
-                rho_true = 0.25 if snr == 0.0 else 0.75
+                rho_true = 1 / 3 if snr == 0.0 else 0.75
                 mse = rho_true * 2.0 * gain + noise
                 lines.append(f"{p_dbw},{snr},1.0,2.0,{gain},{noise},{mse}")
         src = tmp_path / "mse.csv"
@@ -472,8 +467,11 @@ class TestCli:
 
         prof = load_rho_table(out)
         assert np.allclose(prof.power_axis_dbw, [0.0, 10.0])
-        assert np.allclose(prof.values[:, 0], 0.25)
+        assert np.allclose(prof.values[:, 0], 1 / 3)
         assert np.allclose(prof.values[:, 1], 0.75)
+        # the file holds the calibrated table bit for bit
+        for axis in ("power_axis_dbw", "snr_axis_db", "values"):
+            assert np.array_equal(getattr(prof, axis), getattr(written[0], axis))
 
     def test_calibrate_rejects_incomplete_grid(self, tmp_path):
         src = tmp_path / "mse.csv"
@@ -518,3 +516,13 @@ class TestCli:
         assert cli_main(["verify", "--seed", "0"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_verify_reports_a_failing_check(self, capsys, monkeypatch):
+        monkeypatch.setitem(sfma.verify.CHECKS, "pairing-stability",
+                            lambda rng: (False, "blocking pair (0, 1) on a 4-user instance"))
+        assert cli_main(["verify"]) == EXIT_FAIL
+        out = capsys.readouterr().out
+        assert re.findall(r"^FAIL .*$", out, re.M) == [
+            "FAIL pairing-stability: blocking pair (0, 1) on a 4-user instance"
+        ]
+        assert len(re.findall(r"^PASS ", out, re.M)) == 5

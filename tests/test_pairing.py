@@ -336,7 +336,7 @@ class TestGreedyAgainstProposals:
             values = preference_matrix(users, 0.5, ZERO_RHO, alpha)
             gaps = np.abs(frames[:, None] - frames[None, :])
             ids = [u.id for u in users]
-            assert find_blocking_pair(out.pairs, values, gaps, delta, ids, out.unmatched) is None
+            assert find_blocking_pair(out.pairs, values, gaps, delta, ids) is None
             assert all(g <= delta for g in out.gaps)
             for a, b in itertools.combinations(out.unmatched, 2):
                 assert gaps[a, b] > delta

@@ -151,13 +151,19 @@ class TestProfiles:
                 assert 0.0 <= val <= 1.0
 
     def test_csv_round_trip(self, tmp_path):
-        prof = small_table()
-        path = tmp_path / "table.csv"
-        save_rho_table(prof, path)
-        back = load_rho_table(path)
-        assert np.allclose(back.power_axis_dbw, prof.power_axis_dbw)
-        assert np.allclose(back.snr_axis_db, prof.snr_axis_db)
-        assert np.allclose(back.values, prof.values)
+        # a calibrated table: power nodes 1e-7 dB apart, cells with more than 6 digits
+        calibrated = InterferenceProfile.from_table(
+            power_axis_dbw=[10.0000001, 10.0000002, 20.123456789],
+            snr_axis_db=[0.0, 7.123456789],
+            values=[[0.123456789, 0.1], [0.9876543211, 1 / 3], [0.5, 2 / 7]],
+        )
+        for prof in (small_table(), calibrated):
+            path = tmp_path / "table.csv"
+            save_rho_table(prof, path)
+            back = load_rho_table(path)
+            assert np.array_equal(back.power_axis_dbw, prof.power_axis_dbw)
+            assert np.array_equal(back.snr_axis_db, prof.snr_axis_db)
+            assert np.array_equal(back.values, prof.values)
 
     def test_csv_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
