@@ -12,13 +12,15 @@ drop by drop and alternating which side goes first, ``solve()`` on each
 drop and one one-drop ``run_sweep`` + ``emit_csv`` unit per drop (root seed
 1000 + drop). A drop's time is the median of its rounds. Per workload it
 prints each side's drops/s over the units and median ``solve()`` time, the
-median and quartiles over drops of the change/parent time ratio, every
-drop whose feasible flag, failing stage, allocation status, ``steps`` or
-``sampled_steps`` differ, the largest relative move of the sum rate, of
-the water level mu and of the group totals, and whether the units' CSVs
-are byte-identical. With ``--max-move REL`` it exits 1 if any drop's
-feasible flag, stage or status differs, or if any of those numbers moves
-by more than REL relative; ``steps`` may differ.
+median and quartiles over drops of the change/parent time ratio, each
+side's total ``steps`` and ``sampled_steps``, every drop whose feasible
+flag, failing stage or allocation status differ, the smallest and largest
+signed relative move of the sum rate over the drops of each parent status,
+the largest relative move of the water level mu and of the group totals,
+and whether the units' CSVs are byte-identical. With ``--max-move REL``
+it exits 1 if any drop's feasible flag, stage or status differs, or if
+the sum rate, mu or a group total moves by more than REL relative;
+``steps`` may differ.
 
 A parent whose package reads its table as ``sfma.data`` by a fixed name
 would read the working tree's table instead of its own; for such a parent
@@ -149,34 +151,43 @@ def compare(name, sides, drops: int, rounds: int, seed: int, scratch: Path):
         print(f"  {label}: {speed}; change/parent per drop {quartiles([c / p for c, p in zip(change, parent)])}")
     def key(res):
         alloc = res.allocation
-        return (res.feasible, res.stage) + ((None,) * 3 if alloc is None
-                                            else (alloc.status, alloc.steps, alloc.sampled_steps))
+        return res.feasible, res.stage, None if alloc is None else alloc.status
 
     def numbers(res):
         alloc = res.allocation
         return {"sum rate": [res.sum_rate], "mu": [] if alloc is None else [alloc.mu],
                 "group totals": [] if alloc is None else alloc.group_totals}
 
-    differ, flagged = [], 0
+    differ, steps, rate_moves = [], {side: [0, 0] for side in sides}, {}
     moves = {name: [0, 0.0] for name in ("sum rate", "mu", "group totals")}
     for d in range(drops):
         got, want = results["change", d], results["parent", d]
+        for side, res in (("parent", want), ("change", got)):
+            if res.allocation is not None:
+                steps[side][0] += res.allocation.steps
+                steps[side][1] += res.allocation.sampled_steps
         if key(got) != key(want):
             differ.append(f"    drop {d}: parent {key(want)}, change {key(got)}")
-            flagged += key(got)[:3] != key(want)[:3]
+        if math.isfinite(got.sum_rate) and math.isfinite(want.sum_rate):
+            rate_moves.setdefault(want.allocation.status, []).append((got.sum_rate - want.sum_rate) / want.sum_rate)
         want_numbers = numbers(want)
         for label, values in numbers(got).items():
             move = largest_move(values, want_numbers[label])
             if move > 0:
                 moves[label][0] += 1
                 moves[label][1] = max(moves[label][1], move)
-    print(f"  feasible, stage, status, steps, sampled_steps: {len(differ)} drops differ" + "".join("\n" + line for line in differ))
+    for side, (exact, sampled) in steps.items():
+        print(f"  {side}: {exact} steps, {sampled} sampled_steps")
+    print(f"  feasible, stage, status: {len(differ)} drops differ" + "".join("\n" + line for line in differ))
+    for status, rel in sorted(rate_moves.items()):
+        print(f"  sum rate, parent status {status!r}: {len(rel)} drops, signed relative move "
+              f"{min(rel):.3g} to {max(rel):.3g}")
     for label, (moved, largest) in moves.items():
         print(f"  {label}: {moved} drops moved, largest relative move {largest:.3g}")
     same = all(Path(configs["parent"][d].output).read_bytes() == Path(configs["change"][d].output).read_bytes()
                for d in range(drops))
     print(f"  unit CSVs byte-identical: {'yes' if same else 'no'}")
-    return flagged, max(largest for _, largest in moves.values())
+    return len(differ), max(largest for _, largest in moves.values())
 
 
 def main(argv=None) -> int:

@@ -14,43 +14,43 @@ another each group's split.
 
 Internals are vectorized across groups. The stationarity curve of every
 group is sampled once on a dense log grid, and a group's root at mu lies
-where its running minimum first falls below mu. The summed group power with
-roots interpolated on those samples is piecewise linear in mu, and each
-root's cell gives its slope exactly, so the mu search first takes
-bracketed Newton steps on it, in 1/mu where the sum is nearly linear. They
-start where every group, at an equal share p_max/K, sits on its sampled
-curve (the median over groups), and the bracket's top lies just above every
-sample, where each group sits at its rate floor. The sampled sum jumps only
-at levels where a curve's running minimum is flat, between such a level and
-its next float; once the bracket is narrower than 1e-3 relative, a step
-that leaves it probes such a level on both floats instead of halving down
-to them. The search then polishes with a few exactly-evaluated secant
-steps, so the per-instance cost stays flat in the drop count; their
-bracket's top again starts just above every sample. The first secant step
-takes its slope from the interpolated curves. An exact evaluation refines
-each root inside its grid cell by two levels of 64 uniform sub-cells,
-whose 63 interior points are sampled in one call, and keeps the sub-cell
-that a bisection on the samples would pick; a secant step on the last
-sub-cell ends it. A bracket is four vectors over the refined groups: its
-two ends and their curve values. The curve does not depend on mu, so each
-group keeps the interior samples of its last bracket at each level, in a
-(level, group, sample) array tagged by the bracket's cell and sub-cell,
-and later water levels refine again only the groups whose tag changed;
-only those groups' points are computed, and they are evaluated by index.
-The bisection replays on flat indices into the interior samples, as no
-midpoint it reads is an end of the bracket. The grid depends on the budget
-alone, so it is built once per budget and shared read-only. Each
-allocation owns one scratch block sized for the grid: every evaluation of
-the curves, on the grid and inside its cells, keeps its temporaries there,
-so they are neither allocated nor faulted in per call. A drop's arrays
-hold 15 to 60 rows, so the per-call cost of numpy sets the time: the
-solve path calls ufuncs and ndarray methods, not numpy's Python-level
-wrappers of them (np.any, np.sum, np.clip, np.searchsorted, np.stack).
-Where the summed group power jumps across the budget at one water level,
-the search stops once its bracket is 1e-9 wide (relative) and returns the
-end below the budget; a step cap does the same.
-A feasible allocation therefore never sums above the budget, and one that
-cannot spend it to within the tolerance says so in its status.
+where its running minimum first falls below mu. One bracketed Newton search
+on mu (``_WaterFiller.search``) runs twice: first on the summed group power
+with roots interpolated on those samples, then on the sum with roots
+refined exactly inside their cells, from where the first stopped. Both sums
+are piecewise linear in mu, with a slope each evaluation gives exactly: a
+root moves along the chord of its sampled cell, or of its final refined
+sub-cell. The steps are taken in 1/mu, where the sum is nearly linear. The
+first search starts where every group, at an equal share p_max/K, sits on
+its sampled curve (the median over groups), and the bracket's top lies
+just above every sample, where each group sits at its rate floor. The sums
+jump only at levels where a curve's running minimum is flat, between such a
+level and its next float; once the bracket is narrower than 1e-3 relative,
+a step that leaves it probes such a level on both floats instead of halving
+down to them. An exact evaluation refines each root inside its grid cell by
+two levels of 64 uniform sub-cells, whose 63 interior points are sampled in
+one call, and keeps the sub-cell that a bisection on the samples would
+pick; a secant step on the last sub-cell ends it. A bracket is four vectors
+over the refined groups: its two ends and their curve values. The curve
+does not depend on mu, so each group keeps the interior samples of its last
+bracket at each level, in a (level, group, sample) array tagged by the
+bracket's cell and sub-cell, and later water levels refine again only the
+groups whose tag changed; only those groups' points are computed, and they
+are evaluated by index. The bisection replays on flat indices into the
+interior samples, as no midpoint it reads is an end of the bracket. The
+grid depends on the budget alone, so it is built once per budget and shared
+read-only. Each allocation owns one scratch block sized for the grid: every
+evaluation of the curves, on the grid and inside its cells, keeps its
+temporaries there, so they are neither allocated nor faulted in per call.
+A drop's arrays hold 15 to 60 rows, so the per-call cost of numpy sets the
+time: the solve path calls ufuncs and ndarray methods, not numpy's
+Python-level wrappers of them (np.any, np.sum, np.clip, np.searchsorted,
+np.stack). Where the exact sum jumps across the budget at one water level,
+the search narrows its bracket to two neighbouring floats and returns the
+upper one, the float just above the jump, below the budget; a step cap
+returns the bracket's top too. A feasible allocation therefore never sums
+above the budget, and one that cannot spend it to within the tolerance
+says so in its status.
 
 The groups of one allocation share one rho profile; constant profiles may
 differ, one value per group. Along one group's power axis a receiver's
@@ -469,7 +469,7 @@ class _WaterFiller:
         return float(np.maximum(self.p_req, p3).sum()), slope
 
     def exact_totals(self, mu):
-        """Group powers with roots refined inside their sampled cells.
+        """Group powers with roots refined inside their sampled cells, their status, and the total's mu slope.
 
         Each of _SUB_LEVELS levels samples the current bracket at the
         _SUB_N - 1 interior points of _SUB_N uniform sub-cells in one call
@@ -483,12 +483,16 @@ class _WaterFiller:
         interior samples of its last bracket at each level, and later water
         levels evaluate only rows whose bracket changed. A root in a cell
         wholly at or below the group's rate floor is clamped to that floor
-        anyway, so such rows are not refined.
+        anyway, so such rows are not refined. A refined row strictly inside
+        its final sub-cell and above its floor moves along that sub-cell's
+        chord, as ``interp_total``'s rows move along their cell's, so the
+        slope is exact until some row changes sub-cell.
         """
         self.steps += 1
         status, first = self._locate(mu)
         p3 = np.where(status == _CAP, self.grid[-1], 0.0)
         rows = ((status == _ROOT) & (self.grid[first + 1] > self.p_req)).nonzero()[0]
+        slope = 0.0
         if rows.size:
             tag = first[rows]
             a, b = self.grid[tag], self.grid[tag + 1]
@@ -501,7 +505,57 @@ class _WaterFiller:
             spread = fa - fb
             t = np.where(spread > 0, fa / np.maximum(spread, _TINY), 0.5)
             p3[rows] = a + (b - a) * np.minimum(np.maximum(t, 0.0), 1.0)
-        return np.maximum(self.p_req, p3), status
+            moving = (spread > 0) & (0.0 < t) & (t < 1.0) & (p3[rows] > self.p_req[rows])
+            slope = float(((a - b) / np.maximum(spread, _TINY))[moving].sum())
+        return np.maximum(self.p_req, p3), status, slope
+
+    def search(self, evaluate, mu, stop, state):
+        """Water level where the totals of ``evaluate`` meet the budget, from ``mu``, and its state.
+
+        ``evaluate(mu)`` gives the total, its slope in mu and a state to
+        return. The bracket is (0, top], whose state is ``state``. The
+        totals are linear in mu on each piece and behave like a / mu - b
+        across pieces, so a step is Newton's in w = 1 / mu, where they are
+        nearly linear, or in mu once it is shorter than 1e-3 mu. A step that
+        leaves the bracket, or a flat total, bisects instead: in log mu
+        while the bracket spans more than a factor of two, in mu after that.
+        Once the bracket is narrower than 1e-3 relative, such a step probes
+        a level inside it where the totals may jump (``jump_level``), on
+        both of its neighbouring floats, so that a jump across the budget
+        ends between the same two floats as bisection would. The search
+        stops when the total is within ``stop`` of the budget, when the
+        bracket's ends are neighbouring floats, or after 80 steps, and
+        returns the last level within the budget: the one that met it, or
+        else the bracket's top.
+        """
+        lo, hi = 0.0, self.top
+        probe = None        # the lower side of a jump level, once its upper side is probed
+        for _ in range(80):
+            total, slope, at = evaluate(mu)
+            if abs(total - self.p_max) < stop:
+                return mu, at
+            if total > self.p_max:
+                lo = mu
+            else:
+                hi, state = mu, at
+            if math.nextafter(lo, math.inf) >= hi:
+                break
+            if probe is not None and lo < probe < hi:
+                mu, probe = probe, None
+                continue
+            step = (self.p_max - total) / slope if slope < 0 else math.inf
+            if abs(step) < 1e-3 * mu:
+                mu_next = mu + step
+            else:
+                mu_next = mu * mu / (mu - step) if step < mu else -1.0   # 1 / (1/mu - step/mu**2)
+            if lo < mu_next < hi:
+                mu = mu_next
+            elif hi - lo < 1e-3 * hi and (level := self.jump_level(lo, hi)) is not None:
+                upper = math.nextafter(level, math.inf)
+                mu, probe = (upper, level) if upper < hi else (level, None)
+            else:
+                mu = math.sqrt(lo * hi) if 0 < 2.0 * lo < hi else 0.5 * (lo + hi)
+        return hi, state
 
     def _samples(self, level, rows, tag, a, b):
         """Stationarity curve at the interior points of each row's tagged bracket [a, b], (R, _SUB_N - 1).
@@ -561,15 +615,17 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
     the user's minimum rate (see ``_rate_floors``). Infeasibility (a minimum
     rate that no power within the budget meets, or floors that sum above
     the budget) is reported on the returned allocation rather than raised.
-    The search keeps a bracket on the water level whose upper end starts at
-    the top, just above every sample, where each group sits at its floor
-    and the totals are within the budget. The totals stop within 1e-8 p_max
-    of the budget; where they jump across it instead, the allocation is the
-    bracket's upper end, the water level just above the jump, with status
-    "budget not exhausted within tolerance". ``sampled_steps`` on the result
-    counts the evaluations on the sampled curves, ``steps`` the exactly
-    refined ones. ``groups`` may also be the groups' ``_GroupArrays``, which
-    ``solve`` reuses for the pair stage.
+    One water-level search (``_WaterFiller.search``) runs on the sampled
+    totals to within 0.5e-8 p_max of the budget, then on the exactly
+    refined totals, from there, to within 1e-8 p_max. Its bracket's upper
+    end starts at the top, just above every sample, where each group sits
+    at its floor and the totals are within the budget. Where the exact
+    totals jump across the budget instead, the allocation is the bracket's
+    upper end, the float just above the jump, with status "budget not
+    exhausted within tolerance". ``sampled_steps`` on the result counts the
+    evaluations on the sampled curves, ``steps`` the exactly refined ones.
+    ``groups`` may also be the groups' ``_GroupArrays``, which ``solve``
+    reuses for the pair stage.
     """
     arrs = groups if isinstance(groups, _GroupArrays) else _GroupArrays(groups)
     if p_max <= 0:
@@ -601,7 +657,7 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
     wf = _WaterFiller(arrs, p_max, p_req)
 
     if wf.interp_total(0.0)[0] <= p_max - tol:
-        p_k0, _ = wf.exact_totals(0.0)
+        p_k0, _, _ = wf.exact_totals(0.0)
         if p_k0.sum() <= p_max - tol:
             # even a zero water level cannot spend the budget: rates saturate
             lam = _recover_lambdas(arrs, p_k0, p_req, 0.0, binding)
@@ -617,89 +673,25 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
                 sampled_steps=wf.sampled_steps,
             )
 
-    # phase 1: bracketed Newton steps on the interpolated curves. The totals
-    # are linear in mu on each piece and behave like a / mu - b across
-    # pieces, so a step is taken in w = 1 / mu, where they are nearly
-    # linear, or in mu once it is shorter than 1e-3 mu. A step that leaves
-    # the bracket, or a flat total, bisects instead: in log mu while the
-    # bracket spans more than a factor of two, in mu after that. Once the
-    # bracket is narrower than 1e-3 relative, such a step probes a level
-    # inside it where the totals may jump (``_WaterFiller.jump_level``), on
-    # both of its neighbouring floats, so that a jump across the budget ends
-    # between the same two floats as bisection would, and stops there. The
-    # search starts where every group, at an equal share of the budget, sits
-    # on its sampled curve.
-    mu_lo, mu_hi = 0.0, wf.top
+    # the search first takes the totals with roots interpolated on the
+    # sampled curves, from where every group, at an equal share of the
+    # budget, sits on its sampled curve; then the exactly refined totals,
+    # from where it stopped, with the top's totals the floors, all ZERO
     share = max(0, round((_GRID_N - 1) * (1.0 + math.log(k) / math.log(_GRID_LOW))))   # column of p_max / k
     # the median by hand: np.median imports numpy.ma, about 1 MB, on first use
     at_share = wf.f_grid[:, share].copy()
     at_share.sort()
-    mu = min(mu_hi, 0.5 * float(at_share[(k - 1) // 2] + at_share[k // 2]))
+    mu = min(wf.top, 0.5 * float(at_share[(k - 1) // 2] + at_share[k // 2]))
     if not mu > 0:      # curves at or below zero there: keep inside the bracket
-        mu = 0.5 * mu_hi
-    probe = None        # the lower side of a jump level, once its upper side is probed
-    for _ in range(80):
-        total, slope = wf.interp_total(mu)
-        if abs(total - p_max) < 0.5 * tol:
-            break
-        if total > p_max:
-            mu_lo = mu
-        else:
-            mu_hi = mu
-        if math.nextafter(mu_lo, math.inf) >= mu_hi:
-            # neighbouring floats: later steps would only park on the midpoint
-            mu = 0.5 * (mu_lo + mu_hi)
-            break
-        if probe is not None and mu_lo < probe < mu_hi:
-            mu, probe = probe, None
-            continue
-        step = (p_max - total) / slope if slope < 0 else np.inf
-        if abs(step) < 1e-3 * mu:
-            mu_next = mu + step
-        else:
-            mu_next = mu * mu / (mu - step) if step < mu else -1.0   # 1 / (1/mu - step/mu**2)
-        if mu_lo < mu_next < mu_hi:
-            mu = mu_next
-        elif mu_hi - mu_lo < 1e-3 * mu_hi and (level := wf.jump_level(mu_lo, mu_hi)) is not None:
-            upper = math.nextafter(level, math.inf)
-            mu, probe = (upper, level) if upper < mu_hi else (level, None)
-        else:
-            mu = math.sqrt(mu_lo * mu_hi) if 0 < 2.0 * mu_lo < mu_hi else 0.5 * (mu_lo + mu_hi)
+        mu = 0.5 * wf.top
+    mu, _ = wf.search(lambda mu: (*wf.interp_total(mu), None), mu, 0.5 * tol, None)
 
-    # phase 2: secant polish with exactly-refined roots, bisection-guarded,
-    # on the bracket totals(b_lo) > p_max >= totals(hi[0]). Its upper end
-    # starts at the top, whose exact totals are the floors, all ZERO. The
-    # first step takes its slope from the interpolated curves: a virtual
-    # previous point on that tangent turns the secant into a Newton step.
-    b_lo, hi = 0.0, (wf.top, p_req.copy(), np.full(k, _ZERO))
-    h = 1e-6 * mu
-    slope = (wf.interp_total(mu + h)[0] - wf.interp_total(mu - h)[0]) / (2.0 * h)
-    p_k, status = wf.exact_totals(mu)
-    prev = (mu + h, p_k.sum() + slope * h) if slope < 0 else None
-    for _ in range(40):
-        total = p_k.sum()
-        if abs(total - p_max) < tol:
-            break
-        if total > p_max:
-            b_lo = mu
-        else:
-            hi = (mu, p_k, status)
-        b_hi = hi[0]
-        # a continuous crossing comes within tol long before the bracket is
-        # this narrow, so the totals jump across the budget inside it
-        if b_hi - b_lo <= 1e-9 * b_hi:
-            break
-        mu_next = math.nan      # no secant step: bisect
-        if prev is not None and abs(total - prev[1]) > 0:
-            mu_next = mu - (total - p_max) * (mu - prev[0]) / (total - prev[1])
-        prev = (mu, total)
-        mu = mu_next if b_lo < mu_next < b_hi else 0.5 * (b_lo + b_hi)
-        p_k, status = wf.exact_totals(mu)
+    def exact(mu):
+        p_k, status, slope = wf.exact_totals(mu)
+        return p_k.sum(), slope, (p_k, status)
+
+    mu, (p_k, status) = wf.search(exact, mu, tol, (p_req.copy(), np.full(k, _ZERO)))
     exhausted = abs(p_k.sum() - p_max) < tol
-    if not exhausted:
-        # a budget jump or the step cap: fall back to the bracket's end
-        # within the budget, never to a point above it
-        mu, p_k, status = hi
     # the stop test accepts totals up to tol above the budget; take that
     # excess from the power above the rate floors so "ok" never overspends
     above = p_k - p_req

@@ -234,7 +234,7 @@ class TestMinRateNewton:
 def stationary_point(group, mu, p_max):
     """exact_totals of one group with zero minimum rates: (power, status) at water level mu."""
     wf = _WaterFiller(_GroupArrays([group]), p_max, np.zeros(1))
-    p, status = wf.exact_totals(mu)
+    p, status, _ = wf.exact_totals(mu)
     return float(p[0]), int(status[0]), wf.grid
 
 
@@ -277,7 +277,7 @@ class TestExtremePointStationary:
                 continue
             wf = _WaterFiller(arrs, p_max, p_req)
             assert not np.any(wf.f_grid >= wf.top)
-            p, status = wf.exact_totals(wf.top)
+            p, status, _ = wf.exact_totals(wf.top)
             np.testing.assert_array_equal(p, p_req)
             assert np.all(status == _ZERO)
             tested += 1
@@ -707,7 +707,36 @@ class TestBudgetJump:
         assert alloc.group_totals.sum() <= cfg.p_max_w * (1 + 1e-9)
         assert not alloc.budget_exhausted
         assert alloc.status == "budget not exhausted within tolerance"
-        assert alloc.steps <= 20
+        assert alloc.steps <= 8
+
+    def test_jump_inside_a_cell_ends_in_few_steps(self):
+        # the totals jump by about 3 W inside a grid cell; a secant polish
+        # crept up on it from below for 41 refinements and stopped at 999.917 W
+        users, cfg = bench_drop(2026, 60, 19)
+        alloc = solve(users, cfg).allocation
+        assert alloc.status == "budget not exhausted within tolerance"
+        assert alloc.steps <= 8
+        assert 999.99 <= alloc.group_totals.sum() <= cfg.p_max_w
+
+    def test_ulp_of_the_curves_moves_no_jump_exit(self, monkeypatch):
+        # a jump exit ends at the float just above a jump level, so moving
+        # every curve sample by one ulp moves its sum rate by roundoff alone
+        jumps = []
+        for kind, m, drop in itertools.product(("table", "parametric"), (10, 30, 60), range(60)):
+            users, cfg = bench_drop(2026, m, drop, kind)
+            result = solve(users, cfg)
+            if result.allocation is not None and result.allocation.status == JUMP_STATUS:
+                jumps.append((users, cfg, result.sum_rate, (kind, m, drop)))
+        init = _WaterFiller.__init__
+
+        def nudged(self, *args):
+            init(self, *args)
+            self.f_grid = self.f_grid * (1.0 + 2.0 ** -52)
+
+        monkeypatch.setattr(_WaterFiller, "__init__", nudged)
+        for users, cfg, rate, where in jumps:
+            assert solve(users, cfg).sum_rate == pytest.approx(rate, rel=1e-12, abs=0), where
+        assert len(jumps) >= 20
 
     def test_converged_allocation_counts_its_steps(self):
         users, cfg = bench_drop(2026, 30, 0)
@@ -1089,12 +1118,15 @@ def reference_exact_totals(self, mu, n_bisect=12):
 
     A short lockstep bisection shrinks the cell, then one secant step on
     the tracked endpoint values pins the root far below the bisection
-    width (the curve is smooth inside a cell).
+    width (the curve is smooth inside a cell). The total's mu slope is the
+    sum of the final brackets' chord slopes over the rows strictly inside
+    theirs and above their floors.
     """
     self.steps += 1
     status, first = self._locate(mu)
     p3 = np.where(status == _CAP, self.grid[-1], 0.0)
     rows = np.flatnonzero(status == _ROOT)
+    slope = 0.0
     if rows.size:
         a = self.grid[first[rows]].copy()
         b = self.grid[first[rows] + 1].copy()
@@ -1111,7 +1143,9 @@ def reference_exact_totals(self, mu, n_bisect=12):
         spread = fa - fb
         t = np.where(spread > 0, fa / np.maximum(spread, np.finfo(float).tiny), 0.5)
         p3[rows] = a + (b - a) * np.minimum(np.maximum(t, 0.0), 1.0)
-    return np.maximum(self.p_req, p3), status
+        moving = (spread > 0) & (0.0 < t) & (t < 1.0) & (p3[rows] > self.p_req[rows])
+        slope = float(((a - b) / np.maximum(spread, np.finfo(float).tiny))[moving].sum())
+    return np.maximum(self.p_req, p3), status, slope
 
 
 # The group stage before the budget-jump exit and the seeded first secant
@@ -1198,7 +1232,7 @@ def reference_inter_group_allocate(groups, p_max: float, tol: float | None = Non
 
     p_k0, status0 = wf.interp_totals(0.0)
     if p_k0.sum() <= p_max - tol:
-        p_k0, status0 = wf.exact_totals(0.0)
+        p_k0, status0, _ = wf.exact_totals(0.0)
         if p_k0.sum() <= p_max - tol:
             # even a zero water level cannot spend the budget: rates saturate
             lam = _recover_lambdas(arrs, p_k0, p_req, 0.0, binding)
@@ -1240,7 +1274,7 @@ def reference_inter_group_allocate(groups, p_max: float, tol: float | None = Non
     # phase 2: secant polish with exactly-refined roots, bisection-guarded
     b_lo, b_hi = 0.0, None  # totals(b_lo) > p_max >= totals(b_hi)
     prev = None
-    p_k, status = wf.exact_totals(mu)
+    p_k, status, _ = wf.exact_totals(mu)
     for _ in range(40):
         total = p_k.sum()
         if abs(total - p_max) < tol:
@@ -1265,7 +1299,7 @@ def reference_inter_group_allocate(groups, p_max: float, tol: float | None = Non
             mu = max(2.0 * mu, 1e-12)
         else:
             mu = 0.5 * (b_lo + b_hi)
-        p_k, status = wf.exact_totals(mu)
+        p_k, status, _ = wf.exact_totals(mu)
     exhausted = abs(p_k.sum() - p_max) < max(tol, 1e-9 * p_max)
     # the stop test accepts totals up to tol above the budget; take that
     # excess from the power above the rate floors so "ok" never overspends
@@ -1350,7 +1384,7 @@ class TestGroupStageAgainstReference:
     def test_random_groups(self, kind):
         for i, (groups, p_max) in enumerate(random_group_cases(kind)):
             got = inter_group_allocate(groups, p_max)
-            want = reference_inter_group_allocate(groups, p_max)
+            want = reference_inter_group_allocate(groups, p_max, tol=1e-12 * p_max)
             assert_matches_reference(got, want, p_max, (kind, i))
 
 
@@ -1369,9 +1403,9 @@ class TestSampledRefinement:
         sampled = _WaterFiller.exact_totals
 
         def checked(self, mu):
-            got, status = sampled(self, mu)
+            got, status, slope = sampled(self, mu)
             steps = self.steps
-            want, want_status = reference_exact_totals(self, mu)
+            want, want_status, _ = reference_exact_totals(self, mu)
             self.steps = steps
             np.testing.assert_array_equal(status, want_status)
             _, first = self._locate(mu)
@@ -1387,7 +1421,7 @@ class TestSampledRefinement:
                 f = np.concatenate([self.f_grid[row, cell : cell + 1], self._sub_f[0, row],
                                     self.f_grid[row, cell + 1 : cell + 2]])
                 seen["multi"] += np.count_nonzero(np.diff(f >= mu)) > 1
-            return got, status
+            return got, status, slope
 
         monkeypatch.setattr(_WaterFiller, "exact_totals", checked)
         return seen
@@ -1463,15 +1497,12 @@ class TestSampledRefinement:
         np.testing.assert_array_equal(got[1:], cached[1:])
 
     def test_budget_jump_probe_keeps_its_steps(self):
-        # 12 with the central-difference table slope, 13 with the analytic
-        # one (it moves the curves by up to 1e-4 relative), and 12 again once
-        # the lookup gave the slope in ln p: a jump exit is pinned only to its
-        # final 1e-9 bracket, so rounding-level moves of the curves change
-        # its secant path
+        # the exact search probes the jump level as the sampled one does and
+        # ends at the float just above it
         users, cfg = bench_drop(2026, 30, 6)
         alloc = solve(users, cfg).allocation
         assert alloc.status == JUMP_STATUS
-        assert alloc.steps == 12
+        assert alloc.steps == 4
 
     def test_flat_bisection_replay(self):
         # the 2-D fancy indexing that the interior replay replaced, on random
@@ -2065,11 +2096,12 @@ class TestPairSplitProperty:
         assert got >= best - 1e-12 * max(1.0, abs(got))
 
 
-# inter_group_allocate before the Newton steps of phase 1, kept verbatim as
-# the reference of TestWaterLevelAgainstBisection: phase 1 bisects on the
-# interpolated curves. It runs on the current _WaterFiller, given back the
-# per-group interp_totals (the one of ReferenceWaterFiller above), whose
-# calls a class counter keeps.
+# inter_group_allocate before the Newton steps of phase 1, kept as the
+# reference of TestWaterLevelAgainstBisection: phase 1 bisects on the
+# interpolated curves, and phase 2 is the current water-level search on the
+# exact totals, so that the comparison isolates phase 1. It runs on the
+# current _WaterFiller, given back the per-group interp_totals (the one of
+# ReferenceWaterFiller above), whose calls a class counter keeps.
 
 class BisectionWaterFiller(_WaterFiller):
     evaluations = 0     # interp_totals calls, over all instances
@@ -2125,7 +2157,7 @@ def bisection_inter_group_allocate(groups, p_max: float, tol: float | None = Non
 
     p_k0, status0 = wf.interp_totals(0.0)
     if p_k0.sum() <= p_max - tol:
-        p_k0, status0 = wf.exact_totals(0.0)
+        p_k0, status0, _ = wf.exact_totals(0.0)
         if p_k0.sum() <= p_max - tol:
             # even a zero water level cannot spend the budget: rates saturate
             lam = _recover_lambdas(arrs, p_k0, p_req, 0.0, binding)
@@ -2165,53 +2197,13 @@ def bisection_inter_group_allocate(groups, p_max: float, tol: float | None = Non
         if (mu_hi - mu_lo) <= 1e-16 * max(mu_hi, 1e-300):
             break
 
-    # phase 2: secant polish with exactly-refined roots, bisection-guarded.
-    # The first step takes its slope from the interpolated curves: a virtual
-    # previous point on that tangent turns the secant into a Newton step.
-    b_lo, b_hi = 0.0, None  # totals(b_lo) > p_max >= totals(b_hi)
-    h = 1e-6 * mu
-    slope = (wf.interp_totals(mu + h)[0].sum() - wf.interp_totals(mu - h)[0].sum()) / (2.0 * h)
-    p_k, status = wf.exact_totals(mu)
-    prev = (mu + h, p_k.sum() + slope * h) if slope < 0 else None
-    best = None  # the under-budget evaluation with the largest total
-    for _ in range(40):
-        total = p_k.sum()
-        if abs(total - p_max) < tol:
-            break
-        if total > p_max:
-            b_lo = mu
-        else:
-            b_hi = mu
-            if best is None or total > best[1].sum():
-                best = (mu, p_k, status)
-        # a continuous crossing comes within tol long before the bracket is
-        # this narrow, so the totals jump across the budget inside it
-        if b_hi is not None and b_hi - b_lo <= 1e-9 * b_hi:
-            break
-        if prev is not None and abs(total - prev[1]) > 0:
-            mu_next = mu - (total - p_max) * (mu - prev[0]) / (total - prev[1])
-        else:
-            mu_next = None
-        in_bracket = (
-            mu_next is not None
-            and mu_next > b_lo
-            and (b_hi is None or mu_next < b_hi)
-        )
-        prev = (mu, total)
-        if in_bracket:
-            mu = mu_next
-        elif b_hi is None:
-            mu = max(2.0 * mu, 1e-12)
-        else:
-            mu = 0.5 * (b_lo + b_hi)
-        p_k, status = wf.exact_totals(mu)
+    # phase 2: the water-level search on the exactly refined totals
+    def exact(mu):
+        p_k, status, slope = wf.exact_totals(mu)
+        return p_k.sum(), slope, (p_k, status)
+
+    mu, (p_k, status) = wf.search(exact, mu, tol, (p_req.copy(), np.full(k, _ZERO)))
     exhausted = abs(p_k.sum() - p_max) < max(tol, 1e-9 * p_max)
-    if not exhausted:
-        # a budget jump or the step cap: fall back to the best point that
-        # stays within the budget, never to one above it
-        if best is None:
-            return failure("could not bracket the water level", wf.steps)
-        mu, p_k, status = best
     # the stop test accepts totals up to tol above the budget; take that
     # excess from the power above the rate floors so "ok" never overspends
     above = p_k - p_req
@@ -2302,7 +2294,7 @@ class TestWaterLevelAgainstBisection:
 
     @pytest.mark.parametrize("kind", ["table", "parametric"])
     def test_slope_is_the_centred_difference_inside_a_piece(self, kind):
-        sloped = 0
+        sloped = {"interp": 0, "exact": 0}
         for m, drop in ((10, 0), (30, 1), (60, 2)):
             users, cfg = bench_drop(2026, m, drop, kind)
             result = solve(users, cfg)
@@ -2310,18 +2302,29 @@ class TestWaterLevelAgainstBisection:
             arrs = _GroupArrays([Group(users=(by_id[a], by_id[b]), profile=cfg.profile)
                                  for a, b in result.pairing.pairs])
             wf = _WaterFiller(arrs, cfg.p_max_w, _rate_floors(arrs, cfg.p_max_w).max(axis=1))
+
+            def interp(mu):
+                return (*wf.interp_total(mu), piece_of(wf, mu))
+
+            def exact(mu):
+                # refined rows also keep their sub-cells and floors; the final
+                # sub-cell is not tagged, but a change of it changes the slope
+                p, _, slope = wf.exact_totals(mu)
+                return p.sum(), slope, (piece_of(wf, mu), wf._sub_tag.tobytes(), (p > wf.p_req).tobytes(), slope)
+
             for mu in result.allocation.mu * np.array([0.5, 0.9, 1.0, 1.1, 2.0]):
-                total, slope = wf.interp_total(mu)
-                assert slope <= 0
-                # halve the step until both ends lie in the piece of mu
-                piece, h = piece_of(wf, mu), 1e-3 * mu
-                while piece_of(wf, mu - h) != piece or piece_of(wf, mu + h) != piece:
-                    h /= 2
-                diff = (wf.interp_total(mu + h)[0] - wf.interp_total(mu - h)[0]) / (2 * h)
-                # the totals are linear on the piece, so only their roundoff remains
-                assert diff == pytest.approx(slope, rel=1e-9, abs=1e-12 * total / h)
-                sloped += slope < 0
-        assert sloped >= 10
+                for name, evaluate in (("interp", interp), ("exact", exact)):
+                    total, slope, piece = evaluate(mu)
+                    assert slope <= 0
+                    # halve the step until both ends lie in the piece of mu
+                    h = 1e-3 * mu
+                    while evaluate(mu - h)[2] != piece or evaluate(mu + h)[2] != piece:
+                        h /= 2
+                    diff = (evaluate(mu + h)[0] - evaluate(mu - h)[0]) / (2 * h)
+                    # the totals are linear on the piece, so only their roundoff remains
+                    assert diff == pytest.approx(slope, rel=1e-9, abs=1e-12 * total / h), (name, m, mu)
+                    sloped[name] += slope < 0
+        assert min(sloped.values()) >= 10
 
 
 def brute_force_grid_best(groups, p_max, n):
