@@ -13,14 +13,14 @@ drop and one one-drop ``run_sweep`` + ``emit_csv`` unit per drop (root seed
 1000 + drop). A drop's time is the median of its rounds. Per workload it
 prints each side's drops/s over the units and median ``solve()`` time, the
 median and quartiles over drops of the change/parent time ratio, each
-side's total ``steps`` and ``sampled_steps``, every drop whose feasible
-flag, failing stage or allocation status differ, the smallest and largest
-signed relative move of the sum rate over the drops of each parent status,
-the largest relative move of the water level mu and of the group totals,
-and whether the units' CSVs are byte-identical. With ``--max-move REL``
-it exits 1 if any drop's feasible flag, stage or status differs, or if
-the sum rate, mu or a group total moves by more than REL relative;
-``steps`` may differ.
+side's total ``steps`` and ``sampled_steps``, each side's count of drops
+per exit (see ``exit_of``), every drop whose exit differs, the smallest and
+largest signed relative move of the sum rate over the drops of each parent
+exit, the largest relative move of the water level mu and of the group
+totals, and whether the units' CSVs are byte-identical. With
+``--max-move REL`` it exits 1 if any drop's exit differs, or if the sum
+rate, mu or a group total moves by more than REL relative; ``steps`` may
+differ.
 
 A parent whose package reads its table as ``sfma.data`` by a fixed name
 would read the working tree's table instead of its own; for such a parent
@@ -35,6 +35,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
@@ -103,6 +104,25 @@ def quartiles(values):
     return f"median {q2:.3f} [quartiles {q1:.3f}, {q3:.3f}]"
 
 
+def exit_of(res) -> str:
+    """How a ``solve()`` drop ended: ``res.exit``, one of ``sfma.power.EXITS``, "pairing" or "rate_missed".
+
+    A parent from before exits as data has no ``exit``; its exit is read off
+    its stage and flags. It cannot tell a step cap from a jump, and reads
+    both as "jump".
+    """
+    if hasattr(res, "exit"):
+        return res.exit
+    alloc = res.allocation
+    if res.stage == "pairing":
+        return "pairing"
+    if not alloc.feasible:
+        return "floors_over_budget" if "exceeds budget" in alloc.status else "rate_unreachable"
+    if res.stage == "power":
+        return "rate_missed"
+    return "ok" if alloc.budget_exhausted else "budget_slack" if alloc.mu == 0.0 else "jump"
+
+
 def largest_move(got, want) -> float:
     """Largest relative move between two float arrays; nan on both sides is no move."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
@@ -117,8 +137,8 @@ def largest_move(got, want) -> float:
 
 
 def compare(name, sides, drops: int, rounds: int, seed: int, scratch: Path):
-    """Time and compare one workload; returns the count of drops whose feasible
-    flag, stage or status differ, and the largest relative move of any number."""
+    """Time and compare one workload; returns the count of drops whose exit
+    differs, and the largest relative move of any number."""
     m, kind = WORKLOADS[name]
     inputs = {side: [drop_inputs(pkg, m, kind, d, seed) for d in range(drops)] for side, pkg in sides.items()}
     configs = {side: [unit_config(pkg, m, kind, d, scratch / f"{side}-{name}-{d}.csv") for d in range(drops)]
@@ -149,10 +169,6 @@ def compare(name, sides, drops: int, rounds: int, seed: int, scratch: Path):
             speed = (f"parent {statistics.median(parent) * 1e3:.3f} ms, "
                      f"change {statistics.median(change) * 1e3:.3f} ms (median drop)")
         print(f"  {label}: {speed}; change/parent per drop {quartiles([c / p for c, p in zip(change, parent)])}")
-    def key(res):
-        alloc = res.allocation
-        return res.feasible, res.stage, None if alloc is None else alloc.status
-
     def numbers(res):
         alloc = res.allocation
         return {"sum rate": [res.sum_rate], "mu": [] if alloc is None else [alloc.mu],
@@ -166,10 +182,10 @@ def compare(name, sides, drops: int, rounds: int, seed: int, scratch: Path):
             if res.allocation is not None:
                 steps[side][0] += res.allocation.steps
                 steps[side][1] += res.allocation.sampled_steps
-        if key(got) != key(want):
-            differ.append(f"    drop {d}: parent {key(want)}, change {key(got)}")
+        if exit_of(got) != exit_of(want):
+            differ.append(f"    drop {d}: parent {exit_of(want)}, change {exit_of(got)}")
         if math.isfinite(got.sum_rate) and math.isfinite(want.sum_rate):
-            rate_moves.setdefault(want.allocation.status, []).append((got.sum_rate - want.sum_rate) / want.sum_rate)
+            rate_moves.setdefault(exit_of(want), []).append((got.sum_rate - want.sum_rate) / want.sum_rate)
         want_numbers = numbers(want)
         for label, values in numbers(got).items():
             move = largest_move(values, want_numbers[label])
@@ -177,10 +193,12 @@ def compare(name, sides, drops: int, rounds: int, seed: int, scratch: Path):
                 moves[label][0] += 1
                 moves[label][1] = max(moves[label][1], move)
     for side, (exact, sampled) in steps.items():
-        print(f"  {side}: {exact} steps, {sampled} sampled_steps")
-    print(f"  feasible, stage, status: {len(differ)} drops differ" + "".join("\n" + line for line in differ))
-    for status, rel in sorted(rate_moves.items()):
-        print(f"  sum rate, parent status {status!r}: {len(rel)} drops, signed relative move "
+        exits = Counter(exit_of(results[side, d]) for d in range(drops))
+        print(f"  {side}: {exact} steps, {sampled} sampled_steps; exits "
+              + ", ".join(f"{kind} {n}" for kind, n in exits.most_common()))
+    print(f"  exit: {len(differ)} drops differ" + "".join("\n" + line for line in differ))
+    for exit, rel in sorted(rate_moves.items()):
+        print(f"  sum rate, parent exit {exit}: {len(rel)} drops, signed relative move "
               f"{min(rel):.3g} to {max(rel):.3g}")
     for label, (moved, largest) in moves.items():
         print(f"  {label}: {moved} drops moved, largest relative move {largest:.3g}")
@@ -197,7 +215,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=7)
     parser.add_argument("--seed", type=int, default=2026, help="root seed of the solve() drops")
     parser.add_argument("--max-move", type=float, metavar="REL",
-                        help="exit 1 if a feasible flag, stage or status differs, or a number moves more than REL")
+                        help="exit 1 if a drop's exit differs, or a number moves more than REL")
     args = parser.parse_args(argv)
     if args.drops < 4 or args.rounds < 1 or args.seed < 0:
         parser.error("--drops must be >= 4, --rounds >= 1 and --seed >= 0")
@@ -215,8 +233,8 @@ def main(argv=None) -> int:
         return 0
     flagged, largest = sum(f for f, _ in outcomes), max(m for _, m in outcomes)
     ok = flagged == 0 and largest <= args.max_move
-    print(f"max-move {args.max_move:g}: {'pass' if ok else 'FAIL'} ({flagged} drops differ in feasible, "
-          f"stage or status; largest relative move {largest:.3g})")
+    print(f"max-move {args.max_move:g}: {'pass' if ok else 'FAIL'} ({flagged} drops differ in exit; "
+          f"largest relative move {largest:.3g})")
     return 0 if ok else 1
 
 

@@ -6,9 +6,10 @@ users, on the bundled rho table and on the default logistic profile, at a
 minimum rate of 1 bit/s/Hz; and drops 0-9 of 30 users on the logistic
 profile at a minimum rate of 1.5, where den = (1 - t rho)/2 <= 0 at the
 rate floors' smallest power p0 and the rates are met at higher powers. Per
-drop it holds the feasible flag, the failing stage, the allocation status,
-its ``steps`` and ``sampled_steps``, and the ``repr`` of the sum rate, the
-water level mu, the group totals, the splits and the min-rate multipliers.
+drop it holds the feasible flag, the failing stage, the allocation's exit
+(one of ``sfma.power.EXITS``), its ``steps`` and ``sampled_steps``, and the
+``repr`` of the sum rate, the water level mu, the group totals, the splits
+and the min-rate multipliers.
 ``repr`` of a float round-trips, so the test that reads the record asserts
 exact equality: any change that moves a number must write the record again
 and say which drops moved. Writing the record prints, for each drop that
@@ -74,7 +75,7 @@ def drop_entry(kind: str, m: int, drop: int, min_rate: float = MIN_RATE) -> dict
     alloc = result.allocation
     if alloc is not None:
         entry.update(
-            status=alloc.status, steps=alloc.steps, sampled_steps=alloc.sampled_steps,
+            exit=alloc.exit, steps=alloc.steps, sampled_steps=alloc.sampled_steps,
             mu=repr(float(alloc.mu)), totals=_reprs(alloc.group_totals),
             splits=_reprs(alloc.splits.ravel()), lambdas=_reprs(alloc.lambdas.ravel()),
         )

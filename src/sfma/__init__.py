@@ -8,7 +8,6 @@ from .semantic_rate import (
     LogisticRhoParams,
     calibrate_rho,
     load_rho_table,
-    pair_sum_rate,
     save_rho_table,
     sinr_conventional,
     sinr_semantic,

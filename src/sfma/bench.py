@@ -4,8 +4,8 @@ A sweep evaluates, for every (user count, BS power, drop) cell, the pairing
 plus power-allocation pipeline and the three baselines on one shared channel
 realization. Drops where the minimum rates are unattainable are counted and
 excluded from every scheme's mean so all schemes aggregate over the same
-support. A drop whose solver raises ``ConvergenceError`` is one of them, at
-stage "numerics", and is also listed on the report. Per-drop seeds derive
+support. A drop whose solver raises ``ConvergenceError`` is one of them,
+with exit "numerics"; the report lists every infeasible drop. Per-drop seeds derive
 from (root seed, user count, power index, drop index), so drops may run in
 parallel without changing any number.
 """
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .baselines import fnoma_sum_rate, ofdma_sum_rate, ojscc_sum_rate, pair_distinctive
-from .channel import _stream, draw_channel, place_users
+from .channel import _stream, draw_channel, path_loss_db, place_users
 from .pairing import UserTerminal
-from .power import ConvergenceError, SolverConfig, solve
+from .power import EXITS, ConvergenceError, SolverConfig, solve
 from .semantic_rate import InterferenceProfile, Link, LogisticRhoParams, load_rho_table
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
 
 SCHEMES = ("sfma", "fnoma", "ojscc", "ofdma")
 CSV_HEADER = "scheme,users,p_max_dbw,mean_sum_rate,std_sum_rate,drops,infeasible"
+# the dB values x whose 10^(x/10) is a positive normal float, rounded inward to whole dB
+_DB_RANGE = (math.ceil(10 * math.log10(np.finfo(float).tiny)), math.floor(10 * math.log10(np.finfo(float).max)))
 
 
 class ConfigError(ValueError):
@@ -100,8 +102,8 @@ class ScenarioConfig:
             raise ConfigError("p_max_dbw must list at least one power")
         if self.delta_max < 0 or self.alpha < 0 or self.min_rate < 0:
             raise ConfigError("alpha, delta_max, and min_rate must be nonnegative")
-        if self.frame_window < 1:
-            raise ConfigError(f"frame_window must be >= 1, got {self.frame_window}")
+        if not 1 <= self.frame_window <= 2 ** 63:     # frames are drawn as int64 from [0, frame_window)
+            raise ConfigError(f"frame_window must lie in [1, 2**63], got {self.frame_window}")
         if self.rho_kind not in ("constant", "table", "parametric"):
             raise ConfigError(f"unknown rho_kind {self.rho_kind!r}")
         if self.workers < 1:
@@ -112,6 +114,16 @@ class ScenarioConfig:
             raise ConfigError(f"shadow_sigma_db must be nonnegative, got {self.shadow_sigma_db}")
         if not 0.0 < self.fnoma_eta < 1.0:
             raise ConfigError(f"fnoma_eta must lie in (0, 1), got {self.fnoma_eta}")
+        # every watt value 10^(x/10) and channel gain 10^(-loss/10) is a positive normal float:
+        # the gains span the nearest user's loss with a -10 sigma shadowing draw to the
+        # farthest one's, at a corner, with a +10 sigma draw
+        sigma10 = 10.0 * self.shadow_sigma_db
+        gains = (sigma10 - path_loss_db(0.0), -path_loss_db(self.area_side_m / math.sqrt(2.0)) - sigma10)
+        for name, values in (("p_max_dbw", self.p_max_dbw), ("noise_dbw", (self.noise_dbw,)),
+                             ("the gain set by area_side_m and shadow_sigma_db", gains)):
+            bad = [db for db in values if not _DB_RANGE[0] <= db <= _DB_RANGE[1]]
+            if bad:
+                raise ConfigError(f"{name} must lie in [{_DB_RANGE[0]}, {_DB_RANGE[1]}] dB, got {bad[0]:.6g}")
         # built here, once: a table file is read when the config is made, and a bad
         # path or table is a config error; an attribute, not a field or a key
         try:
@@ -206,8 +218,11 @@ class DropOutcome:
     p_max_dbw: float
     drop_index: int
     rates: dict          # scheme -> sum rate (bits/s/Hz)
-    feasible: bool
-    stage: str | None = None
+    exit: str            # the solve's exit, or "numerics" where it raised ConvergenceError
+
+    @property
+    def feasible(self) -> bool:
+        return self.exit in EXITS[:4]
 
 
 @dataclass(frozen=True)
@@ -225,7 +240,7 @@ class ReportRow:
 class RunReport:
     rows: list
     records: list = field(default_factory=list)
-    numerics: list = field(default_factory=list)  # DropOutcomes of stage "numerics"
+    infeasible: list = field(default_factory=list)  # the DropOutcome of every infeasible drop
 
     def row(self, scheme: str, users: int, p_max_dbw: float) -> ReportRow:
         for r in self.rows:
@@ -273,9 +288,9 @@ def evaluate_drop(config: ScenarioConfig, m: int, p_idx: int, drop_index: int,
     p_max_w = solver_cfg.p_max_w
     try:
         result = solve(users, solver_cfg)
-        sfma_rate, feasible, stage = result.sum_rate, result.feasible, result.stage
+        sfma_rate, ended = result.sum_rate, result.exit
     except ConvergenceError:
-        sfma_rate, feasible, stage = float("nan"), False, "numerics"
+        sfma_rate, ended = float("nan"), "numerics"
     baseline_pairs = pair_distinctive(users)
     by_id = {u.id: u for u in users}
     pair_terms = [(by_id[a], by_id[b]) for a, b in baseline_pairs.pairs]
@@ -285,14 +300,7 @@ def evaluate_drop(config: ScenarioConfig, m: int, p_idx: int, drop_index: int,
         "ojscc": ojscc_sum_rate(pair_terms, p_max_w),
         "ofdma": ofdma_sum_rate(users, p_max_w),
     }
-    return DropOutcome(
-        users=m,
-        p_max_dbw=config.p_max_dbw[p_idx],
-        drop_index=drop_index,
-        rates=rates,
-        feasible=feasible,
-        stage=stage,
-    )
+    return DropOutcome(users=m, p_max_dbw=config.p_max_dbw[p_idx], drop_index=drop_index, rates=rates, exit=ended)
 
 
 def _drop_task(args):
@@ -315,30 +323,22 @@ def run_sweep(config: ScenarioConfig) -> RunReport:
 
     rows = []
     records = []
-    numerics = []
+    infeasible = []
     for m in config.user_counts:
         for p_idx, p_dbw in enumerate(config.p_max_dbw):
             cell = [outcomes[(m, p_idx, d)] for d in range(config.drops)]
             if config.keep_records:
                 records.extend(cell)
-            numerics.extend(o for o in cell if o.stage == "numerics")
             feasible = [o for o in cell if o.feasible]
+            infeasible.extend(o for o in cell if not o.feasible)
             n_bad = len(cell) - len(feasible)
             for scheme in SCHEMES:
                 values = np.array([o.rates[scheme] for o in feasible])
-                rows.append(
-                    ReportRow(
-                        scheme=scheme,
-                        users=m,
-                        p_max_dbw=p_dbw,
-                        mean_sum_rate=float(np.mean(values)) if values.size else float("nan"),
-                        std_sum_rate=float(np.std(values)) if values.size else float("nan"),
-                        drops=len(feasible),
-                        infeasible=n_bad,
-                    )
-                )
+                mean, std = (float(np.mean(values)), float(np.std(values))) if values.size else (math.nan, math.nan)
+                rows.append(ReportRow(scheme=scheme, users=m, p_max_dbw=p_dbw, mean_sum_rate=mean,
+                                      std_sum_rate=std, drops=len(feasible), infeasible=n_bad))
     rows.sort(key=lambda r: (r.scheme, r.users, r.p_max_dbw))
-    return RunReport(rows=rows, records=records, numerics=numerics)
+    return RunReport(rows=rows, records=records, infeasible=infeasible)
 
 
 def emit_csv(report: RunReport, path) -> None:

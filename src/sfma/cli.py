@@ -18,6 +18,7 @@ import csv
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -82,15 +83,19 @@ def _cmd_sweep(args) -> int:
         for p_dbw in config.p_max_dbw:
             sfma_row = report.row("sfma", m, p_dbw)
             fnoma_row = report.row("fnoma", m, p_dbw)
+            # the cell's infeasible drops by exit, most frequent first
+            causes = Counter(o.exit for o in report.infeasible if (o.users, o.p_max_dbw) == (m, p_dbw))
+            counts = f"{sfma_row.drops} drops, {sfma_row.infeasible} infeasible" + "".join(
+                f"{', ' if i else ': '}{kind} {n}" for i, (kind, n) in enumerate(causes.most_common()))
             if sfma_row.drops and fnoma_row.mean_sum_rate > 0:
                 ratio = sfma_row.mean_sum_rate / fnoma_row.mean_sum_rate
-                print(
-                    f"M={m} P={p_dbw:g} dBW: sfma/fnoma mean ratio {ratio:.3f} "
-                    f"({sfma_row.drops} drops, {sfma_row.infeasible} infeasible)"
-                )
-    if report.numerics:
-        where = ", ".join(f"M={o.users} P={o.p_max_dbw:g} dBW drop {o.drop_index}" for o in report.numerics)
-        print(f"error: {len(report.numerics)} drop(s) failed numerically, counted as infeasible: {where}",
+                print(f"M={m} P={p_dbw:g} dBW: sfma/fnoma mean ratio {ratio:.3f} ({counts})")
+            else:
+                print(f"M={m} P={p_dbw:g} dBW: {counts}")
+    numerics = [o for o in report.infeasible if o.exit == "numerics"]
+    if numerics:
+        where = ", ".join(f"M={o.users} P={o.p_max_dbw:g} dBW drop {o.drop_index}" for o in numerics)
+        print(f"error: {len(numerics)} drop(s) failed numerically, counted as infeasible: {where}",
               file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
@@ -120,9 +125,10 @@ def _cmd_solve(args) -> int:
         print(f"error: failed at stage numerics: {exc}", file=sys.stderr)
         return EXIT_FAIL
     if not result.feasible:
-        detail = result.allocation.status if result.allocation is not None else \
-            f"unmatchable users {list(result.pairing.unmatched)}"
-        print(f"infeasible at stage {result.stage}: {detail}", file=sys.stderr)
+        detail = {"pairing": f"unmatchable users {list(result.pairing.unmatched)}",
+                  "rate_missed": "a user ends below its minimum rate after the pair split"}
+        print(f"infeasible at stage {result.stage}, exit {result.exit}: "
+              f"{detail.get(result.exit) or result.allocation.detail}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
     print(f"pairs (gap): " + ", ".join(

@@ -49,8 +49,12 @@ np.stack). Where the exact sum jumps across the budget at one water level,
 the search narrows its bracket to two neighbouring floats and returns the
 upper one, the float just above the jump, below the budget; a step cap
 returns the bracket's top too. A feasible allocation therefore never sums
-above the budget, and one that cannot spend it to within the tolerance
-says so in its status.
+above the budget. How an allocation ends is one of ``EXITS``: ``ok`` (the
+budget spent to within the tolerance), ``budget_slack`` (a zero water level
+cannot spend it), ``jump`` (the search ended on the float just above a jump
+of the totals), ``step_cap`` (80 steps), and the two without an allocation,
+``floors_over_budget`` and ``rate_unreachable``; the flags ``feasible`` and
+``budget_exhausted`` follow from it.
 
 The groups of one allocation share one rho profile; constant profiles may
 differ, one value per group. Along one group's power axis a receiver's
@@ -82,6 +86,7 @@ from .pairing import PairingAssignment, pair_users
 from .semantic_rate import _TINY, InterferenceProfile, _one_profile, _RhoAxis
 
 __all__ = [
+    "EXITS",
     "Group",
     "PowerAllocation",
     "SolverConfig",
@@ -126,6 +131,9 @@ def _grid(p_max: float) -> np.ndarray:
 # stationary-point resolution markers
 _ROOT, _ZERO, _CAP = 0, 1, 2
 
+# how an allocation ends: the first four leave an allocation within the budget, the last two none
+EXITS = ("ok", "budget_slack", "jump", "step_cap", "floors_over_budget", "rate_unreachable")
+
 
 class MinRateInfeasible(RuntimeError):
     """A minimum-rate constraint cannot be met at any power within the budget."""
@@ -155,17 +163,24 @@ class Group:
 
 @dataclass
 class PowerAllocation:
-    """Group totals, per-user splits, and dual variables of one allocation."""
+    """Group totals, per-user splits, and dual variables of one allocation, and how it ended."""
 
     group_totals: np.ndarray          # (K,) watts
     splits: np.ndarray                # (K, 2) watts
     mu: float                         # budget multiplier
     lambdas: np.ndarray               # (K, 2) min-rate multipliers
-    feasible: bool = True
-    budget_exhausted: bool = True
-    status: str = "ok"
+    exit: str = "ok"                  # one of EXITS
+    detail: str = ""                  # the exit's message: the group, user or watts
     steps: int = 0                    # exactly refined water levels evaluated
     sampled_steps: int = 0            # water levels evaluated on the sampled curves
+
+    @property
+    def feasible(self) -> bool:
+        return self.exit in EXITS[:4]
+
+    @property
+    def budget_exhausted(self) -> bool:
+        return self.exit == "ok"
 
 
 @dataclass
@@ -217,8 +232,16 @@ class SolveResult:
     allocation: PowerAllocation | None
     sum_rate: float
     user_rates: dict
-    feasible: bool
-    stage: str | None = None  # failing stage when infeasible
+    exit: str   # the allocation's, "pairing", or "rate_missed": a rate below its minimum after the split
+
+    @property
+    def stage(self) -> str | None:
+        """The failing stage, "pairing" or "power"; None when feasible."""
+        return None if self.exit in EXITS[:4] else "pairing" if self.exit == "pairing" else "power"
+
+    @property
+    def feasible(self) -> bool:
+        return self.stage is None
 
 
 class _GroupArrays:
@@ -337,7 +360,7 @@ def _rate_floors(arrs: _GroupArrays, p_max: float):
 
     Where rho rises with power the rate may be met only below some power;
     the water-filling still takes [floor, inf), and ``solve``'s final rate
-    check reports a group pushed past it at stage "power".
+    check ends a drop whose group it pushed past that power "rate_missed".
     """
     # the lookup's (user, group) layout
     t = arrs.pow2r.T - 1.0
@@ -510,7 +533,7 @@ class _WaterFiller:
         return np.maximum(self.p_req, p3), status, slope
 
     def search(self, evaluate, mu, stop, state):
-        """Water level where the totals of ``evaluate`` meet the budget, from ``mu``, and its state.
+        """Water level where the totals of ``evaluate`` meet the budget, from ``mu``, its state, and how it stopped.
 
         ``evaluate(mu)`` gives the total, its slope in mu and a state to
         return. The bracket is (0, top], whose state is ``state``. The
@@ -523,23 +546,23 @@ class _WaterFiller:
         a level inside it where the totals may jump (``jump_level``), on
         both of its neighbouring floats, so that a jump across the budget
         ends between the same two floats as bisection would. The search
-        stops when the total is within ``stop`` of the budget, when the
-        bracket's ends are neighbouring floats, or after 80 steps, and
-        returns the last level within the budget: the one that met it, or
-        else the bracket's top.
+        stops when the total is within ``stop`` of the budget ("ok"), when
+        the bracket's ends are neighbouring floats ("jump"), or after 80
+        steps ("step_cap"), and returns the last level within the budget:
+        the one that met it, or else the bracket's top.
         """
         lo, hi = 0.0, self.top
         probe = None        # the lower side of a jump level, once its upper side is probed
         for _ in range(80):
             total, slope, at = evaluate(mu)
             if abs(total - self.p_max) < stop:
-                return mu, at
+                return mu, at, "ok"
             if total > self.p_max:
                 lo = mu
             else:
                 hi, state = mu, at
             if math.nextafter(lo, math.inf) >= hi:
-                break
+                return hi, state, "jump"
             if probe is not None and lo < probe < hi:
                 mu, probe = probe, None
                 continue
@@ -555,7 +578,7 @@ class _WaterFiller:
                 mu, probe = (upper, level) if upper < hi else (level, None)
             else:
                 mu = math.sqrt(lo * hi) if 0 < 2.0 * lo < hi else 0.5 * (lo + hi)
-        return hi, state
+        return hi, state, "step_cap"
 
     def _samples(self, level, rows, tag, a, b):
         """Stationarity curve at the interior points of each row's tagged bracket [a, b], (R, _SUB_N - 1).
@@ -612,17 +635,21 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
     Every group power is the largest of its two users' rate floors and the
     stationary point at the current multiplier, all under an equal
     intra-pair split. A floor is the least power up to ``p_max`` that meets
-    the user's minimum rate (see ``_rate_floors``). Infeasibility (a minimum
-    rate that no power within the budget meets, or floors that sum above
-    the budget) is reported on the returned allocation rather than raised.
+    the user's minimum rate (see ``_rate_floors``). Infeasibility is an exit
+    of the returned allocation, not an exception: "rate_unreachable" for a
+    minimum rate that no power within the budget meets, "floors_over_budget"
+    for floors that sum above the budget.
     One water-level search (``_WaterFiller.search``) runs on the sampled
     totals to within 0.5e-8 p_max of the budget, then on the exactly
     refined totals, from there, to within 1e-8 p_max. Its bracket's upper
     end starts at the top, just above every sample, where each group sits
     at its floor and the totals are within the budget. Where the exact
     totals jump across the budget instead, the allocation is the bracket's
-    upper end, the float just above the jump, with status "budget not
-    exhausted within tolerance". ``sampled_steps`` on the result counts the
+    upper end, the float just above the jump, with exit "jump"; after 80
+    steps it is the bracket's upper end too, "step_cap". An allocation
+    whose totals end within the tolerance is "ok" however the search
+    stopped, and one whose zero water level cannot spend the budget is
+    "budget_slack". ``sampled_steps`` on the result counts the
     evaluations on the sampled curves, ``steps`` the exactly refined ones.
     ``groups`` may also be the groups' ``_GroupArrays``, which ``solve``
     reuses for the pair stage.
@@ -632,27 +659,16 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
         raise ValueError(f"p_max must be positive, got {p_max}")
     tol = 1e-8 * p_max
     k = arrs.k
-
-    def failure(status: str) -> PowerAllocation:
-        return PowerAllocation(
-            group_totals=np.zeros(k),
-            splits=np.zeros((k, 2)),
-            mu=float("nan"),
-            lambdas=np.zeros((k, 2)),
-            feasible=False,
-            budget_exhausted=False,
-            status=status,
-        )
-
+    # no allocation: zero powers, no water level
     try:
         binding = _rate_floors(arrs, p_max)
     except MinRateInfeasible as exc:
-        return failure(f"min-rate infeasible: {exc}")
+        return PowerAllocation(np.zeros(k), np.zeros((k, 2)), math.nan, np.zeros((k, 2)),
+                               exit="rate_unreachable", detail=str(exc))
     p_req = binding.max(axis=1)
     if p_req.sum() > p_max:
-        return failure(
-            f"min-rate power demand {p_req.sum():.6g} W exceeds budget {p_max:.6g} W"
-        )
+        return PowerAllocation(np.zeros(k), np.zeros((k, 2)), math.nan, np.zeros((k, 2)), exit="floors_over_budget",
+                               detail=f"the rate floors need {p_req.sum():.6g} W, above the budget {p_max:.6g} W")
 
     wf = _WaterFiller(arrs, p_max, p_req)
 
@@ -661,17 +677,9 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
         if p_k0.sum() <= p_max - tol:
             # even a zero water level cannot spend the budget: rates saturate
             lam = _recover_lambdas(arrs, p_k0, p_req, 0.0, binding)
-            return PowerAllocation(
-                group_totals=p_k0,
-                splits=(p_k0 / 2.0)[:, None].repeat(2, axis=1),
-                mu=0.0,
-                lambdas=lam,
-                feasible=True,
-                budget_exhausted=False,
-                status="budget slack at zero water level",
-                steps=wf.steps,
-                sampled_steps=wf.sampled_steps,
-            )
+            return PowerAllocation(group_totals=p_k0, splits=(p_k0 / 2.0)[:, None].repeat(2, axis=1), mu=0.0,
+                                   lambdas=lam, exit="budget_slack", detail=f"{p_k0.sum():.6g} of {p_max:.6g} W spent",
+                                   steps=wf.steps, sampled_steps=wf.sampled_steps)
 
     # the search first takes the totals with roots interpolated on the
     # sampled curves, from where every group, at an equal share of the
@@ -684,13 +692,13 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
     mu = min(wf.top, 0.5 * float(at_share[(k - 1) // 2] + at_share[k // 2]))
     if not mu > 0:      # curves at or below zero there: keep inside the bracket
         mu = 0.5 * wf.top
-    mu, _ = wf.search(lambda mu: (*wf.interp_total(mu), None), mu, 0.5 * tol, None)
+    mu, _, _ = wf.search(lambda mu: (*wf.interp_total(mu), None), mu, 0.5 * tol, None)
 
     def exact(mu):
         p_k, status, slope = wf.exact_totals(mu)
         return p_k.sum(), slope, (p_k, status)
 
-    mu, (p_k, status) = wf.search(exact, mu, tol, (p_req.copy(), np.full(k, _ZERO)))
+    mu, (p_k, status), stopped = wf.search(exact, mu, tol, (p_req.copy(), np.full(k, _ZERO)))
     exhausted = abs(p_k.sum() - p_max) < tol
     # the stop test accepts totals up to tol above the budget; take that
     # excess from the power above the rate floors so "ok" never overspends
@@ -708,17 +716,10 @@ def inter_group_allocate(groups, p_max: float) -> PowerAllocation:
         mu = float((d_cap / _LN2)[capped].min())
 
     lam = _recover_lambdas(arrs, p_k, p_req, mu, binding)
-    return PowerAllocation(
-        group_totals=p_k,
-        splits=(p_k / 2.0)[:, None].repeat(2, axis=1),
-        mu=float(mu),
-        lambdas=lam,
-        feasible=True,
-        budget_exhausted=bool(exhausted),
-        status="ok" if exhausted else "budget not exhausted within tolerance",
-        steps=wf.steps,
-        sampled_steps=wf.sampled_steps,
-    )
+    return PowerAllocation(group_totals=p_k, splits=(p_k / 2.0)[:, None].repeat(2, axis=1), mu=float(mu),
+                           lambdas=lam, exit="ok" if exhausted else stopped,
+                           detail="" if exhausted else f"{p_k.sum():.6g} of {p_max:.6g} W spent",
+                           steps=wf.steps, sampled_steps=wf.sampled_steps)
 
 
 def _rate_coeff(arrs: _GroupArrays, p_k):
@@ -936,8 +937,9 @@ def solve(users, config: SolverConfig) -> SolveResult:
 
     Users are matched under fixed equal-split powers, the budget is spread
     across the resulting groups, and each group's split is then reoptimized
-    within its min-rate-feasible range. Returns
-    the realized system sum rate; infeasibility carries the failing stage.
+    within its min-rate-feasible range. Returns the realized system sum
+    rate and the exit: the allocation's, "pairing" for users left unmatched,
+    or "rate_missed" for a rate below its minimum after the pair split.
     """
     users = list(users)
     if len(users) < 2 or len(users) % 2 != 0:
@@ -945,9 +947,9 @@ def solve(users, config: SolverConfig) -> SolveResult:
     per_user_power = config.p_max_w / len(users)
     assignment = pair_users(users, per_user_power, config.profile, config.alpha, config.delta_max)
 
-    def result(stage, alloc=None, user_rates=None, sum_rate=float("nan")):
+    def result(exit, alloc=None, user_rates=None, sum_rate=float("nan")):
         return SolveResult(pairing=assignment, allocation=alloc, sum_rate=sum_rate,
-                           user_rates=user_rates or {}, feasible=stage is None, stage=stage)
+                           user_rates=user_rates or {}, exit=exit)
 
     if not assignment.feasible:
         return result("pairing")
@@ -956,7 +958,7 @@ def solve(users, config: SolverConfig) -> SolveResult:
                         for a, b in assignment.pairs)
     alloc = inter_group_allocate(arrs, config.p_max_w)
     if not alloc.feasible:
-        return result("power", alloc)
+        return result(alloc.exit, alloc)
 
     p_k = alloc.group_totals
     # one lookup serves the split interval, the split and the rates; a
@@ -977,5 +979,5 @@ def solve(users, config: SolverConfig) -> SolveResult:
         user_rates[a] = float(r[0])
         user_rates[b] = float(r[1])
     if (arrs.min_rate - rates > 1e-6).any():
-        return result("power", alloc, user_rates)
-    return result(None, alloc, user_rates, float(rates.sum()))
+        return result("rate_missed", alloc, user_rates)
+    return result(alloc.exit, alloc, user_rates, float(rates.sum()))

@@ -39,7 +39,6 @@ __all__ = [
     "sinr_conventional",
     "sinr_semantic",
     "calibrate_rho",
-    "pair_sum_rate",
     "load_rho_table",
     "save_rho_table",
 ]
@@ -445,7 +444,7 @@ def rho_derivative_eval(profile: InterferenceProfile, group_power, gain, noise):
     The power and the link arrays broadcast together. The slope is the
     power-axis lookup's, the one the solver reads: analytic for every kind,
     and for a table the derivative of its quadratic piece, from the right at
-    a cut.
+    a cut. It is API because perfbench's ``drho_ns_per_point`` times it.
     """
     p = np.asarray(group_power, dtype=float)
     if np.any(p <= 0):
@@ -479,18 +478,6 @@ def calibrate_rho(p_self: float, p_other: float, link: Link, mse: float) -> Cali
     raw = (mse - link.noise) / denom
     clamped = raw < 0.0 or raw > 1.0
     return CalibratedRho(value=float(min(max(raw, 0.0), 1.0)), clamped=clamped)
-
-
-def pair_sum_rate(p1: float, p2: float, profile: InterferenceProfile, link1: Link, link2: Link) -> float:
-    """Group sum rate: both users' log2(1 + semantic SINR), rho at the group power.
-
-    The one profile is evaluated on each receiver's own link.
-    """
-    p_group = p1 + p2
-    rho_21 = rho_eval(profile, p_group, link1.gain, link1.noise)
-    rho_12 = rho_eval(profile, p_group, link2.gain, link2.noise)
-    return float(np.log2(1.0 + sinr_semantic(p1, p2, rho_21, link1))
-                 + np.log2(1.0 + sinr_semantic(p2, p1, rho_12, link2)))
 
 
 def _parse_rho_table(handle, source: str) -> InterferenceProfile:

@@ -1,8 +1,11 @@
 import csv
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sfma.cli
 import sfma.power
@@ -19,10 +22,45 @@ from sfma.bench import (
     run_sweep,
 )
 from sfma.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_INFEASIBLE, EXIT_OK, cli_main
-from sfma.power import ConvergenceError, solve
+from sfma.power import EXITS, ConvergenceError, solve
 from sfma.semantic_rate import InterferenceProfile, save_rho_table
 
 TINY = dict(user_counts=(4,), p_max_dbw=(30.0,), drops=3, root_seed=5)
+# every way a drop ends: an allocation's exit, or a failure before or after it
+DROP_EXITS = EXITS + ("pairing", "rate_missed", "numerics")
+# values that each passed the config and then crashed the sweep mid-way
+OUT_OF_RANGE = [("p_max_dbw", (4000.0,)), ("noise_dbw", 4000.0), ("p_max_dbw", (-4000.0,)),
+                ("noise_dbw", -4000.0), ("area_side_m", 1e300), ("shadow_sigma_db", 1e6),
+                ("frame_window", 2 ** 63 + 1)]
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# each field over its whole range, but for time at most four users and two drops, and one worker
+FIELD_VALUES = {f.name: FINITE for f in fields(ScenarioConfig) if isinstance(f.default, float)}
+FIELD_VALUES.update(
+    p_max_dbw=st.lists(FINITE, min_size=1, max_size=2).map(tuple),
+    user_counts=st.lists(st.sampled_from([2, 4]), min_size=1, max_size=2).map(tuple),
+    drops=st.integers(1, 2), root_seed=st.integers(), frame_window=st.integers(), fading=st.booleans(),
+    rho_kind=st.sampled_from(["constant", "table", "parametric"]),
+)
+
+
+@st.composite
+def tiny_sweep_overrides(draw):
+    """Up to four fields of a one-drop, four-user config, each drawn from ``FIELD_VALUES``."""
+    names = draw(st.lists(st.sampled_from(sorted(FIELD_VALUES)), max_size=4, unique=True))
+    return tiny_sweep_with(**{name: draw(FIELD_VALUES[name]) for name in names})
+
+
+def tiny_sweep_with(**overrides):
+    """The fields of a one-drop, four-user config: these overrides, on the defaults."""
+    return {"user_counts": (4,), "drops": 1, **overrides}
+
+
+def with_out_of_range_examples(test):
+    """``test`` with each of ``OUT_OF_RANGE`` as an explicit example of its ``overrides``."""
+    for field, value in OUT_OF_RANGE:
+        test = example(overrides=tiny_sweep_with(**{field: value}))(test)
+    return test
 
 
 def stall_one_drop(monkeypatch, config, drop):
@@ -146,10 +184,28 @@ class TestConfig:
         ("frame_window", 2.5),
         ("user_counts", (10.7,)),
         ("user_counts", (4, True)),
-    ])
+    ] + OUT_OF_RANGE)
     def test_bad_scenario_value_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(**{field: value})
+
+    def test_range_edges_pass(self):
+        # the ends of the dB range, and a gain at its floor from the farthest user's loss
+        ScenarioConfig(p_max_dbw=(-3076.0, 3082.0), noise_dbw=-3076.0, frame_window=2 ** 63)
+        ScenarioConfig(noise_dbw=3082.0, shadow_sigma_db=0.0, area_side_m=2.0 ** 0.5 * 10.0 ** (3038.9 / 30.0))
+        with pytest.raises(ConfigError, match="area_side_m"):
+            ScenarioConfig(shadow_sigma_db=0.0, area_side_m=2.0 ** 0.5 * 10.0 ** (3039.1 / 30.0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy's overflow on extreme values
+    @with_out_of_range_examples
+    @settings(max_examples=150)
+    @given(overrides=tiny_sweep_overrides())
+    def test_a_config_fails_at_once_or_its_sweep_finishes(self, overrides):
+        try:
+            config = ScenarioConfig(**overrides, keep_records=True)
+        except ConfigError:
+            return
+        assert {o.exit for o in run_sweep(config).records} <= set(DROP_EXITS)
 
     @pytest.mark.parametrize("field, value", [("rho_limit", 2.0), ("rho_power_ref_w", 0.0)])
     def test_bad_parametric_rho_rejected(self, field, value):
@@ -242,14 +298,14 @@ class TestRunSweep:
         clean = run_sweep(config)
         stall_one_drop(monkeypatch, config, 1)
         report = run_sweep(config)
-        assert [(o.drop_index, o.feasible, o.stage) for o in report.numerics] == [(1, False, "numerics")]
-        assert [o.stage for o in report.records] == [None, "numerics", None]
+        assert [(o.drop_index, o.feasible, o.exit) for o in report.infeasible] == [(1, False, "numerics")]
+        assert [o.exit for o in report.records] == ["ok", "numerics", "ok"]
         kept = [clean.records[0], clean.records[2]]
         for row in report.rows:
             assert (row.drops, row.infeasible) == (2, 1)
             values = [o.rates[row.scheme] for o in kept]
             assert row.mean_sum_rate == pytest.approx(np.mean(values), rel=1e-12)
-        assert clean.numerics == []
+        assert clean.infeasible == []
 
     @pytest.mark.parametrize("kind", ["constant", "table", "parametric"])
     def test_evaluate_drop_solves_the_drop_inputs(self, kind):
@@ -348,12 +404,15 @@ class TestCli:
     def test_solve_rejects_odd_users(self):
         assert cli_main(["solve", "--users", "3", "--seed", "1"]) == EXIT_CONFIG
 
-    def test_solve_infeasible_exit_code(self):
+    def test_solve_infeasible_exit_code(self, capsys):
         # a 1 mW budget cannot carry two users at min rate 1
         code = cli_main([
             "solve", "--users", "2", "--seed", "1", "--p-max-dbw", "-30",
         ])
         assert code == EXIT_INFEASIBLE
+        # the line names the exit and its detail
+        assert capsys.readouterr().err == ("infeasible at stage power, exit rate_unreachable: group 0, user 1: "
+                                           "minimum rate not met by any power within the budget 0.001 W\n")
 
     def test_solve_min_rate_met_past_den_zero_at_p0(self, capsys):
         # on parametric rho den <= 0 at p0 = 2c for a minimum rate of 1.5,
@@ -380,6 +439,31 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 5
         assert "sfma/fnoma mean ratio" in capsys.readouterr().out
+
+    def test_sweep_breaks_infeasible_drops_down_by_exit(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"user_counts = 4\np_max_dbw = 10, -30\ndrops = 6\nroot_seed = 5\n"
+                            f"output = {tmp_path / 'out.csv'}\n")
+        assert cli_main(["sweep", "--config", str(cfg_path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert re.fullmatch(r"M=4 P=10 dBW: sfma/fnoma mean ratio \S+ "
+                            r"\(1 drops, 5 infeasible: rate_unreachable 4, pairing 1\)", lines[0])
+        # a cell in which every drop is infeasible has its line too
+        assert lines[1:] == ["M=4 P=-30 dBW: 0 drops, 6 infeasible: rate_unreachable 6"]
+
+    @pytest.mark.parametrize("field, value", OUT_OF_RANGE)
+    def test_sweep_out_of_range_value_fails_before_any_drop(self, tmp_path, capsys, monkeypatch, field, value):
+        def no_drop(*args, **kwargs):
+            raise AssertionError("a drop ran")
+
+        monkeypatch.setattr(sfma.bench, "evaluate_drop", no_drop)
+        cfg_path = tmp_path / "run.cfg"
+        text = ", ".join(map(str, value)) if isinstance(value, tuple) else value
+        cfg_path.write_text(f"user_counts = 4\ndrops = 2\n{field} = {text}\noutput = {tmp_path / 'out.csv'}\n")
+        assert cli_main(["sweep", "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and field in err
 
     def test_sweep_nan_noise_is_one_error_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"

@@ -15,10 +15,10 @@ from sfma.pairing import (
     preference_matrix,
     temporal_gap,
 )
-from sfma.semantic_rate import InterferenceProfile, Link, LogisticRhoParams, pair_sum_rate
+from sfma.semantic_rate import InterferenceProfile, Link, LogisticRhoParams
 from sfma.verify import find_blocking_pair, matching_total_value, perfect_matchings, random_users
 
-from conftest import make_link
+from conftest import make_link, pair_sum_rate
 
 ZERO_RHO = InterferenceProfile.constant(0.0)
 

@@ -17,7 +17,6 @@ from sfma.semantic_rate import (
     LogisticRhoParams,
     calibrate_rho,
     load_rho_table,
-    pair_sum_rate,
     rho_derivative_eval,
     rho_eval,
     save_rho_table,
@@ -25,7 +24,7 @@ from sfma.semantic_rate import (
     sinr_semantic,
 )
 
-from conftest import NOISE_W, make_link
+from conftest import NOISE_W, make_link, pair_sum_rate
 
 powers = st.floats(min_value=0.0, max_value=1e3)
 gains = st.floats(min_value=1e-13, max_value=1e-6)
